@@ -33,30 +33,31 @@ main()
         SystemParams prm;
         prm.tmKind = kind;
         ExperimentResult r = runWorkload("ocean", prm, 1, 4);
-        const RunStats &s = r.stats;
+        auto stat = [&r](const char *path) {
+            return (unsigned long long)r.snapshot.counter(path);
+        };
         std::printf("%s on 4 cores:\n", tmKindName(kind));
         std::printf("  cycles            : %llu  (%+.0f%% speedup)\n",
                     (unsigned long long)r.cycles,
                     speedupPct(serial, r.cycles));
         std::printf("  commits / aborts  : %llu / %llu\n",
-                    (unsigned long long)s.commits,
-                    (unsigned long long)s.aborts);
+                    stat("tx.commits"), stat("tx.aborts"));
         std::printf("  tx evictions      : %llu (overflowed blocks)\n",
-                    (unsigned long long)s.txEvictions);
+                    stat("mem.tx_evictions"));
         if (kind == TmKind::SelectPtm) {
             std::printf("  shadow pages      : %llu allocated, "
                         "%llu freed\n",
-                        (unsigned long long)s.shadowAllocs,
-                        (unsigned long long)s.shadowFrees);
+                        stat("vts.shadow_allocs"),
+                        stat("vts.shadow_frees"));
             std::printf("  commit walk nodes : %llu (no data copies)\n",
-                        (unsigned long long)s.commitWalkNodes);
+                        stat("vts.commit_walk_nodes"));
         } else {
             std::printf("  XADT copy-backs   : %llu blocks copied at "
                         "commit\n",
-                        (unsigned long long)s.xadtCopybacks);
+                        stat("vtm.copybacks"));
             std::printf("  stalls            : %llu accesses waited "
                         "for copy-backs\n",
-                        (unsigned long long)s.stalls);
+                        stat("mem.false_stalls"));
         }
         std::printf("  result verified   : %s\n\n",
                     r.verified ? "yes" : "NO");

@@ -91,7 +91,7 @@ main()
     }
 
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
 
     bool ok = true;
     for (unsigned e = 0; e < kElems; ++e)
@@ -99,9 +99,9 @@ main()
             ok = false;
 
     std::printf("ordered transactions committed : %llu\n",
-                (unsigned long long)s.commits);
+                (unsigned long long)s.counter("tx.commits"));
     std::printf("mis-speculations (aborts)      : %llu\n",
-                (unsigned long long)s.aborts);
+                (unsigned long long)s.counter("tx.aborts"));
     std::printf("sequential semantics preserved : %s\n",
                 ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;

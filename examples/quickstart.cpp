@@ -58,16 +58,16 @@ main()
     }
 
     Tick end = sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
 
     std::printf("simulated cycles : %llu\n",
                 (unsigned long long)end);
     std::printf("commits          : %llu\n",
-                (unsigned long long)s.commits);
+                (unsigned long long)s.counter("tx.commits"));
     std::printf("aborts           : %llu\n",
-                (unsigned long long)s.aborts);
+                (unsigned long long)s.counter("tx.aborts"));
     std::printf("conflicts        : %llu\n",
-                (unsigned long long)s.conflicts);
+                (unsigned long long)s.counter("mem.conflicts"));
     std::printf("final counter    : %u (expected %u)\n",
                 sys.readWord32(proc, kCounter), kThreads * kIters);
 

@@ -66,7 +66,7 @@ main()
     worker(b, base_b, 7);
 
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
 
     bool ok = true;
     for (unsigned c = 0; c < kCounters; ++c) {
@@ -79,8 +79,8 @@ main()
     }
     std::printf("\ncross-process conflicts arbitrated: %llu "
                 "(aborts: %llu)\n",
-                (unsigned long long)s.conflicts,
-                (unsigned long long)s.aborts);
+                (unsigned long long)s.counter("mem.conflicts"),
+                (unsigned long long)s.counter("tx.aborts"));
     std::printf("atomicity across address spaces: %s\n",
                 ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;

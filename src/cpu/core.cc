@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "persist/wal.hh"
-#include "sim/flightrec.hh"
 #include "sim/logging.hh"
 #include "vm/os_kernel.hh"
 
@@ -94,8 +93,9 @@ Core::preempt(ThreadCtx &t, Tick next_step_delay)
         // execution ticks now (optimistically, unless already doomed)
         // so the pot stays core-local across the migration.
         Tick retired = prof_->resolveTx(id_, !t.abortPending);
-        if (fr_ && t.abortPending && retired)
-            fr_->onWasted(t.curTx, retired);
+        if (t.abortPending && retired)
+            os_.tracer().record(TraceEventType::TxWasted, id_, t.id,
+                                t.curTx, invalidTxId, retired);
     }
     prof_->set(id_, ProfBucket::CtxSwitch);
     if (params_.flushOnContextSwitch && t.curTx != invalidTxId &&
@@ -589,8 +589,9 @@ Core::handleAbort(ThreadCtx &t)
     // stack also cleans up any stall span whose pop the epoch bump
     // just abandoned.
     Tick wasted = prof_->resolveTx(id_, false);
-    if (fr_ && wasted)
-        fr_->onWasted(t.curTx, wasted);
+    if (wasted)
+        os_.tracer().record(TraceEventType::TxWasted, id_, t.id, t.curTx,
+                            invalidTxId, wasted);
     prof_->collapse(id_, ProfBucket::TxAbort);
 
     if (!t.abortCleanupDone) {

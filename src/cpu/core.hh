@@ -62,9 +62,6 @@ class Core
     /** Attach the cycle-accounting profiler (default: inert nil()). */
     void setProfiler(CycleProfiler &prof) { prof_ = &prof; }
 
-    /** Attach the flight recorder (System wiring; off = nullptr). */
-    void setFlightRec(FlightRecorder *f) { fr_ = f; }
-
     /** Attach the write-ahead log (System wiring; volatile = nullptr). */
     void setWal(WalManager *w) { wal_ = w; }
 
@@ -163,7 +160,6 @@ class Core
     OsKernel &os_;
 
     CycleProfiler *prof_ = &CycleProfiler::nil();
-    FlightRecorder *fr_ = nullptr;
     WalManager *wal_ = nullptr;
 
     /** Per-core stream for the randomized abort-restart backoff. */

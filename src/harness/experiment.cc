@@ -59,7 +59,6 @@ runWorkload(const std::string &workload_name, SystemParams params,
                         .count();
     r.snapshot = sys.snapshot();
     r.eventsExecuted = r.snapshot.value("events.executed");
-    r.stats = sys.stats();
     r.crashed = sys.crashed();
     if (r.crashed)
         r.crashTick = sys.crashTick();

@@ -27,8 +27,6 @@ struct ExperimentResult
      * This is what the front ends and the JSON emitter consume.
      */
     StatSnapshot snapshot;
-    /** Legacy flat statistics view (tests and examples only). */
-    RunStats stats;
     /** The workload's functional result matched the host reference. */
     bool verified = false;
     Tick cycles = 0;

@@ -46,24 +46,28 @@ System::System(const SystemParams &params)
     }
     mem_.setBackend(backend_.get());
 
+    // The observer path: every component records into tracer_, and the
+    // ring (when tracing) and each subscriber below see only the record
+    // types they asked for.
+    tracer_.setClock([this] { return eq_.curTick(); });
     if (!params_.trace.path.empty()) {
         tracer_.configure(params_.trace.categories,
                           params_.trace.bufferEvents);
-        tracer_.setClock([this] { return eq_.curTick(); });
         tracer_.setWatchAddr(params_.trace.watchAddr);
-        txmgr_.setTracer(&tracer_);
-        mem_.setTracer(&tracer_);
-        os_.setTracer(&tracer_);
-        if (vts_)
-            vts_->setTracer(&tracer_);
-        else if (auto *vtm = dynamic_cast<VtmController *>(backend_.get()))
-            vtm->setTracer(&tracer_);
     }
+    txmgr_.setTracer(&tracer_);
+    mem_.setTracer(&tracer_);
+    os_.setTracer(&tracer_);
+    if (vts_)
+        vts_->setTracer(&tracer_);
+    else if (auto *vtm = dynamic_cast<VtmController *>(backend_.get()))
+        vtm->setTracer(&tracer_);
 
+    using Ev = TraceEventType;
     if (params_.profile.enabled) {
         profiler_.configure(params_.numCores);
         profiler_.setClock([this] { return eq_.curTick(); });
-        txmgr_.setProfiler(&profiler_);
+        tracer_.subscribe(&profiler_, {Ev::TxCommit, Ev::TxAbort});
         mem_.setProfiler(&profiler_);
         os_.setProfiler(&profiler_);
         if (vts_)
@@ -92,9 +96,9 @@ System::System(const SystemParams &params)
     if (params_.heatmap.enabled) {
         heatmap_ =
             std::make_unique<ContentionHeatmap>(params_.heatmap.topK);
-        txmgr_.setHeatmap(heatmap_.get());
-        if (vts_)
-            vts_->setHeatmap(heatmap_.get());
+        tracer_.subscribe(heatmap_.get(),
+                          {Ev::ConflictEdge, Ev::TxAbort, Ev::SptMiss,
+                           Ev::TavMiss, Ev::ShadowAlloc});
     }
 
     if (params_.chaos.enabled) {
@@ -102,19 +106,18 @@ System::System(const SystemParams &params)
         if (vts_)
             vts_->setChaos(&chaos_);
     }
+    // Default replay line of the auditor and the flight recorder.
+    using ull = unsigned long long;
+    std::string repro = strprintf("--seed %llu", (ull)params_.seed);
+    if (params_.chaos.enabled)
+        repro += strprintf(" --chaos --chaos-seed %llu --chaos-plan %s "
+                           "--chaos-interval %llu",
+                           (ull)params_.chaos.seed,
+                           chaosPlanString(params_.chaos.plan).c_str(),
+                           (ull)params_.chaos.interval);
     if (params_.audit.enabled) {
         if (vts_) {
             auditor_.attach(vts_, &txmgr_);
-            using ull = unsigned long long;
-            std::string repro =
-                strprintf("--seed %llu", (ull)params_.seed);
-            if (params_.chaos.enabled)
-                repro += strprintf(
-                    " --chaos --chaos-seed %llu --chaos-plan %s "
-                    "--chaos-interval %llu",
-                    (ull)params_.chaos.seed,
-                    chaosPlanString(params_.chaos.plan).c_str(),
-                    (ull)params_.chaos.interval);
             auditor_.setRepro(repro);
         } else {
             warn("--audit requested but the %s backend has no PTM "
@@ -126,28 +129,17 @@ System::System(const SystemParams &params)
     if (params_.forensics.enabled()) {
         flightrec_ =
             std::make_unique<FlightRecorder>(params_.forensics);
-        txmgr_.setFlightRec(flightrec_.get());
-        for (auto &c : cores_)
-            c->setFlightRec(flightrec_.get());
-        if (vts_)
-            vts_->setFlightRec(flightrec_.get());
-        using ull = unsigned long long;
-        std::string repro = strprintf("--seed %llu", (ull)params_.seed);
-        if (params_.chaos.enabled)
-            repro += strprintf(
-                " --chaos --chaos-seed %llu --chaos-plan %s "
-                "--chaos-interval %llu",
-                (ull)params_.chaos.seed,
-                chaosPlanString(params_.chaos.plan).c_str(),
-                (ull)params_.chaos.interval);
+        tracer_.subscribe(flightrec_.get(),
+                          {Ev::TxBegin, Ev::TxRestart, Ev::TxCommit,
+                           Ev::TxAbort, Ev::TxWasted, Ev::SptMiss,
+                           Ev::TavMiss, Ev::ShadowAlloc, Ev::WatchdogTrip,
+                           Ev::StarvationGrant});
         flightrec_->setRepro(repro);
-        if (auditor_.attached())
+        if (auditor_.attached() && flightrec_->armed())
             auditor_.onViolation = [this](const AuditViolation &v) {
-                if (flightrec_->armed())
-                    flightrec_->trigger(
-                        PostmortemTrigger::AuditViolation, pickLiveTx(),
-                        v.tick,
-                        v.check + " at " + v.where + ": " + v.detail);
+                flightrec_->trigger(
+                    PostmortemTrigger::AuditViolation, pickLiveTx(),
+                    v.tick, v.check + " at " + v.where + ": " + v.detail);
             };
         if (flightrec_->armed())
             flightrec_->onReport = [this](const PostmortemReport &r) {
@@ -307,13 +299,15 @@ System::wireHooks()
     os_.onThreadExit = [this](ThreadCtx *t) {
         if (vts_)
             vts_->drainThreadCleanups(t->id);
-        // The pending sample event would otherwise keep the queue
-        // running to the next interval boundary after the workload
-        // ends, inflating the elapsed time the profiler closes
-        // against (same hazard as the daemon timer). The final flush
-        // in run() still covers the cancelled remainder.
+        // A pending periodic task would otherwise keep the queue
+        // running to its next interval boundary after the workload
+        // ends, inflating the elapsed time the profiler and the
+        // time-weighted stats close against (same hazard as the daemon
+        // timer). The final timeseries flush in run() still covers the
+        // cancelled remainder.
         if (os_.liveThreads() == 1)
-            timeseriesEvent_.cancel();
+            for (PeriodicTask &task : periodic_)
+                task.handle.cancel();
     };
     if (backend_) {
         txmgr_.backendCommit = [this](TxId tx) {
@@ -357,9 +351,27 @@ System::addThread(ProcId proc, std::vector<Step> steps,
 }
 
 void
+System::addPeriodic(Tick interval, std::function<void()> body)
+{
+    periodic_.push_back({interval, std::move(body), {}});
+    schedulePeriodic(periodic_.size() - 1);
+}
+
+void
+System::schedulePeriodic(std::size_t i)
+{
+    periodic_[i].handle = eq_.scheduleIn(
+        periodic_[i].interval, EventPriority::Stats, [this, i] {
+            periodic_[i].body();
+            if (os_.liveThreads() > 0)
+                schedulePeriodic(i);
+        });
+}
+
+void
 System::startSampler()
 {
-    if (!tracer_.active() || !tracer_.enabled(TraceCat::Sample) ||
+    if (!tracer_.enabled(TraceCat::Sample) ||
         params_.trace.sampleInterval == 0)
         return;
     // Probe whichever of these registered stats exist in this system
@@ -381,24 +393,12 @@ System::startSampler()
             sampled_.emplace_back(tracer_.sampleSeries(p), r);
     }
     if (!sampled_.empty())
-        scheduleSample();
-}
-
-void
-System::scheduleSample()
-{
-    eq_.scheduleIn(params_.trace.sampleInterval, EventPriority::Stats,
-                   [this] {
-                       for (const auto &[series, ref] : sampled_)
-                           tracer_.record(TraceEventType::CounterSample,
-                                          traceNoId, traceNoId,
-                                          invalidTxId, invalidTxId,
-                                          series, 0, ref->numeric());
-                       // Stop once the workload drained so the event
-                       // queue can run dry.
-                       if (os_.liveThreads() > 0)
-                           scheduleSample();
-                   });
+        addPeriodic(params_.trace.sampleInterval, [this] {
+            for (const auto &[series, ref] : sampled_)
+                tracer_.record(TraceEventType::CounterSample, traceNoId,
+                               traceNoId, invalidTxId, invalidTxId,
+                               series, 0, ref->numeric());
+        });
 }
 
 void
@@ -416,38 +416,8 @@ System::startTimeseries()
     // Baselines before the first event executes: interval delta sums
     // then reconcile exactly with the end-of-run totals.
     timeseries_->start();
-    scheduleTimeseries();
-}
-
-void
-System::scheduleTimeseries()
-{
-    timeseriesEvent_ =
-        eq_.scheduleIn(params_.timeseries.interval,
-                       EventPriority::Stats, [this] {
-                           timeseries_->sample();
-                           if (os_.liveThreads() > 0)
-                               scheduleTimeseries();
-                       });
-}
-
-void
-System::startChaos()
-{
-    if (!chaos_.active())
-        return;
-    scheduleChaos();
-}
-
-void
-System::scheduleChaos()
-{
-    eq_.scheduleIn(params_.chaos.interval, EventPriority::Stats,
-                   [this] {
-                       injectChaos();
-                       if (os_.liveThreads() > 0)
-                           scheduleChaos();
-                   });
+    addPeriodic(params_.timeseries.interval,
+                [this] { timeseries_->sample(); });
 }
 
 TxId
@@ -527,32 +497,17 @@ System::injectChaos()
                    victim, invalidTxId, f);
 }
 
-void
-System::startAudit()
-{
-    if (!auditor_.attached() || params_.audit.interval == 0)
-        return;
-    scheduleAudit();
-}
-
-void
-System::scheduleAudit()
-{
-    eq_.scheduleIn(params_.audit.interval, EventPriority::Stats,
-                   [this] {
-                       auditor_.checkAll("interval", eq_.curTick());
-                       if (os_.liveThreads() > 0)
-                           scheduleAudit();
-                   });
-}
-
 Tick
 System::run()
 {
     startSampler();
     startTimeseries();
-    startChaos();
-    startAudit();
+    if (chaos_.active())
+        addPeriodic(params_.chaos.interval, [this] { injectChaos(); });
+    if (auditor_.attached() && params_.audit.interval)
+        addPeriodic(params_.audit.interval, [this] {
+            auditor_.checkAll("interval", eq_.curTick());
+        });
     os_.startTimers();
     os_.kickIdleCores();
     Tick limit = params_.maxTicks ? params_.maxTicks : maxTick;
@@ -605,65 +560,6 @@ System::readWord32(ProcId proc, Addr vaddr)
 {
     XlatResult xr = os_.translate(0, proc, vaddr, false);
     return mem_.debugReadWord32(xr.paddr);
-}
-
-RunStats
-System::stats() const
-{
-    RunStats s;
-    s.cycles = os_.lastExitTick() ? os_.lastExitTick() : eq_.curTick();
-    s.hitTickLimit = hit_limit_;
-
-    s.commits = txmgr_.commits.value();
-    s.aborts = txmgr_.aborts.value();
-    s.abortsNonTx = txmgr_.abortsNonTx.value();
-    s.abortsMultiWriter = txmgr_.abortsMultiWriter.value();
-
-    for (const auto &c : cores_)
-        s.memOps += c->memOps.value();
-    s.l1Hits = mem_.l1Hits.value();
-    s.l2Hits = mem_.l2Hits.value();
-    s.evictions = mem_.evictions.value();
-    s.txEvictions = mem_.txEvictions.value();
-    s.conflicts = mem_.conflicts.value();
-    s.stalls = mem_.falseStalls.value();
-
-    auto &self = const_cast<System &>(*this);
-    s.busTransactions = self.mem_.bus().transactions();
-    s.dramAccesses = self.mem_.dram().accesses();
-
-    s.exceptions = os_.exceptions.value();
-    s.contextSwitches = os_.contextSwitches.value();
-    s.pageFaults = os_.pageFaults.value();
-    s.swapIns = os_.swapIns.value();
-    s.swapOuts = os_.swapOuts.value();
-    s.uniquePages = os_.uniquePages();
-    s.txWrittenPages = os_.txWrittenPages();
-
-    if (vts_) {
-        s.shadowAllocs = vts_->shadowAllocs.value();
-        s.shadowFrees = vts_->shadowFrees.value();
-        s.liveShadowPages = vts_->liveShadowPages();
-        s.avgLiveDirtyPages = vts_->liveDirtyPagesStat().mean();
-        s.commitWalkNodes = vts_->commitWalkNodes.value();
-        s.abortWalkNodes = vts_->abortWalkNodes.value();
-        s.copyBackups = vts_->copyBackups.value();
-        s.abortRestoreUnits = vts_->abortRestoreUnits.value();
-        s.lazyMigrations = vts_->lazyMigrations.value();
-        s.sptCacheHits = vts_->sptCache.hits.value();
-        s.sptCacheMisses = vts_->sptCache.misses.value();
-        s.tavCacheHits = vts_->tavCache.hits.value();
-        s.tavCacheMisses = vts_->tavCache.misses.value();
-    }
-    if (auto *vtm = dynamic_cast<const VtmController *>(backend_.get())) {
-        s.xadtEntries = vtm->xadtInserts.value();
-        s.xadtCopybacks = vtm->copybacks.value();
-        s.xfFiltered = vtm->xfFiltered.value();
-        s.xadcHits = vtm->xadcHits.value();
-        s.xadcMisses = vtm->xadcMisses.value();
-        s.victimCacheHits = vtm->victimHits.value();
-    }
-    return s;
 }
 
 void

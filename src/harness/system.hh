@@ -13,13 +13,15 @@
  *     ProcId proc = sys.createProcess();
  *     sys.addThread(proc, steps);  // coroutine-step program
  *     sys.run();
- *     RunStats s = sys.stats();
+ *     StatSnapshot s = sys.snapshot();
+ *     std::uint64_t commits = s.counter("tx.commits");
  * @endcode
  */
 
 #ifndef PTM_HARNESS_SYSTEM_HH
 #define PTM_HARNESS_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -45,85 +47,6 @@
 
 namespace ptm
 {
-
-/** Aggregated end-of-run statistics. */
-struct RunStats
-{
-    Tick cycles = 0;
-    bool hitTickLimit = false;
-
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t abortsNonTx = 0;
-    std::uint64_t abortsMultiWriter = 0;
-
-    std::uint64_t memOps = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t busTransactions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t txEvictions = 0;
-    std::uint64_t dramAccesses = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t stalls = 0;
-
-    std::uint64_t exceptions = 0;
-    std::uint64_t contextSwitches = 0;
-    std::uint64_t pageFaults = 0;
-    std::uint64_t swapIns = 0;
-    std::uint64_t swapOuts = 0;
-
-    std::uint64_t uniquePages = 0;
-    std::uint64_t txWrittenPages = 0;
-
-    /** PTM-specific (zero for other backends). */
-    std::uint64_t shadowAllocs = 0;
-    std::uint64_t shadowFrees = 0;
-    std::uint64_t liveShadowPages = 0;
-    double avgLiveDirtyPages = 0.0;
-    std::uint64_t commitWalkNodes = 0;
-    std::uint64_t abortWalkNodes = 0;
-    std::uint64_t copyBackups = 0;
-    std::uint64_t abortRestoreUnits = 0;
-    std::uint64_t lazyMigrations = 0;
-    std::uint64_t sptCacheHits = 0;
-    std::uint64_t sptCacheMisses = 0;
-    std::uint64_t tavCacheHits = 0;
-    std::uint64_t tavCacheMisses = 0;
-
-    /** VTM-specific (zero for other backends). */
-    std::uint64_t xadtEntries = 0;
-    std::uint64_t xadtCopybacks = 0;
-    std::uint64_t xfFiltered = 0;
-    std::uint64_t xadcHits = 0;
-    std::uint64_t xadcMisses = 0;
-    std::uint64_t victimCacheHits = 0;
-
-    /** Memory operations per eviction (Table 1 "mop/evict"). */
-    double
-    mopPerEvict() const
-    {
-        return evictions ? double(memOps) / double(evictions) : 0.0;
-    }
-
-    /** Conservative shadow-page overhead bound (Table 1). */
-    double
-    conservativePct() const
-    {
-        return uniquePages
-                   ? 100.0 * double(txWrittenPages) / double(uniquePages)
-                   : 0.0;
-    }
-
-    /** Idealized shadow-page overhead (Table 1 "ideal"). */
-    double
-    idealPct() const
-    {
-        return uniquePages
-                   ? 100.0 * avgLiveDirtyPages / double(uniquePages)
-                   : 0.0;
-    }
-};
 
 class System
 {
@@ -179,19 +102,13 @@ class System
     /** A by-value capture of every registered statistic. */
     StatSnapshot snapshot() const { return StatSnapshot(registry_); }
 
-    /**
-     * Aggregate statistics (valid after run()). Legacy flat view kept
-     * for tests and examples; front ends use registry()/snapshot().
-     */
-    RunStats stats() const;
-
     /** Print a "group.stat value" dump of the whole registry. */
     void dumpStats(std::ostream &os) const;
 
     /**
-     * The event tracer. Inactive (zero-cost recording) unless
-     * params.trace.path was set; front ends capture its buffer after
-     * run() via harness::captureTrace().
+     * The observer path every component records into. Its trace ring
+     * is inactive unless params.trace.path was set; front ends capture
+     * the ring after run() via harness::captureTrace().
      */
     Tracer &tracer() { return tracer_; }
     const Tracer &tracer() const { return tracer_; }
@@ -220,17 +137,16 @@ class System
 
     /**
      * The per-page contention heatmap, or nullptr unless
-     * params.heatmap.enabled (components then hold null hook pointers:
-     * the default path costs one never-taken branch per event).
+     * params.heatmap.enabled (an observer-path subscriber).
      */
     ContentionHeatmap *heatmap() { return heatmap_.get(); }
     const ContentionHeatmap *heatmap() const { return heatmap_.get(); }
 
     /**
      * The transaction flight recorder, or nullptr when
-     * `--flightrec-depth 0` removed it (components then hold null hook
-     * pointers; recording is otherwise always on, post-mortem capture
-     * only when armed).
+     * `--flightrec-depth 0` removed it (an observer-path subscriber;
+     * recording is otherwise always on, post-mortem capture only when
+     * armed).
      */
     FlightRecorder *flightrec() { return flightrec_.get(); }
     const FlightRecorder *flightrec() const { return flightrec_.get(); }
@@ -284,18 +200,27 @@ class System
     std::uint32_t readWord32(ProcId proc, Addr vaddr);
 
   private:
+    /**
+     * A body run every interval ticks at Stats priority while threads
+     * are live; every task is cancelled when the last thread exits so
+     * none outlives the workload.
+     */
+    struct PeriodicTask
+    {
+        Tick interval = 0;
+        std::function<void()> body;
+        EventQueue::Handle handle;
+    };
+
     void wireHooks();
     void regStats();
     void unparkIfWaiting(ThreadCtx *t, ThreadState expected);
+    /** Add a PeriodicTask and schedule its first run. */
+    void addPeriodic(Tick interval, std::function<void()> body);
+    void schedulePeriodic(std::size_t i);
     void startSampler();
-    void scheduleSample();
     void startTimeseries();
-    void scheduleTimeseries();
-    void startChaos();
-    void scheduleChaos();
     void injectChaos();
-    void startAudit();
-    void scheduleAudit();
     /** Deterministic live-transaction victim pick (sorted ids). */
     TxId pickLiveTx();
 
@@ -316,8 +241,7 @@ class System
     std::unique_ptr<ContentionHeatmap> heatmap_;
     std::unique_ptr<FlightRecorder> flightrec_;
     std::unique_ptr<TimeseriesSampler> timeseries_;
-    /** Pending periodic sample; cancelled when the workload ends. */
-    EventQueue::Handle timeseriesEvent_;
+    std::vector<PeriodicTask> periodic_;
     std::unique_ptr<TmBackend> backend_;
     Vts *vts_ = nullptr; //!< non-owning view of backend_ when PTM
     std::unique_ptr<WalManager> wal_;

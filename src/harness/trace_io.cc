@@ -63,6 +63,8 @@ emitEventLine(std::ostream &os, const TraceEvent &e)
         os << ",\"b\":" << e.a1;
     if (e.v != 0.0)
         os << ",\"v\":" << num(e.v);
+    if (e.a2)
+        os << ",\"c\":" << e.a2;
     os << "}\n";
 }
 

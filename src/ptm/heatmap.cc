@@ -86,6 +86,31 @@ ContentionHeatmap::ContentionHeatmap(unsigned top_k)
 }
 
 void
+ContentionHeatmap::observe(const TraceEvent &e)
+{
+    // Record payloads carry 0 for "no address".
+    switch (e.type) {
+      case TraceEventType::ConflictEdge:
+        recordConflict(e.a0 ? e.a0 : invalidAddr);
+        break;
+      case TraceEventType::TxAbort:
+        recordAbort(unsigned(e.a0), e.a1 ? e.a1 : invalidAddr);
+        break;
+      case TraceEventType::SptMiss:
+        sptMiss_.record(e.a0);
+        break;
+      case TraceEventType::TavMiss:
+        tavMiss_.record(e.a0);
+        break;
+      case TraceEventType::ShadowAlloc:
+        shadowAlloc_.record(e.a0);
+        break;
+      default:
+        break;
+    }
+}
+
+void
 ContentionHeatmap::recordConflict(Addr where)
 {
     if (where == invalidAddr) {

@@ -16,9 +16,8 @@
  * aborts) are recorded under the invalidPage sentinel so the totals
  * still balance.
  *
- * All hooks are a single never-taken branch when the heatmap is
- * disabled (components hold a null pointer), keeping the default
- * path within benchmark noise.
+ * A disabled heatmap is never subscribed, so its record types cost
+ * the observer path's single interest-mask branch.
  */
 
 #ifndef PTM_PTM_HEATMAP_HH
@@ -29,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace ptm
@@ -106,19 +106,21 @@ struct HeatmapSnapshot
 };
 
 /**
- * The per-run contention heatmap. Hooked (via plain pointers, so the
- * tx/ and mem/ layers need no ptm/ headers) from:
+ * The per-run contention heatmap: a subscriber on the observer path
+ * (so the tx/ and ptm/vts layers need no heatmap header), consuming
  *
- *  - TxManager::resolveConflicts — one recordConflict per
- *    winner->loser edge, keyed by the conflicting block address;
- *  - TxManager::abort — one recordAbort per abort, next to the
+ *  - ConflictEdge — one recordConflict per winner->loser edge, keyed
+ *    by the conflicting block address;
+ *  - TxAbort — one recordAbort per abort, emitted next to the
  *    per-cause counters, so per-page sums match them exactly;
- *  - Vts::sptLookupCost / tavLookupCost miss paths and ensureShadow.
+ *  - SptMiss / TavMiss / ShadowAlloc, keyed by the home page.
  */
-class ContentionHeatmap
+class ContentionHeatmap : public TraceObserver
 {
   public:
     explicit ContentionHeatmap(unsigned top_k);
+
+    void observe(const TraceEvent &e) override;
 
     /** A winner->loser conflict edge at block address @p where. */
     void recordConflict(Addr where);
@@ -128,10 +130,6 @@ class ContentionHeatmap
      * @p where; invalidAddr records under the invalidPage sentinel.
      */
     void recordAbort(unsigned cause, Addr where);
-
-    void recordSptMiss(PageNum home) { sptMiss_.record(home); }
-    void recordTavMiss(PageNum home) { tavMiss_.record(home); }
-    void recordShadowAlloc(PageNum home) { shadowAlloc_.record(home); }
 
     unsigned topK() const { return k_; }
 

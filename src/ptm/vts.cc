@@ -7,8 +7,6 @@
 
 #include <algorithm>
 
-#include "ptm/heatmap.hh"
-#include "sim/flightrec.hh"
 #include "sim/logging.hh"
 
 namespace ptm
@@ -222,10 +220,6 @@ Vts::sptLookupCost(PageNum home, TxId tx)
     if (evicted_dirty)
         tracer_->record(TraceEventType::SptEvict, traceNoId, traceNoId,
                         invalidTxId, invalidTxId, home);
-    if (!hit && heat_)
-        heat_->recordSptMiss(home);
-    if (!hit && fr_ && tx != invalidTxId)
-        fr_->onSptMiss(tx);
     Tick now = eq_.curTick();
     Tick done = now;
     if (!hit) {
@@ -266,10 +260,6 @@ Vts::tavLookupCost(PageNum home, TxId tx, bool mark_dirty)
     if (evicted_dirty)
         tracer_->record(TraceEventType::TavEvict, traceNoId, traceNoId,
                         tx, invalidTxId, home);
-    if (!hit && heat_)
-        heat_->recordTavMiss(home);
-    if (!hit && fr_ && tx != invalidTxId)
-        fr_->onTavMiss(tx);
     Tick now = eq_.curTick();
     Tick done = now;
     if (!hit)
@@ -513,10 +503,6 @@ Vts::ensureShadow(SptEntry &e, TxId tx)
     e.shadow = frames_.alloc();
     ++shadow_pages_;
     ++shadowAllocs;
-    if (heat_)
-        heat_->recordShadowAlloc(e.home);
-    if (fr_ && tx != invalidTxId)
-        fr_->onShadowAlloc(tx);
     tracer_->record(TraceEventType::ShadowAlloc, traceNoId, traceNoId,
                     tx, invalidTxId, e.home, e.shadow);
 }

@@ -235,7 +235,7 @@ class Vts : public TmBackend
     /** Register the VTS statistics under the "vts" group. */
     void regStats(StatRegistry &reg) override;
 
-    /** Attach the event tracer (System wiring; defaults to nil). */
+    /** Attach the observer path (System wiring; defaults to nil). */
     void setTracer(Tracer *t) { tracer_ = t; }
 
     /** Attach the cycle profiler (System wiring; defaults to nil). */
@@ -243,12 +243,6 @@ class Vts : public TmBackend
 
     /** Attach the fault injector (System wiring; defaults to nil). */
     void setChaos(ChaosEngine *c) { chaos_ = c; }
-
-    /** Attach the contention heatmap (System wiring; off = nullptr). */
-    void setHeatmap(ContentionHeatmap *h) { heat_ = h; }
-
-    /** Attach the flight recorder (System wiring; off = nullptr). */
-    void setFlightRec(FlightRecorder *f) { fr_ = f; }
 
     /** @name TmBackend interface */
     /// @{
@@ -419,8 +413,6 @@ class Vts : public TmBackend
     Tracer *tracer_ = &Tracer::nil();
     CycleProfiler *prof_ = &CycleProfiler::nil();
     ChaosEngine *chaos_ = &ChaosEngine::nil();
-    ContentionHeatmap *heat_ = nullptr;
-    FlightRecorder *fr_ = nullptr;
     PageGran gran_;
     bool select_;
 

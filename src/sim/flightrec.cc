@@ -6,6 +6,7 @@
 #include "sim/flightrec.hh"
 
 #include <algorithm>
+#include <string>
 
 namespace ptm
 {
@@ -72,11 +73,56 @@ FlightRecorder::onBegin(TxId id, ThreadId thread, ProcId proc, Tick now)
 }
 
 void
-FlightRecorder::onRestart(TxId id, Tick now, unsigned attempts)
+FlightRecorder::observe(const TraceEvent &e)
 {
-    FlightRecord &rec = liveRecord(id);
-    rec.lastBegin = now;
-    rec.attempts = attempts;
+    switch (e.type) {
+      case TraceEventType::TxBegin:
+        onBegin(e.tx, e.thread, ProcId(e.a2), e.tick);
+        break;
+      case TraceEventType::TxRestart: {
+        FlightRecord &rec = liveRecord(e.tx);
+        rec.lastBegin = e.tick;
+        rec.attempts = unsigned(e.a0);
+        break;
+      }
+      case TraceEventType::TxCommit:
+        onCommit(e.tx, e.tick);
+        break;
+      case TraceEventType::TxAbort:
+        onAbort(e.tx, e.tick, std::uint8_t(e.a0),
+                e.a1 ? e.a1 : invalidAddr, e.tx2);
+        break;
+      case TraceEventType::TxWasted:
+        liveRecord(e.tx).wastedTicks += e.a0;
+        break;
+      case TraceEventType::SptMiss:
+        if (e.tx != invalidTxId)
+            ++liveRecord(e.tx).sptMisses;
+        break;
+      case TraceEventType::TavMiss:
+        if (e.tx != invalidTxId)
+            ++liveRecord(e.tx).tavMisses;
+        break;
+      case TraceEventType::ShadowAlloc:
+        if (e.tx != invalidTxId)
+            ++liveRecord(e.tx).shadowAllocs;
+        break;
+      // Triggers: the armed_ guard keeps unarmed runs from formatting.
+      case TraceEventType::WatchdogTrip:
+        if (armed_)
+            trigger(PostmortemTrigger::Watchdog, e.tx, e.tick,
+                    "watchdog trip after " + std::to_string(e.a0) +
+                        " consecutive aborts");
+        break;
+      case TraceEventType::StarvationGrant:
+        if (armed_)
+            trigger(PostmortemTrigger::StarvationGrant, e.tx, e.tick,
+                    "starvation token granted after " +
+                        std::to_string(e.a0) + " consecutive aborts");
+        break;
+      default:
+        break;
+    }
 }
 
 void
@@ -128,30 +174,6 @@ FlightRecorder::onCommit(TxId id, Tick now)
     }
     ++retiredRecords;
     live_.erase(id);
-}
-
-void
-FlightRecorder::onWasted(TxId id, Tick amount)
-{
-    liveRecord(id).wastedTicks += amount;
-}
-
-void
-FlightRecorder::onSptMiss(TxId id)
-{
-    ++liveRecord(id).sptMisses;
-}
-
-void
-FlightRecorder::onTavMiss(TxId id)
-{
-    ++liveRecord(id).tavMisses;
-}
-
-void
-FlightRecorder::onShadowAlloc(TxId id)
-{
-    ++liveRecord(id).shadowAllocs;
 }
 
 const FlightRecord *

@@ -8,8 +8,8 @@
  * retry counts, SPT/TAV miss counts, shadow-page allocations, and the
  * wasted ticks the cycle profiler retired against the transaction.
  * Updates are O(1) hash-map bumps, cheap enough to stay always on;
- * `--flightrec-depth 0` removes the recorder entirely (components then
- * hold a null pointer, one never-taken branch per hook).
+ * `--flightrec-depth 0` removes the recorder entirely (nothing then
+ * subscribes to the records it consumed).
  *
  * On a trigger — starvation-watchdog trip, starvation-token grant,
  * auditor violation, chaos injection, or a transaction reaching
@@ -45,6 +45,7 @@
 #include "sim/config.hh"
 #include "sim/flat_map.hh"
 #include "sim/stats.hh"
+#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace ptm
@@ -187,30 +188,17 @@ struct ForensicsSnapshot
 };
 
 /**
- * The flight recorder. Components hold a plain pointer (null when
- * depth is 0) and guard every hook with one branch, mirroring the
- * heatmap wiring; trigger call sites additionally check armed() so an
- * unarmed run never builds detail strings.
+ * The flight recorder: a subscriber on the observer path (absent when
+ * depth is 0). It consumes the transaction lifecycle records, SPT/TAV
+ * misses, shadow allocations and the wasted-tick hand-off; when armed
+ * it also takes watchdog trips and starvation grants as triggers.
  */
-class FlightRecorder
+class FlightRecorder : public TraceObserver
 {
   public:
     explicit FlightRecorder(const ForensicsParams &params);
 
-    /** @name Recording hooks (TxManager / Core / Vts) */
-    /// @{
-    void onBegin(TxId id, ThreadId thread, ProcId proc, Tick now);
-    void onRestart(TxId id, Tick now, unsigned attempts);
-    /** @p winner is the killer tx (invalidTxId when unattributable). */
-    void onAbort(TxId id, Tick now, std::uint8_t cause, Addr where,
-                 TxId winner);
-    void onCommit(TxId id, Tick now);
-    /** Profiler retired @p amount wasted ticks against @p id. */
-    void onWasted(TxId id, Tick amount);
-    void onSptMiss(TxId id);
-    void onTavMiss(TxId id);
-    void onShadowAlloc(TxId id);
-    /// @}
+    void observe(const TraceEvent &e) override;
 
     /** True when post-mortem capture is armed (triggers do work). */
     bool armed() const { return armed_; }
@@ -218,8 +206,8 @@ class FlightRecorder
     /**
      * Capture a post-mortem for @p subject: reconstruct the causality
      * DAG and hand the report to onReport. Bounded per run; no-op
-     * unless armed (call sites guard with armed() so the unarmed path
-     * stays a single branch and never formats @p detail).
+     * unless armed (direct call sites guard with armed() so the
+     * unarmed path never formats @p detail).
      */
     void trigger(PostmortemTrigger t, TxId subject, Tick now,
                  std::string detail);
@@ -266,6 +254,12 @@ class FlightRecorder
     static constexpr std::size_t maxReports = 16;
     /** Node cap per report (maxAborts roots x generations chains). */
     static constexpr std::size_t maxNodes = 64;
+
+    void onBegin(TxId id, ThreadId thread, ProcId proc, Tick now);
+    /** @p winner is the killer tx (invalidTxId when unattributable). */
+    void onAbort(TxId id, Tick now, std::uint8_t cause, Addr where,
+                 TxId winner);
+    void onCommit(TxId id, Tick now);
 
     FlightRecord &liveRecord(TxId id);
     /** Most recent abort of @p id strictly before @p bound, or null. */

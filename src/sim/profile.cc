@@ -94,6 +94,14 @@ CycleProfiler::configure(unsigned cores)
     enabled_ = true;
 }
 
+void
+CycleProfiler::observe(const TraceEvent &e)
+{
+    charge(e.type == TraceEventType::TxCommit ? ProfCharge::CommittedTxTicks
+                                              : ProfCharge::AbortedTxTicks,
+           e.tick - e.a2);
+}
+
 CycleProfiler::Lane &
 CycleProfiler::lane(unsigned core)
 {

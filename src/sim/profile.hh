@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace ptm
@@ -185,11 +186,15 @@ struct HostProfile
 
 /**
  * The cycle-accounting profiler. One instance per simulated System;
- * inactive (single-branch recording) until configure().
+ * inactive (single-branch recording) until configure(). On the
+ * observer path it subscribes to TxCommit/TxAbort and charges the
+ * attempt's wall ticks to CommittedTxTicks/AbortedTxTicks.
  */
-class CycleProfiler
+class CycleProfiler : public TraceObserver
 {
   public:
+    void observe(const TraceEvent &e) override;
+
     /** Enable accounting for @p cores cores, all starting Idle. */
     void configure(unsigned cores);
 

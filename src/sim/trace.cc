@@ -5,6 +5,8 @@
 
 #include "sim/trace.hh"
 
+#include "sim/logging.hh"
+
 namespace ptm
 {
 
@@ -43,6 +45,7 @@ traceEventTypeName(TraceEventType t)
       case TraceEventType::WalAppend: return "wal_append";
       case TraceEventType::WalFlush: return "wal_flush";
       case TraceEventType::CrashCut: return "crash_cut";
+      case TraceEventType::TxWasted: return "tx_wasted";
     }
     return "unknown";
 }
@@ -61,6 +64,7 @@ traceCatName(TraceCat c)
       case TraceCat::Sample: return "sample";
       case TraceCat::Chaos: return "chaos";
       case TraceCat::Persist: return "persist";
+      case TraceCat::Observer: return "observer";
     }
     return "unknown";
 }
@@ -152,6 +156,32 @@ Tracer::configure(std::uint32_t mask, std::size_t capacity)
     head_ = 0;
     recorded_ = 0;
     dropped_ = 0;
+    for (unsigned t = 0; t < traceEventTypes; ++t) {
+        bool ring = mask_ & traceCatMask(traceEventCat(TraceEventType(t)));
+        interest_[t] = std::uint8_t((interest_[t] & ~1u) | (ring ? 1u : 0u));
+    }
+}
+
+void
+Tracer::subscribe(TraceObserver *obs,
+                  std::initializer_list<TraceEventType> types)
+{
+    panic_if(observers_.size() >= 7, "too many trace observers");
+    observers_.push_back(obs);
+    auto bit = std::uint8_t(1u << observers_.size());
+    for (TraceEventType t : types)
+        interest_[unsigned(t)] |= bit;
+}
+
+void
+Tracer::dispatch(const TraceEvent &e)
+{
+    unsigned bits = interest_[unsigned(e.type)];
+    if (bits & 1u)
+        push(e);
+    for (TraceObserver *obs : observers_)
+        if ((bits >>= 1) & 1u)
+            obs->observe(e);
 }
 
 void

@@ -2,14 +2,16 @@
  * @file
  * Tick-stamped event tracing.
  *
- * A bounded ring buffer of typed, tick-stamped simulation events
+ * The observer path. Every instrumented site emits one typed record
  * (transaction lifecycle, conflict edges, metadata-cache activity,
- * shadow-page management, overflow spills, scheduling, page swaps),
- * filtered by a category bitmask so that a disabled category costs a
- * single branch at the call site. When the buffer fills, the oldest
- * events are overwritten ("keep newest") and the number of dropped
- * events is counted, so a trace of a long run always ends at the
- * interesting part: the end.
+ * shadow-page management, overflow spills, scheduling, page swaps)
+ * through Tracer::record(). A per-type interest mask routes it to the
+ * trace ring and to the subscribed TraceObservers (heatmap, flight
+ * recorder, profiler charges); a type nobody wants costs a single
+ * branch at the call site. When the ring fills, the oldest events are
+ * overwritten ("keep newest") and the number of dropped events is
+ * counted, so a trace of a long run always ends at the interesting
+ * part: the end.
  *
  * The tracer itself is sink-agnostic; harness/trace_io.{hh,cc} turns a
  * captured buffer into the native ptm-trace-v1 JSONL stream or a
@@ -19,8 +21,10 @@
 #ifndef PTM_SIM_TRACE_HH
 #define PTM_SIM_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +50,8 @@ enum class TraceCat : std::uint32_t
     Sample   = 1u << 7, //!< periodic counter samples
     Chaos    = 1u << 8, //!< fault injections, watchdog trips
     Persist  = 1u << 9, //!< WAL appends, ordered flushes, crash cuts
+    /** Observer-only records: never enabled, never in the ring. */
+    Observer = 0,
 };
 
 /** Bitmask with every category enabled. */
@@ -61,10 +67,12 @@ traceCatMask(TraceCat c)
 /** One typed event kind. Payload field use is per-type (see README). */
 enum class TraceEventType : std::uint8_t
 {
-    TxBegin,        //!< tx: id; a0: attempt; a1: 1 if ordered
+    TxBegin,        //!< tx: id; a0: attempt; a1: 1 if ordered; a2: proc
     TxRestart,      //!< tx: id; a0: attempt
-    TxCommit,       //!< tx: id
-    TxAbort,        //!< tx: id; a0: AbortReason
+    TxCommit,       //!< tx: id; a2: attempt begin tick
+    /** tx: id; tx2: winner; a0: AbortReason; a1: address (0 = none);
+     *  a2: attempt begin tick */
+    TxAbort,
     ConflictEdge,   //!< tx: winner (0 = non-tx); tx2: loser; a0: block
     SptHit,         //!< a0: page
     SptMiss,        //!< a0: page
@@ -92,11 +100,13 @@ enum class TraceEventType : std::uint8_t
     WalAppend,       //!< tx: id; a0: record bytes; a1: log offset; v: seq
     WalFlush,        //!< tx: id; a0: stall ticks; a1: drain-end tick
     CrashCut,        //!< a0: crash tick; a1: durable log bytes
+    /** Observer-only: tx: id; a0: profiler-retired wasted ticks. */
+    TxWasted,
 };
 
 /** Number of distinct TraceEventType values. */
 constexpr unsigned traceEventTypes =
-    unsigned(TraceEventType::CrashCut) + 1;
+    unsigned(TraceEventType::TxWasted) + 1;
 
 /** What a watchpoint event observed (Watchpoint payload a1). */
 enum class WatchKind : std::uint8_t
@@ -158,6 +168,8 @@ traceEventCat(TraceEventType t)
       case TraceEventType::WalFlush:
       case TraceEventType::CrashCut:
         return TraceCat::Persist;
+      case TraceEventType::TxWasted:
+        return TraceCat::Observer;
     }
     return TraceCat::Tx;
 }
@@ -192,6 +204,21 @@ struct TraceEvent
     std::uint64_t a0 = 0;   //!< payload (address / cause / index)
     std::uint64_t a1 = 0;   //!< payload (extra)
     double v = 0.0;         //!< payload (sampled value)
+    std::uint64_t a2 = 0;   //!< payload (tx_* types only)
+};
+
+/**
+ * A subscriber on the observer path. The System subscribes each one to
+ * the event types it consumes; observe() sees exactly those.
+ */
+class TraceObserver
+{
+  public:
+    virtual void observe(const TraceEvent &e) = 0;
+
+  protected:
+    /** Observers are owned by their concrete type, never via this. */
+    ~TraceObserver() = default;
 };
 
 /** Trace output flavor. */
@@ -224,18 +251,20 @@ struct TraceParams
 };
 
 /**
- * The event recorder: a category mask plus a bounded keep-newest ring
- * buffer. Every instrumented component holds a Tracer pointer; the
- * never-enabled Tracer::nil() instance makes the un-wired case (unit
- * tests constructing components directly) a single mask test with no
- * null checks at call sites.
+ * The single entry point of the observer path: a per-type interest
+ * mask over a bounded keep-newest ring buffer (fed from the category
+ * mask) and up to seven subscribers. Every instrumented component
+ * holds a Tracer pointer; the never-enabled Tracer::nil() instance
+ * makes the un-wired case (unit tests constructing components
+ * directly) a single mask test with no null checks at call sites.
  */
 class Tracer
 {
   public:
     /**
-     * Enable tracing with the given category @p mask and ring-buffer
-     * @p capacity (events). A zero mask disables the tracer.
+     * Enable the trace ring with the given category @p mask and
+     * @p capacity (events). A zero mask disables the ring; subscribers
+     * are unaffected.
      */
     void configure(std::uint32_t mask, std::size_t capacity);
 
@@ -277,16 +306,23 @@ class Tracer
     }
     /// @}
 
+    /**
+     * Route events of @p types to @p obs too (System wiring). Each
+     * event reaches the ring first, then observers in subscription
+     * order.
+     */
+    void subscribe(TraceObserver *obs,
+                   std::initializer_list<TraceEventType> types);
+
     /** Record an event stamped with the clock's current tick. */
     void
     record(TraceEventType type, std::uint32_t core = traceNoId,
            std::uint32_t thread = traceNoId, TxId tx = invalidTxId,
            TxId tx2 = invalidTxId, std::uint64_t a0 = 0,
-           std::uint64_t a1 = 0, double v = 0.0)
+           std::uint64_t a1 = 0, double v = 0.0, std::uint64_t a2 = 0)
     {
-        if (!(mask_ & traceCatMask(traceEventCat(type))))
-            return;
-        recordAt(now(), type, core, thread, tx, tx2, a0, a1, v);
+        if (interest_[unsigned(type)])
+            dispatch({now(), type, core, thread, tx, tx2, a0, a1, v, a2});
     }
 
     /** Record an event with an explicit tick stamp. */
@@ -295,34 +331,10 @@ class Tracer
              std::uint32_t core = traceNoId,
              std::uint32_t thread = traceNoId, TxId tx = invalidTxId,
              TxId tx2 = invalidTxId, std::uint64_t a0 = 0,
-             std::uint64_t a1 = 0, double v = 0.0)
+             std::uint64_t a1 = 0, double v = 0.0, std::uint64_t a2 = 0)
     {
-        if (!(mask_ & traceCatMask(traceEventCat(type))))
-            return;
-        TraceEvent e;
-        e.tick = tick;
-        e.type = type;
-        e.core = core;
-        e.thread = thread;
-        e.tx = tx;
-        e.tx2 = tx2;
-        e.a0 = a0;
-        e.a1 = a1;
-        e.v = v;
-        push(e);
-    }
-
-    /**
-     * Record with a lazily-built payload: @p build (returning a
-     * TraceEvent) runs only when @p c is enabled, so a disabled
-     * category never constructs the payload.
-     */
-    template <typename Fn>
-    void
-    lazyRecord(TraceCat c, Fn &&build)
-    {
-        if (enabled(c))
-            push(build());
+        if (interest_[unsigned(type)])
+            dispatch({tick, type, core, thread, tx, tx2, a0, a1, v, a2});
     }
 
     /**
@@ -337,7 +349,7 @@ class Tracer
     /** Events currently held, oldest first. */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Total events accepted by record() since configure(). */
+    /** Total events the ring accepted since configure(). */
     std::uint64_t recorded() const { return recorded_; }
 
     /** Events overwritten because the ring was full. */
@@ -347,8 +359,12 @@ class Tracer
     static Tracer &nil();
 
   private:
+    void dispatch(const TraceEvent &e);
     void push(const TraceEvent &e);
 
+    /** Per type: bit 0 = ring, bit i + 1 = observers_[i]. */
+    std::array<std::uint8_t, traceEventTypes> interest_{};
+    std::vector<TraceObserver *> observers_;
     std::uint32_t mask_ = 0;
     std::size_t capacity_ = 0;
     std::vector<TraceEvent> buf_;

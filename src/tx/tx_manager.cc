@@ -5,10 +5,6 @@
 
 #include "tx/tx_manager.hh"
 
-#include <string>
-
-#include "ptm/heatmap.hh"
-#include "sim/flightrec.hh"
 #include "sim/logging.hh"
 
 namespace ptm
@@ -103,9 +99,7 @@ TxManager::begin(ThreadId thread, ProcId proc, Tick now, bool ordered,
     active_by_thread_[thread] = id;
     ++live_count_;
     tracer_->recordAt(now, TraceEventType::TxBegin, traceNoId, thread,
-                      id, invalidTxId, 1, ordered ? 1 : 0);
-    if (fr_)
-        fr_->onBegin(id, thread, proc, now);
+                      id, invalidTxId, 1, ordered ? 1 : 0, 0.0, proc);
     return id;
 }
 
@@ -127,12 +121,10 @@ TxManager::restart(TxId id, Tick now)
     ++live_count_;
     tracer_->recordAt(now, TraceEventType::TxRestart, traceNoId,
                       tx->thread, id, invalidTxId, tx->attempts);
-    if (fr_)
-        fr_->onRestart(id, now, tx->attempts);
 
     // Starvation/livelock watchdog: attempts - 1 is the number of
     // consecutive aborts this transaction has suffered. Trips are
-    // observability only (stats + trace); escalation below changes
+    // observability only (stats + observers); escalation below changes
     // arbitration and is gated on an explicit retry budget.
     unsigned failures = tx->attempts - 1;
     if (contention_.watchdogThreshold && failures &&
@@ -140,11 +132,6 @@ TxManager::restart(TxId id, Tick now)
         ++watchdogTrips;
         tracer_->recordAt(now, TraceEventType::WatchdogTrip, traceNoId,
                           tx->thread, id, invalidTxId, failures);
-        if (fr_ && fr_->armed())
-            fr_->trigger(PostmortemTrigger::Watchdog, id, now,
-                         "watchdog trip after " +
-                             std::to_string(failures) +
-                             " consecutive aborts");
     }
     if (contention_.retryBudget && failures >= contention_.retryBudget &&
         starvation_holder_ == invalidTxId) {
@@ -153,11 +140,6 @@ TxManager::restart(TxId id, Tick now)
         tracer_->recordAt(now, TraceEventType::StarvationGrant,
                           traceNoId, tx->thread, id, invalidTxId,
                           failures);
-        if (fr_ && fr_->armed())
-            fr_->trigger(PostmortemTrigger::StarvationGrant, id, now,
-                         "starvation token granted after " +
-                             std::to_string(failures) +
-                             " consecutive aborts");
     }
 }
 
@@ -198,13 +180,9 @@ TxManager::doLogicalCommit(Transaction &tx)
     if (tx.id == starvation_holder_)
         starvation_holder_ = invalidTxId; // token released by commit
     tracer_->record(TraceEventType::TxCommit, traceNoId, tx.thread,
-                    tx.id);
-    prof_->charge(ProfCharge::CommittedTxTicks,
-                  prof_->now() - tx.beginTick);
+                    tx.id, invalidTxId, 0, 0, 0.0, tx.beginTick);
     if (clock_)
         commitLatency.sample(double(clock_() - tx.firstBeginTick));
-    if (fr_)
-        fr_->onCommit(tx.id, clock_ ? clock_() : 0);
 
     if (onLogicalCommit)
         onLogicalCommit(tx.id);
@@ -261,16 +239,11 @@ TxManager::abort(TxId id, AbortReason why, Addr where, TxId winner)
         break;
     }
     // Next to the per-cause counters (after the re-entry guard), so
-    // heatmap per-page sums reconcile with them exactly.
-    if (heat_)
-        heat_->recordAbort(unsigned(why), where);
-    if (fr_)
-        fr_->onAbort(id, clock_ ? clock_() : 0, std::uint8_t(why),
-                     where, winner);
+    // observer per-cause sums reconcile with them exactly. Physical
+    // page 0 is never allocated, so 0 is free to mean "no address".
     tracer_->record(TraceEventType::TxAbort, traceNoId, tx->thread, id,
-                    invalidTxId, std::uint64_t(why));
-    prof_->charge(ProfCharge::AbortedTxTicks,
-                  prof_->now() - tx->beginTick);
+                    winner, std::uint64_t(why),
+                    where == invalidAddr ? 0 : where, 0.0, tx->beginTick);
 
     if (tx->ordered) {
         OrderedScope &sc = scopes_[tx->scope];
@@ -319,11 +292,9 @@ TxManager::resolveConflicts(TxId requester,
         tracer_->record(TraceEventType::ConflictEdge, traceNoId,
                         wthread, winner, loser, where,
                         ltx ? ltx->thread : traceNoId);
-        if (heat_)
-            heat_->recordConflict(where ? where : invalidAddr);
     };
-    // 0 means "unknown" in the trace payload; the heatmap uses
-    // invalidAddr for that, attributing to the sentinel bucket.
+    // 0 means "unknown" in the record payload; abort() takes
+    // invalidAddr for that.
     Addr at = where ? where : invalidAddr;
 
     // Non-transactional accesses always win (section 2.3.3).

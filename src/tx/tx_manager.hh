@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "sim/config.hh"
-#include "sim/profile.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -30,8 +29,6 @@ namespace ptm
 {
 
 struct AuditTestAccess;
-class ContentionHeatmap;
-class FlightRecorder;
 
 /** Why a transaction was aborted (statistics / traces). */
 enum class AbortReason
@@ -121,11 +118,10 @@ class TxManager
     /**
      * Logically abort @p id (arbitration loss, non-transactional
      * conflict, or explicit). Idempotent while cleanup is pending.
-     * @p where is the conflicting address for heatmap attribution
-     * (invalidAddr when none is attributable, e.g. chaos injection);
-     * @p winner is the transaction that won the conflict, recorded as
-     * the killer in the flight recorder (invalidTxId when there is no
-     * transactional winner).
+     * @p where is the conflicting address (invalidAddr when none is
+     * attributable, e.g. chaos injection) and @p winner the transaction
+     * that won the conflict (invalidTxId when there is no transactional
+     * winner); both ride in the TxAbort record for the observers.
      */
     void abort(TxId id, AbortReason why, Addr where = invalidAddr,
                TxId winner = invalidTxId);
@@ -193,23 +189,12 @@ class TxManager
     /** Register this component's statistics under "tx". */
     void regStats(StatRegistry &reg);
 
-    /** Attach the event tracer (System wiring; defaults to nil). */
+    /** Attach the observer path (System wiring; defaults to nil). */
     void setTracer(Tracer *t) { tracer_ = t; }
 
-    /** Attach the cycle profiler (System wiring; defaults to nil). */
-    void setProfiler(CycleProfiler *p) { prof_ = p; }
-
-    /** Attach the contention heatmap (System wiring; off = nullptr). */
-    void setHeatmap(ContentionHeatmap *h) { heat_ = h; }
-
-    /** Attach the flight recorder (System wiring; off = nullptr). */
-    void setFlightRec(FlightRecorder *f) { fr_ = f; }
-
     /**
-     * Attach the simulation clock (System wiring). Unlike the
-     * profiler — which is only wired when profiling is enabled — the
-     * clock is wired unconditionally so the commit-latency
-     * distribution is always populated.
+     * Attach the simulation clock (System wiring) that stamps the
+     * commit-latency distribution.
      */
     void setClock(std::function<Tick()> c) { clock_ = std::move(c); }
 
@@ -250,9 +235,6 @@ class TxManager
     void doLogicalCommit(Transaction &tx);
 
     Tracer *tracer_ = &Tracer::nil();
-    CycleProfiler *prof_ = &CycleProfiler::nil();
-    ContentionHeatmap *heat_ = nullptr;
-    FlightRecorder *fr_ = nullptr;
     std::function<Tick()> clock_;
     std::unordered_map<TxId, Transaction> table_;
     std::unordered_map<ThreadId, TxId> active_by_thread_;

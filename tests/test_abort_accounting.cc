@@ -199,6 +199,53 @@ TEST(AbortAccounting, InjectedExplicitAborts)
     checkAccounting(sys);
 }
 
+/**
+ * Every observer on in one run: the traced TxAbort records and the
+ * heatmap's per-cause totals both equal tx.aborts_*, and the flight
+ * recorder's wasted total equals the profiler's tx_wasted bucket.
+ */
+TEST(AbortAccounting, ObserversAgreeOnOneRun)
+{
+    SystemParams prm = tracedParams(quietParams(TmKind::SelectPtm));
+    prm.heatmap.enabled = true;
+    prm.profile.enabled = true;
+    prm.chaos.enabled = true;
+    prm.chaos.seed = 5;
+    prm.chaos.plan = chaosFaultMask(ChaosFault::ExplicitAbort);
+    prm.chaos.interval = 4000;
+    System sys(prm);
+    ASSERT_NE(sys.heatmap(), nullptr);
+    ASSERT_NE(sys.flightrec(), nullptr);
+    ProcId p = sys.createProcess();
+    for (unsigned t = 0; t < 4; ++t) {
+        std::vector<Step> steps;
+        for (unsigned i = 0; i < 30; ++i) {
+            steps.push_back(tx([](MemCtx m) -> TxCoro {
+                std::uint64_t v = co_await m.load(kBase);
+                co_await m.compute(50);
+                co_await m.store(kBase, std::uint32_t(v + 1));
+            }));
+        }
+        sys.addThread(p, std::move(steps));
+    }
+    sys.run();
+    EXPECT_EQ(sys.readWord32(p, kBase), 4u * 30u);
+
+    AbortBreakdown b = breakdownOf(sys);
+    EXPECT_GT(b.byReason[unsigned(AbortReason::ConflictLost)], 0u);
+    EXPECT_GT(b.byReason[unsigned(AbortReason::Explicit)], 0u);
+    checkAccounting(sys);
+    HeatmapSnapshot heat = sys.heatmap()->snapshot();
+    for (unsigned r = 0; r < 4; ++r)
+        EXPECT_EQ(heat.abortsTotal[r], b.byReason[r])
+            << "heatmap disagrees with counter for reason " << r;
+
+    std::uint64_t wasted =
+        sys.profiler().snapshot().bucketTotal(ProfBucket::TxWasted);
+    EXPECT_GT(wasted, 0u);
+    EXPECT_EQ(sys.flightrec()->snapshot().wastedTicksTotal, wasted);
+}
+
 /** All reasons at once still partition the total exactly. */
 TEST(AbortAccounting, MixedReasonsStillSum)
 {

@@ -405,7 +405,7 @@ TEST(ChaosSystem, ArmedRunAuditsCleanAndStaysCorrect)
 }
 
 Tick
-chaosRunCycles(bool armed, RunStats &out)
+chaosRunCycles(bool armed, StatSnapshot &out)
 {
     SystemParams prm = tinyCacheParams(TmKind::SelectPtm);
     prm.chaos.enabled = armed;
@@ -415,7 +415,7 @@ chaosRunCycles(bool armed, RunStats &out)
     ProcId p = sys.createProcess();
     addStoreThreads(sys, p, 4, 4, 48);
     Tick end = sys.run();
-    out = sys.stats();
+    out = sys.snapshot();
     if (armed) {
         const ChaosEngine &c = sys.chaos();
         EXPECT_GT(c.cacheSqueezes.value() + c.txFlushes.value() +
@@ -430,20 +430,21 @@ chaosRunCycles(bool armed, RunStats &out)
 /** The same (workload seed, chaos seed, plan) replays bit-exactly. */
 TEST(ChaosSystem, SameSeedReplaysExactly)
 {
-    RunStats a, b;
+    StatSnapshot a, b;
     Tick ca = chaosRunCycles(true, a);
     Tick cb = chaosRunCycles(true, b);
     EXPECT_EQ(ca, cb);
-    EXPECT_EQ(a.commits, b.commits);
-    EXPECT_EQ(a.aborts, b.aborts);
-    EXPECT_EQ(a.memOps, b.memOps);
+    EXPECT_EQ(a.counter("tx.commits"), b.counter("tx.commits"));
+    EXPECT_EQ(a.counter("tx.aborts"), b.counter("tx.aborts"));
+    EXPECT_EQ(a.value("sys.mem_ops"), b.value("sys.mem_ops"));
 
     // Arming the plan actually perturbs the run vs. the quiet
     // baseline (it injects preemptions and forced flushes).
-    RunStats c;
+    StatSnapshot c;
     Tick cc = chaosRunCycles(false, c);
-    EXPECT_TRUE(cc != ca || c.aborts != a.aborts ||
-                c.memOps != a.memOps);
+    EXPECT_TRUE(cc != ca ||
+                c.counter("tx.aborts") != a.counter("tx.aborts") ||
+                c.value("sys.mem_ops") != a.value("sys.mem_ops"));
 }
 
 /**
@@ -475,9 +476,9 @@ TEST(ChaosSystem, WatchdogTripsAndStarvationTokenReleases)
     sys.run();
 
     EXPECT_EQ(sys.readWord32(p, kBase), kThreads * kIters);
-    RunStats s = sys.stats();
-    EXPECT_EQ(s.commits, kThreads * kIters);
-    EXPECT_GT(s.aborts, 0u);
+    StatSnapshot s = sys.snapshot();
+    EXPECT_EQ(s.counter("tx.commits"), kThreads * kIters);
+    EXPECT_GT(s.counter("tx.aborts"), 0u);
     const TxManager &tm = sys.txmgr();
     EXPECT_GT(tm.watchdogTrips.value(), 0u);
     EXPECT_GT(tm.starvationGrants.value(), 0u);

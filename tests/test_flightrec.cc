@@ -216,7 +216,7 @@ TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
 }
 
 Tick
-contendedRunCycles(unsigned depth, bool arm, RunStats &out)
+contendedRunCycles(unsigned depth, bool arm, StatSnapshot &out)
 {
     SystemParams prm = contendedParams();
     prm.forensics.depth = depth;
@@ -228,7 +228,7 @@ contendedRunCycles(unsigned depth, bool arm, RunStats &out)
     ProcId p = sys.createProcess();
     addCounterThreads(sys, p, 4, 20);
     Tick end = sys.run();
-    out = sys.stats();
+    out = sys.snapshot();
     return end;
 }
 
@@ -236,16 +236,77 @@ contendedRunCycles(unsigned depth, bool arm, RunStats &out)
  *  bit-identical with forensics armed, default, or removed. */
 TEST(FlightRecorder, SameSeedIdenticalAcrossForensicsModes)
 {
-    RunStats off, def, armed;
+    StatSnapshot off, def, armed;
     Tick c_off = contendedRunCycles(0, false, off);
     Tick c_def = contendedRunCycles(256, false, def);
     Tick c_armed = contendedRunCycles(256, true, armed);
     EXPECT_EQ(c_off, c_def);
     EXPECT_EQ(c_off, c_armed);
-    EXPECT_EQ(off.commits, armed.commits);
-    EXPECT_EQ(off.aborts, armed.aborts);
-    EXPECT_EQ(off.memOps, armed.memOps);
-    EXPECT_EQ(def.aborts, armed.aborts);
+    EXPECT_EQ(off.counter("tx.commits"), armed.counter("tx.commits"));
+    EXPECT_EQ(off.counter("tx.aborts"), armed.counter("tx.aborts"));
+    EXPECT_EQ(off.value("sys.mem_ops"), armed.value("sys.mem_ops"));
+    EXPECT_EQ(def.counter("tx.aborts"), armed.counter("tx.aborts"));
+}
+
+/**
+ * Periodic observers (interval audits, timeseries sampling) must not
+ * move a model statistic: no periodic event may outlive the last
+ * thread exit and so delay where time-weighted stats close. Every
+ * group but the event-queue, audit and per-core counters must match
+ * the plain run exactly.
+ */
+TEST(FlightRecorder, PeriodicObserversLeaveModelStatsUnchanged)
+{
+    // Contended, overflowing transactions: the time-weighted
+    // vts.avg_live_dirty_pages is nonzero and closes at the final tick.
+    auto run = [](bool observed, StatSnapshot &out) {
+        SystemParams prm = contendedParams();
+        prm.l1Bytes = 512;
+        prm.l2Bytes = 2048;
+        prm.l2Assoc = 2;
+        if (observed) {
+            prm.audit.enabled = true;
+            prm.audit.interval = 7000;
+            prm.timeseries.capture = true;
+            prm.timeseries.interval = 5000;
+        }
+        System sys(prm);
+        ProcId p = sys.createProcess();
+        for (unsigned t = 0; t < 4; ++t) {
+            std::vector<Step> steps;
+            for (unsigned i = 0; i < 6; ++i) {
+                steps.push_back(tx([t](MemCtx m) -> TxCoro {
+                    std::uint64_t v = co_await m.load(kBase);
+                    for (unsigned b = 0; b < 48; ++b)
+                        co_await m.store(kBase + 0x10000 * (t + 1) +
+                                             Addr(b) * blockBytes,
+                                         b);
+                    co_await m.store(kBase, std::uint32_t(v + 1));
+                }));
+            }
+            sys.addThread(p, std::move(steps));
+        }
+        Tick end = sys.run();
+        EXPECT_EQ(sys.readWord32(p, kBase), 4u * 6u);
+        out = sys.snapshot();
+        return end;
+    };
+
+    StatSnapshot a, b;
+    EXPECT_EQ(run(false, a), run(true, b));
+    ASSERT_GT(b.counter("audit.checks_run"), 0u);
+    ASSERT_GT(a.value("vts.avg_live_dirty_pages"), 0.0);
+    for (const StatSnapshot::Group &g : a.groups()) {
+        if (g.name == "events" || g.name.rfind("core", 0) == 0)
+            continue;
+        for (const auto &[name, v] : g.stats) {
+            std::string path = g.name + "." + name;
+            const StatValue *w = b.find(path);
+            ASSERT_NE(w, nullptr) << path;
+            EXPECT_EQ(v.value, w->value) << path;
+            EXPECT_EQ(v.count, w->count) << path;
+        }
+    }
 }
 
 } // namespace

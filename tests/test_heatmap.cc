@@ -171,7 +171,9 @@ TEST(ContentionHeatmap, AbortAttributionMatchesTxCounters)
     // abort counters.
     TxManager m;
     ContentionHeatmap h(16);
-    m.setHeatmap(&h);
+    Tracer obs;
+    obs.subscribe(&h, {TraceEventType::TxAbort});
+    m.setTracer(&obs);
 
     // Three conflict-lost aborts on two pages.
     for (Addr a : {Addr(0x1000), Addr(0x1010), Addr(0x2000)}) {
@@ -210,7 +212,9 @@ TEST(ContentionHeatmap, ResolveConflictsRecordsEdges)
 {
     TxManager m;
     ContentionHeatmap h(16);
-    m.setHeatmap(&h);
+    Tracer obs;
+    obs.subscribe(&h, {TraceEventType::ConflictEdge, TraceEventType::TxAbort});
+    m.setTracer(&obs);
     TxId older = m.begin(0, 0, 0);
     TxId younger = m.begin(1, 0, 5);
     // Older requester wins the block at 0x5040: one conflict edge and

@@ -158,7 +158,7 @@ TEST_P(CacheGeometryTest, RadixCorrectUnderAnyGeometry)
     ExperimentResult r = runWorkload("radix", prm, 0, 4);
     EXPECT_TRUE(r.verified)
         << "L2 " << kb << "KB/" << assoc << "-way";
-    EXPECT_FALSE(r.stats.hitTickLimit);
+    EXPECT_EQ(r.snapshot.value("sys.hit_tick_limit"), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -37,7 +37,7 @@ TEST(Integration, SerialPlainExecution)
     for (unsigned i = 0; i < 64; ++i)
         expect += i * 3 + 1;
     EXPECT_EQ(sys.readWord32(p, kBase + 4096), expect);
-    EXPECT_EQ(sys.stats().commits, 0u);
+    EXPECT_EQ(sys.snapshot().counter("tx.commits"), 0u);
 }
 
 TEST(Integration, SingleTransactionCommits)
@@ -49,9 +49,9 @@ TEST(Integration, SingleTransactionCommits)
                           co_await m.store(kBase + 4 * i, 100 + i);
                   })});
     sys.run();
-    RunStats s = sys.stats();
-    EXPECT_EQ(s.commits, 1u);
-    EXPECT_EQ(s.aborts, 0u);
+    StatSnapshot s = sys.snapshot();
+    EXPECT_EQ(s.counter("tx.commits"), 1u);
+    EXPECT_EQ(s.counter("tx.aborts"), 0u);
     for (unsigned i = 0; i < 32; ++i)
         EXPECT_EQ(sys.readWord32(p, kBase + 4 * i), 100 + i);
 }
@@ -78,12 +78,12 @@ TEST_P(AtomicityTest, ConcurrentIncrementsAreAtomic)
         sys.addThread(p, std::move(steps));
     }
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
     EXPECT_EQ(sys.readWord32(p, kBase), kIters * kThreads);
-    EXPECT_EQ(s.commits, kIters * kThreads);
+    EXPECT_EQ(s.counter("tx.commits"), kIters * kThreads);
     // With a 20-cycle window inside each transaction, conflicts must
     // actually occur for this test to mean anything.
-    EXPECT_GT(s.aborts, 0u);
+    EXPECT_GT(s.counter("tx.aborts"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, AtomicityTest,
@@ -118,9 +118,10 @@ TEST_P(OverflowTest, OverflowedTransactionCommits)
                                            7000 + i);
                   })});
     sys.run();
-    RunStats s = sys.stats();
-    EXPECT_EQ(s.commits, 1u);
-    EXPECT_GT(s.txEvictions, 0u) << "test must exercise overflow";
+    StatSnapshot s = sys.snapshot();
+    EXPECT_EQ(s.counter("tx.commits"), 1u);
+    EXPECT_GT(s.counter("mem.tx_evictions"), 0u)
+        << "test must exercise overflow";
     for (unsigned i = 0; i < kBlocks; ++i)
         EXPECT_EQ(sys.readWord32(p, kBase + blockBytes * i), 7000 + i)
             << "block " << i;
@@ -166,9 +167,9 @@ TEST_P(OverflowTest, AbortAfterOverflowRestoresMemory)
                   })});
 
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
     EXPECT_EQ(*attempt, 2u) << "transaction must abort exactly once";
-    EXPECT_GE(s.abortsNonTx, 1u);
+    EXPECT_GE(s.counter("tx.aborts_nontx"), 1u);
     // Final state: attempt 2's values everywhere (it overwrote block 0
     // after the non-tx write, transactionally and successfully).
     for (unsigned i = 0; i < kBlocks; ++i)
@@ -224,7 +225,7 @@ TEST(Integration, OrderedTransactionsCommitInRankOrder)
     for (unsigned r = 0; r < kIters * kThreads; ++r)
         expect = expect * 3 + r + 1;
     EXPECT_EQ(sys.readWord32(p, kBase), expect);
-    EXPECT_EQ(sys.stats().commits, kIters * kThreads);
+    EXPECT_EQ(sys.snapshot().counter("tx.commits"), kIters * kThreads);
 }
 
 TEST(Integration, ContextSwitchesPreserveTransactions)
@@ -252,9 +253,9 @@ TEST(Integration, ContextSwitchesPreserveTransactions)
         sys.addThread(p, std::move(steps));
     }
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
     EXPECT_EQ(sys.readWord32(p, kBase), kThreads * kIters);
-    EXPECT_GT(s.contextSwitches, 0u);
+    EXPECT_GT(s.counter("os.context_switches"), 0u);
 }
 
 TEST(Integration, DeterministicAcrossRuns)
@@ -293,7 +294,7 @@ TEST(Integration, NonTransactionalCodeAbortsConflictingTx)
                   })});
     sys.run();
     EXPECT_GE(*attempts, 2u);
-    EXPECT_GE(sys.stats().abortsNonTx, 1u);
+    EXPECT_GE(sys.snapshot().counter("tx.aborts_nontx"), 1u);
     EXPECT_EQ(sys.readWord32(p, kBase), 1u)
         << "restarted transaction rewrites the block last";
 }

@@ -71,22 +71,39 @@ TEST(TracerTest, CategoryMaskFilters)
     EXPECT_EQ(t.snapshot()[0].type, TraceEventType::TxBegin);
 }
 
-TEST(TracerTest, LazyRecordSkipsPayloadWhenDisabled)
+/** Counts the events an observer was handed, by type. */
+struct CountingObserver : TraceObserver
+{
+    std::vector<TraceEventType> seen;
+    void observe(const TraceEvent &e) override { seen.push_back(e.type); }
+};
+
+TEST(TracerTest, InterestMaskRoutesRecords)
 {
     Tracer t;
     t.configure(traceCatMask(TraceCat::Tx), 64);
-    unsigned built = 0;
-    auto build = [&built] {
-        ++built;
-        TraceEvent e;
-        e.type = TraceEventType::Watchpoint;
-        return e;
-    };
-    t.lazyRecord(TraceCat::Watch, build);
-    EXPECT_EQ(built, 0u); // disabled category: payload never built
-    t.lazyRecord(TraceCat::Tx, build);
-    EXPECT_EQ(built, 1u);
-    EXPECT_EQ(t.recorded(), 1u);
+    CountingObserver a, b;
+    t.subscribe(&a, {TraceEventType::TxAbort, TraceEventType::TxWasted});
+    t.subscribe(&b, {TraceEventType::TxAbort, TraceEventType::SptMiss});
+    t.record(TraceEventType::TxBegin);    // ring only
+    t.record(TraceEventType::TxAbort);    // ring, a and b
+    t.record(TraceEventType::TxWasted);   // a only: observer-only type
+    t.record(TraceEventType::SptMiss);    // b only: meta is not traced
+    t.record(TraceEventType::Writeback);  // nobody
+    EXPECT_EQ(t.recorded(), 2u);
+    ASSERT_EQ(t.snapshot().size(), 2u);
+    EXPECT_EQ(t.snapshot()[1].type, TraceEventType::TxAbort);
+    EXPECT_EQ(a.seen, (std::vector<TraceEventType>{
+                          TraceEventType::TxAbort,
+                          TraceEventType::TxWasted}));
+    EXPECT_EQ(b.seen, (std::vector<TraceEventType>{
+                          TraceEventType::TxAbort,
+                          TraceEventType::SptMiss}));
+    // Even an all-categories ring never stores an observer-only type.
+    t.configure(traceCatAll, 64);
+    t.record(TraceEventType::TxWasted);
+    EXPECT_EQ(t.recorded(), 0u);
+    EXPECT_EQ(a.seen.size(), 3u);
 }
 
 TEST(TracerTest, ClockStampsRecords)

@@ -41,9 +41,9 @@ TEST(Paging, SwapRoundTripPreservesData)
                       }
                   })});
     sys.run();
-    RunStats s = sys.stats();
-    EXPECT_GT(s.swapOuts, 0u);
-    EXPECT_GT(s.swapIns, 0u);
+    StatSnapshot s = sys.snapshot();
+    EXPECT_GT(s.counter("os.swap_outs"), 0u);
+    EXPECT_GT(s.counter("os.swap_ins"), 0u);
     for (unsigned pg = 0; pg < kPages; ++pg) {
         EXPECT_EQ(sys.readWord32(p, base + Addr(pg) * pageBytes),
                   7000 + pg);
@@ -79,9 +79,9 @@ TEST(Paging, TransactionsSurviveMemoryPressure)
     }
     sys.addThread(p, std::move(steps));
     sys.run();
-    RunStats s = sys.stats();
-    EXPECT_EQ(s.commits, 4u);
-    EXPECT_GT(s.shadowAllocs, 0u);
+    StatSnapshot s = sys.snapshot();
+    EXPECT_EQ(s.counter("tx.commits"), 4u);
+    EXPECT_GT(s.counter("vts.shadow_allocs"), 0u);
     for (unsigned wave = 0; wave < 4; ++wave)
         for (unsigned pg = wave * (kPages / 4);
              pg < (wave + 1) * (kPages / 4); ++pg)
@@ -152,7 +152,7 @@ TEST(Paging, CrossProcessTransactionAtomicity)
     worker(b, base_b);
     sys.run();
     EXPECT_EQ(sys.readWord32(a, base_a), 2 * kIters);
-    EXPECT_GT(sys.stats().conflicts, 0u)
+    EXPECT_GT(sys.snapshot().counter("mem.conflicts"), 0u)
         << "cross-process conflicts must actually occur";
 }
 
@@ -177,10 +177,10 @@ TEST(Paging, DaemonsAndQuantaProduceSystemEvents)
         sys.addThread(p, std::move(steps));
     }
     sys.run();
-    RunStats s = sys.stats();
-    EXPECT_GT(s.contextSwitches, 0u);
-    EXPECT_GT(s.exceptions, 0u);
-    EXPECT_EQ(s.commits, 6u * 20u);
+    StatSnapshot s = sys.snapshot();
+    EXPECT_GT(s.counter("os.context_switches"), 0u);
+    EXPECT_GT(s.counter("os.exceptions"), 0u);
+    EXPECT_EQ(s.counter("tx.commits"), 6u * 20u);
 }
 
 } // namespace

@@ -198,7 +198,7 @@ TEST(VtmIntegration, VictimCacheReducesCommitStalls)
         }
         sys.addThread(p, std::move(steps));
         sys.run();
-        RunStats s = sys.stats();
+        StatSnapshot s = sys.snapshot();
         bool ok = true;
         for (unsigned b = 0; b < kBlocks; ++b)
             ok = ok && sys.readWord32(p, base + Addr(b) * blockBytes) ==
@@ -206,10 +206,10 @@ TEST(VtmIntegration, VictimCacheReducesCommitStalls)
         EXPECT_TRUE(ok);
         return s;
     };
-    RunStats vtm = run(TmKind::Vtm);
-    RunStats vc = run(TmKind::VcVtm);
-    EXPECT_GT(vc.victimCacheHits, 0u);
-    EXPECT_LT(vc.cycles, vtm.cycles)
+    StatSnapshot vtm = run(TmKind::Vtm);
+    StatSnapshot vc = run(TmKind::VcVtm);
+    EXPECT_GT(vc.counter("vtm.victim_hits"), 0u);
+    EXPECT_LT(vc.value("sys.cycles"), vtm.value("sys.cycles"))
         << "the victim cache must hide commit copy-back latency";
 }
 

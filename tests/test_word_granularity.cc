@@ -22,7 +22,7 @@ using namespace ptm::test;
 constexpr Addr kBlock = 0x100000; // one shared block
 
 /** Each thread hammers its own word of the same cache block. */
-RunStats
+StatSnapshot
 disjointWordRun(Granularity g)
 {
     SystemParams prm = quietParams(TmKind::SelectPtm);
@@ -43,7 +43,7 @@ disjointWordRun(Granularity g)
         sys.addThread(p, std::move(steps));
     }
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
     for (unsigned t = 0; t < 4; ++t)
         EXPECT_EQ(sys.readWord32(p, kBlock + 4 * t), kIters)
             << "thread " << t;
@@ -52,28 +52,28 @@ disjointWordRun(Granularity g)
 
 TEST(WordGranularity, BlockModeFalselyConflicts)
 {
-    RunStats s = disjointWordRun(Granularity::Block);
-    EXPECT_GT(s.aborts, 0u)
+    StatSnapshot s = disjointWordRun(Granularity::Block);
+    EXPECT_GT(s.counter("tx.aborts"), 0u)
         << "disjoint words of one block must conflict at block "
            "granularity";
 }
 
 TEST(WordGranularity, WordModeEliminatesFalseConflicts)
 {
-    RunStats s = disjointWordRun(Granularity::WordCacheMem);
-    EXPECT_EQ(s.aborts, 0u);
-    EXPECT_EQ(s.abortsMultiWriter, 0u);
+    StatSnapshot s = disjointWordRun(Granularity::WordCacheMem);
+    EXPECT_EQ(s.counter("tx.aborts"), 0u);
+    EXPECT_EQ(s.counter("tx.aborts_multiwriter"), 0u);
 }
 
 TEST(WordGranularity, WordCacheModeAlsoAvoidsAccessConflicts)
 {
-    RunStats s = disjointWordRun(Granularity::WordCache);
-    EXPECT_EQ(s.aborts, 0u) << "no evictions here, so wd:cache "
+    StatSnapshot s = disjointWordRun(Granularity::WordCache);
+    EXPECT_EQ(s.counter("tx.aborts"), 0u) << "no evictions here, so wd:cache "
                                "behaves like wd:cache+mem";
 }
 
 /** Force mid-transaction evictions of multi-writer blocks. */
-RunStats
+StatSnapshot
 multiWriterEvictionRun(Granularity g)
 {
     SystemParams prm = tinyCacheParams(TmKind::SelectPtm);
@@ -95,7 +95,7 @@ multiWriterEvictionRun(Granularity g)
         sys.addThread(p, std::move(steps));
     }
     sys.run();
-    RunStats s = sys.stats();
+    StatSnapshot s = sys.snapshot();
     for (unsigned t = 0; t < 4; ++t)
         for (unsigned b = 0; b < kBlocks; ++b)
             EXPECT_EQ(sys.readWord32(p, kBlock + Addr(b) * blockBytes +
@@ -109,14 +109,14 @@ TEST(WordGranularity, WdCacheAbortsOnMultiWriterEviction)
     // "Evicting a block with multiple writers would cause an abort,
     // since the overflowed PTM structures only kept track of one
     // writer per block" (section 6.3).
-    RunStats s = multiWriterEvictionRun(Granularity::WordCache);
-    EXPECT_GT(s.abortsMultiWriter, 0u);
+    StatSnapshot s = multiWriterEvictionRun(Granularity::WordCache);
+    EXPECT_GT(s.counter("tx.aborts_multiwriter"), 0u);
 }
 
 TEST(WordGranularity, WdCacheMemSurvivesMultiWriterEviction)
 {
-    RunStats s = multiWriterEvictionRun(Granularity::WordCacheMem);
-    EXPECT_EQ(s.abortsMultiWriter, 0u)
+    StatSnapshot s = multiWriterEvictionRun(Granularity::WordCacheMem);
+    EXPECT_EQ(s.counter("tx.aborts_multiwriter"), 0u)
         << "per-word vectors track every writer";
 }
 
@@ -213,7 +213,8 @@ TEST(WordGranularity, RadixGainsFromWordGranularity)
     ExperimentResult rw = runWorkload("radix", wd, 0, 4);
     EXPECT_TRUE(rb.verified);
     EXPECT_TRUE(rw.verified);
-    EXPECT_GT(rb.stats.aborts, rw.stats.aborts);
+    EXPECT_GT(rb.snapshot.counter("tx.aborts"),
+              rw.snapshot.counter("tx.aborts"));
     EXPECT_LT(rw.cycles, rb.cycles);
 }
 

@@ -33,9 +33,9 @@ TEST_P(WorkloadTest, ProducesReferenceResult)
     ExperimentResult r =
         runWorkload(name, prm, /*scale=*/0, /*threads=*/4);
     EXPECT_TRUE(r.verified) << name << " on " << tmKindName(kind);
-    EXPECT_FALSE(r.stats.hitTickLimit);
+    EXPECT_EQ(r.snapshot.value("sys.hit_tick_limit"), 0.0);
     if (syncModeFor(kind) == SyncMode::Tx) {
-        EXPECT_GT(r.stats.commits, 0u);
+        EXPECT_GT(r.snapshot.counter("tx.commits"), 0u);
     }
 }
 
@@ -73,7 +73,7 @@ TEST(Workloads, OceanUsesOrderedTransactions)
     SystemParams prm = quietParams(TmKind::SelectPtm);
     ExperimentResult r = runWorkload("ocean", prm, 0, 4);
     EXPECT_TRUE(r.verified);
-    EXPECT_GT(r.stats.commits, 0u);
+    EXPECT_GT(r.snapshot.counter("tx.commits"), 0u);
 }
 
 TEST(Workloads, RadixBlockGranularityAborts)
@@ -83,7 +83,7 @@ TEST(Workloads, RadixBlockGranularityAborts)
     SystemParams prm = quietParams(TmKind::SelectPtm);
     ExperimentResult r = runWorkload("radix", prm, 0, 4);
     EXPECT_TRUE(r.verified);
-    EXPECT_GT(r.stats.aborts, 0u);
+    EXPECT_GT(r.snapshot.counter("tx.aborts"), 0u);
 }
 
 TEST(Workloads, WaterIsCacheResident)
@@ -93,7 +93,8 @@ TEST(Workloads, WaterIsCacheResident)
     EXPECT_TRUE(r.verified);
     // Rare evictions: the defining property of water in Table 1
     // (at this scale it fits the caches entirely).
-    EXPECT_TRUE(r.stats.evictions == 0 || r.stats.mopPerEvict() > 50.0);
+    EXPECT_TRUE(r.snapshot.counter("mem.evictions") == 0 ||
+                r.snapshot.value("sys.mop_per_evict") > 50.0);
 }
 
 } // namespace

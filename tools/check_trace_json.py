@@ -13,8 +13,9 @@ Two modes:
       slice, one conflict flow pair, and one counter track sample.
 
   check_trace_json.py drive PTM_SIM
-      Run PTM_SIM on the tiny fft workload for every system kind,
-      tracing in both formats, and validate each file.
+      Run PTM_SIM on the tiny fft workload for every system kind and
+      on a durable (--durability wal) kv run, tracing in both formats,
+      and validate each file.
 
 Exits non-zero with a message per failure if any check fails.
 """
@@ -34,19 +35,22 @@ EVENT_NAMES = {
     "shadow_free", "sel_flip", "page_fault", "swap_out", "swap_in",
     "overflow_spill", "line_evict", "writeback", "ctx_switch",
     "watchpoint", "counter_sample", "chaos_inject", "watchdog_trip",
-    "starvation_grant",
+    "starvation_grant", "wal_append", "wal_flush", "crash_cut",
 }
 
 CATEGORIES = {
     "tx", "conflict", "meta", "page", "cache", "os", "watch", "sample",
-    "chaos",
+    "chaos", "persist",
 }
 
 # Optional event-line fields and the JSON types they must carry.
 EV_FIELDS = {
     "core": int, "th": int, "tx": int, "tx2": int,
-    "a": int, "b": int, "v": (int, float),
+    "a": int, "b": int, "v": (int, float), "c": int,
 }
+
+# The only events that may carry the "c" field (proc / attempt begin).
+C_FIELD_EVENTS = {"tx_begin", "tx_commit", "tx_abort"}
 
 
 def check_jsonl(lines, label):
@@ -128,6 +132,8 @@ def check_jsonl(lines, label):
                     f"core {core}")
             last_tick[core] = tick
             extra = set(obj) - {"type", "t", "ev", "cat"} - set(EV_FIELDS)
+            if "c" in obj and obj.get("ev") not in C_FIELD_EVENTS:
+                extra.add("c")
             if extra:
                 errors.append(
                     f"{label}:{n}: unexpected fields {sorted(extra)}")
@@ -238,19 +244,22 @@ def check_file(path, label=None, require_slice=False,
 
 
 def drive(ptm_sim):
+    # (label, extra ptm_sim arguments): fft on every system, plus one
+    # durable kv run for the persist-category events.
+    runs = [(system, ["--workload", "fft", "--system", system])
+            for system in SYSTEMS]
+    runs.append(("kv-wal", ["--workload", "kv", "--system", "sel-ptm",
+                            "--durability", "wal"]))
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        for system in SYSTEMS:
+        for name, args in runs:
             for fmt in ("jsonl", "chrome"):
-                out = os.path.join(tmp, f"{system}.{fmt}")
-                cmd = [
-                    ptm_sim, "--workload", "fft", "--system", system,
-                    "--scale", "0", "--threads", "2",
-                    "--trace", out, "--trace-format", fmt,
-                ]
+                out = os.path.join(tmp, f"{name}.{fmt}")
+                cmd = [ptm_sim, *args, "--scale", "0", "--threads", "2",
+                       "--trace", out, "--trace-format", fmt]
                 proc = subprocess.run(cmd, capture_output=True,
                                       text=True)
-                label = f"{system}/{fmt}"
+                label = f"{name}/{fmt}"
                 if proc.returncode != 0:
                     failures.append(
                         f"{label}: ptm_sim exited {proc.returncode}: "
