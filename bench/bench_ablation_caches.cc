@@ -11,76 +11,20 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace ptm;
 
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_ablation_caches",
-                     "Sweep the VTS SPT/TAV cache sizes.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_ablation_caches: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_ablation_caches",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_ablation_caches",
+                  "Sweep the VTS SPT/TAV cache sizes.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     struct Cfg
     {
@@ -94,31 +38,19 @@ main(int argc, char **argv)
         {"4x size", 2048, 8192},
     };
 
-    std::fprintf(hout, "Ablation A: SPT/TAV cache size sweep (Select-PTM)\n\n");
+    std::fprintf(hout,
+                 "Ablation A: SPT/TAV cache size sweep (Select-PTM)\n\n");
     Report table({"config", "app", "cycles", "spt hit%", "tav hit%",
                   "verified"});
     BenchRecorder rec("ablation_caches");
 
-    std::size_t violations = 0;
     for (const char *app : {"fft", "ocean"}) {
         for (const Cfg &c : cfgs) {
-            SystemParams prm;
-            prm.tmKind = TmKind::SelectPtm;
+            SystemParams prm = d.params(TmKind::SelectPtm);
             prm.sptCacheEntries = c.spt;
             prm.tavCacheEntries = c.tav;
-            prm.trace = trace;
-            prm.profile = profile;
-            prm.persist = persist;
-            robust.applyTo(prm);
-            machine.applyTo(prm);
-            obs.applyTo(prm);
-            ExperimentResult r = runWorkload(app, prm, scale, 4);
-            violations += reportAuditViolations("bench_ablation_caches",
-                                                app, prm, r);
-            if (!trace.path.empty())
-                captures.push_back(std::move(r.trace));
-            printRunProfile(hout, std::string(app) + "/" + c.label,
-                            r.profile, r.host);
+            ExperimentResult r = d.run(app, prm, 4,
+                                       std::string(app) + "/" + c.label);
             const StatSnapshot &s = r.snapshot;
             std::uint64_t spt_hits = s.counter("vts.spt_cache_hits");
             std::uint64_t tav_hits = s.counter("vts.tav_cache_hits");
@@ -143,26 +75,10 @@ main(int argc, char **argv)
                 .field("spt_hit_pct", spt_pct)
                 .field("tav_hit_pct", tav_pct)
                 .field("verified", r.verified);
-            addProfileFields(rec, r.profile);
+            d.runFields(rec, r);
         }
     }
     table.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr, "bench_ablation_caches: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_ablation_caches: %s\n",
-                         err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-    return violations == 0 ? 0 : 1;
+    return d.finish(rec);
 }

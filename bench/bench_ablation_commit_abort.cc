@@ -19,57 +19,26 @@
 #include <string>
 #include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
 #include "harness/system.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace ptm;
 
-struct Result
-{
-    Tick cycles = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t copyBackups = 0;
-    std::uint64_t abortRestores = 0;
-    std::uint64_t copybacks = 0;
-    std::uint64_t stalls = 0;
-    bool ok = false;
-    std::size_t auditViolations = 0;
-    TraceCapture trace;
-    ProfSnapshot profile;
-    HostProfile host;
-};
-
 /**
+ * Run one configuration and record it with @p d under @p label.
+ *
  * @param kind        TM system under test
  * @param abort_every sabotage every n-th transaction (0 = never)
- * @param trace       event-tracing parameters (off if path empty)
- * @param profile     cycle/host profiling parameters
- * @param scale       0 = tiny test size, 1 = benchmark size
  */
-Result
-run(TmKind kind, unsigned abort_every, const TraceParams &trace,
-    const ProfileParams &profile, const RobustnessParams &robust,
-    const MachineParams &machine, const ObservabilityParams &obs,
-    const PersistParams &persist, int scale)
+ExperimentResult
+run(BenchDriver &d, TmKind kind, unsigned abort_every,
+    const std::string &label)
 {
-    SystemParams p;
-    p.tmKind = kind;
-    p.trace = trace;
-    p.profile = profile;
-    robust.applyTo(p);
-    machine.applyTo(p);
-    obs.applyTo(p);
-    if (p.tmKind != TmKind::Serial && p.tmKind != TmKind::Locks)
-        p.persist = persist;
+    SystemParams p = d.params(kind);
     p.l1Bytes = 1024;
     p.l2Bytes = 8 * 1024; // 128 lines: transactions overflow
     p.l2Assoc = 2;
@@ -79,7 +48,7 @@ run(TmKind kind, unsigned abort_every, const TraceParams &trace,
 
     System sys(p);
     ProcId proc = sys.createProcess();
-    const unsigned kRounds = scale ? 40 : 8;
+    const unsigned kRounds = d.scale() ? 40 : 8;
     constexpr unsigned kBlocks = 400;
     constexpr Addr data = 0x100000;
     constexpr Addr round_flag = 0x10000;
@@ -128,35 +97,20 @@ run(TmKind kind, unsigned abort_every, const TraceParams &trace,
     }});
     sys.addThread(proc, std::move(ssteps), "saboteur");
 
-    sys.run();
-    StatSnapshot s = sys.snapshot();
-    Result res;
-    if (sys.tracer().active())
-        res.trace = captureTrace(sys.tracer(),
-                                 std::string("commit-abort/") +
-                                     tmKindName(kind));
-    res.cycles = Tick(s.value("sys.cycles"));
-    res.aborts = s.counter("tx.aborts");
-    res.copyBackups = s.counter("vts.copy_backups");
-    res.abortRestores = s.counter("vts.abort_restore_units");
-    res.copybacks = s.counter("vtm.copybacks");
-    res.stalls = s.counter("mem.false_stalls");
-    res.profile = sys.profiler().snapshot();
-    res.host = sys.eq().hostProfile();
+    ExperimentResult r = runSystem(sys);
+    collectObservers(sys,
+                     std::string("commit-abort/") + tmKindName(kind), r);
     // Verify: the final committed value of every block belongs to the
     // last round (the worker re-runs sabotaged transactions).
-    res.ok = true;
+    r.verified = true;
     for (unsigned b = 0; b < kBlocks; ++b) {
         std::uint32_t v =
             sys.readWord32(proc, data + Addr(b) * blockBytes);
         if (v != (kRounds - 1) * kBlocks + b)
-            res.ok = false;
+            r.verified = false;
     }
-    ExperimentResult audited;
-    audited.auditViolations = sys.auditor().violations();
-    res.auditViolations = reportAuditViolations(
-        "bench_ablation_commit_abort", "", p, audited);
-    return res;
+    d.record("", p, r, label);
+    return r;
 }
 
 } // namespace
@@ -164,62 +118,11 @@ run(TmKind kind, unsigned abort_every, const TraceParams &trace,
 int
 main(int argc, char **argv)
 {
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_ablation_commit_abort",
-                     "Commit vs abort cost of the versioning "
-                     "policies.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_ablation_commit_abort: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_ablation_commit_abort",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_ablation_commit_abort",
+                  "Commit vs abort cost of the versioning policies.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     std::fprintf(hout, "Ablation B: commit/abort cost of the versioning "
                 "policies (overflowing transactions)\n\n");
@@ -230,58 +133,42 @@ main(int argc, char **argv)
 
     const TmKind kinds[] = {TmKind::SelectPtm, TmKind::CopyPtm,
                             TmKind::Vtm, TmKind::VcVtm};
-    std::size_t violations = 0;
     for (unsigned every : {0u, 4u, 2u}) {
         for (TmKind k : kinds) {
-            Result r = run(k, every, trace, profile, robust, machine,
-                           obs, persist, scale);
-            violations += r.auditViolations;
-            if (!trace.path.empty())
-                captures.push_back(std::move(r.trace));
             const char *rate = every == 0 ? "none"
                                : every == 4 ? "1 in 4"
                                             : "1 in 2";
-            printRunProfile(hout,
-                            std::string(tmKindName(k)) + "/" + rate,
-                            r.profile, r.host);
+            ExperimentResult r =
+                run(d, k, every, std::string(tmKindName(k)) + "/" + rate);
+            const StatSnapshot &s = r.snapshot;
+            std::uint64_t aborts = s.counter("tx.aborts");
+            std::uint64_t copy_backups = s.counter("vts.copy_backups");
+            std::uint64_t restores = s.counter("vts.abort_restore_units");
+            std::uint64_t copybacks = s.counter("vtm.copybacks");
+            std::uint64_t stalls = s.counter("mem.false_stalls");
             table.row({tmKindName(k), rate, cellU(r.cycles),
-                       cellU(r.aborts), cellU(r.copyBackups),
-                       cellU(r.abortRestores), cellU(r.copybacks),
-                       cellU(r.stalls), r.ok ? "yes" : "NO"});
+                       cellU(aborts), cellU(copy_backups),
+                       cellU(restores), cellU(copybacks), cellU(stalls),
+                       r.verified ? "yes" : "NO"});
             rec.beginRow()
                 .field("system", tmKindName(k))
                 .field("abort_rate", rate)
                 .field("cycles", std::uint64_t(r.cycles))
-                .field("aborts", r.aborts)
-                .field("copy_backups", r.copyBackups)
-                .field("abort_restores", r.abortRestores)
-                .field("vtm_copybacks", r.copybacks)
-                .field("stalls", r.stalls)
-                .field("verified", r.ok);
-            addProfileFields(rec, r.profile);
+                .field("aborts", aborts)
+                .field("copy_backups", copy_backups)
+                .field("abort_restores", restores)
+                .field("vtm_copybacks", copybacks)
+                .field("stalls", stalls)
+                .field("verified", r.verified);
+            d.runFields(rec, r);
         }
     }
     table.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr,
-                     "bench_ablation_commit_abort: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_ablation_commit_abort: %s\n",
-                         err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-    std::fprintf(hout, "\n(Expected: Select-PTM cheap everywhere; Copy-PTM "
-                "pays abort restores; VTM pays commit copybacks and "
-                "stalls; the victim cache hides part of them.)\n");
-    return violations == 0 ? 0 : 1;
+    return d.finish(rec, [&] {
+        std::fprintf(hout, "\n(Expected: Select-PTM cheap everywhere; "
+                     "Copy-PTM pays abort restores; VTM pays commit "
+                     "copybacks and stalls; the victim cache hides part "
+                     "of them.)\n");
+    });
 }

@@ -11,77 +11,21 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace ptm;
 
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_ablation_ctxsw",
-                     "Context-switch handling: PTM tx-ID tags vs "
-                     "flush-on-switch.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_ablation_ctxsw: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_ablation_ctxsw",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_ablation_ctxsw",
+                  "Context-switch handling: PTM tx-ID tags vs "
+                  "flush-on-switch.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     std::fprintf(hout, "Ablation D: context switches — PTM tx-ID tags vs "
                 "flush-on-switch (8 threads / 4 cores)\n\n");
@@ -89,29 +33,16 @@ main(int argc, char **argv)
                   "tx evictions", "flush aborts", "verified"});
     BenchRecorder rec("ablation_ctxsw");
 
-    std::size_t violations = 0;
     for (const char *app : {"lu", "water"}) {
         for (bool flush : {false, true}) {
-            SystemParams prm;
-            prm.tmKind = TmKind::SelectPtm;
+            SystemParams prm = d.params(TmKind::SelectPtm);
             prm.osQuantum = 20 * 1000;
             prm.daemonInterval = 300 * 1000;
             prm.flushOnContextSwitch = flush;
-            prm.trace = trace;
-            prm.profile = profile;
-            prm.persist = persist;
-            robust.applyTo(prm);
-            machine.applyTo(prm);
-            obs.applyTo(prm);
-            ExperimentResult r = runWorkload(app, prm, scale, 8);
-            violations += reportAuditViolations("bench_ablation_ctxsw",
-                                                app, prm, r);
-            if (!trace.path.empty())
-                captures.push_back(std::move(r.trace));
             const char *mode =
                 flush ? "flush-on-switch" : "tx-ID tags (PTM)";
-            printRunProfile(hout, std::string(app) + "/" + mode,
-                            r.profile, r.host);
+            ExperimentResult r =
+                d.run(app, prm, 8, std::string(app) + "/" + mode);
             auto row = rowFromStats(
                 {app, mode, cellU(r.cycles)}, r.snapshot,
                 {"os.context_switches", "mem.tx_evictions",
@@ -129,28 +60,14 @@ main(int argc, char **argv)
                 .field("ctxsw_flush_aborts",
                        r.snapshot.counter("mem.ctxsw_flush_aborts"))
                 .field("verified", r.verified);
-            addProfileFields(rec, r.profile);
+            d.runFields(rec, r);
         }
     }
     table.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr, "bench_ablation_ctxsw: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_ablation_ctxsw: %s\n",
-                         err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-    std::fprintf(hout, "\n(Flushing forces overflow handling on every switch "
-                "inside a transaction; PTM's tagged lines avoid it.)\n");
-    return violations == 0 ? 0 : 1;
+    return d.finish(rec, [&] {
+        std::fprintf(hout, "\n(Flushing forces overflow handling on "
+                     "every switch inside a transaction; PTM's tagged "
+                     "lines avoid it.)\n");
+    });
 }

@@ -23,52 +23,29 @@
 #include <string>
 #include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
 #include "harness/system.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace ptm;
 
-struct Result
+const char *
+policyName(ShadowFreePolicy policy)
 {
-    Tick cycles = 0;
-    std::uint64_t shadowAllocs = 0;
-    std::uint64_t shadowFrees = 0;
-    std::uint64_t liveShadows = 0;
-    std::uint64_t lazyMigrations = 0;
-    std::uint64_t swapIns = 0;
-    std::uint64_t swapOuts = 0;
-    bool ok = true;
-    std::size_t auditViolations = 0;
-    TraceCapture trace;
-    ProfSnapshot profile;
-    HostProfile host;
-};
+    return policy == ShadowFreePolicy::MergeOnSwap ? "merge-on-swap"
+                                                   : "lazy-migrate";
+}
 
-Result
-run(ShadowFreePolicy policy, const TraceParams &trace,
-    const ProfileParams &profile, const RobustnessParams &robust,
-    const MachineParams &machine, const ObservabilityParams &obs,
-    const PersistParams &persist, int scale)
+/** Run one policy and record it with @p d. */
+ExperimentResult
+run(BenchDriver &d, ShadowFreePolicy policy)
 {
-    SystemParams p;
-    p.tmKind = TmKind::SelectPtm;
+    const int scale = d.scale();
+    SystemParams p = d.params(TmKind::SelectPtm);
     p.shadowFree = policy;
-    p.trace = trace;
-    p.profile = profile;
-    robust.applyTo(p);
-    machine.applyTo(p);
-    obs.applyTo(p);
-    if (p.tmKind != TmKind::Serial && p.tmKind != TmKind::Locks)
-        p.persist = persist;
     p.swapEnabled = true;
     // Pressure: homes + shadows exceed the frame count at either size.
     p.physFrames = scale ? 360 : 90;
@@ -115,35 +92,18 @@ run(ShadowFreePolicy policy, const TraceParams &trace,
             co_await m.load(base + Addr(pg) * pageBytes);
     }});
     sys.addThread(proc, std::move(steps), "waves");
-    sys.run();
 
-    Result r;
-    StatSnapshot s = sys.snapshot();
-    if (sys.tracer().active())
-        r.trace = captureTrace(sys.tracer(),
-                               std::string("shadow-free/") +
-                                   (policy == ShadowFreePolicy::MergeOnSwap
-                                        ? "merge-on-swap"
-                                        : "lazy-migrate"));
-    r.cycles = Tick(s.value("sys.cycles"));
-    r.shadowAllocs = s.counter("vts.shadow_allocs");
-    r.shadowFrees = s.counter("vts.shadow_frees");
-    r.liveShadows = s.counter("vts.live_shadow_pages");
-    r.lazyMigrations = s.counter("vts.lazy_migrations");
-    r.swapIns = s.counter("os.swap_ins");
-    r.swapOuts = s.counter("os.swap_outs");
-    r.profile = sys.profiler().snapshot();
-    r.host = sys.eq().hostProfile();
-    for (unsigned pg = 0; pg < kPages && r.ok; ++pg)
+    ExperimentResult r = runSystem(sys);
+    collectObservers(
+        sys, std::string("shadow-free/") + policyName(policy), r);
+    r.verified = true;
+    for (unsigned pg = 0; pg < kPages && r.verified; ++pg)
         for (unsigned b = 0; b < blocksPerPage; b += 4)
             if (sys.readWord32(proc, base + Addr(pg) * pageBytes +
                                          b * blockBytes) !=
                 pg * 1000 + b + 7)
-                r.ok = false;
-    ExperimentResult audited;
-    audited.auditViolations = sys.auditor().violations();
-    r.auditViolations = reportAuditViolations(
-        "bench_ablation_shadow_free", "", p, audited);
+                r.verified = false;
+    d.record("", p, r, policyName(policy));
     return r;
 }
 
@@ -152,62 +112,12 @@ run(ShadowFreePolicy policy, const TraceParams &trace,
 int
 main(int argc, char **argv)
 {
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_ablation_shadow_free",
-                     "Shadow-page freeing policies under memory "
-                     "pressure.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_ablation_shadow_free: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_ablation_shadow_free",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_ablation_shadow_free",
+                  "Shadow-page freeing policies under memory "
+                  "pressure.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     std::fprintf(hout, "Ablation C: shadow-page freeing policies under "
                 "memory pressure (Select-PTM, swap on)\n\n");
@@ -215,56 +125,38 @@ main(int argc, char **argv)
                   "live shadows at end", "lazy migrations", "swap-outs",
                   "swap-ins", "verified"});
     BenchRecorder rec("ablation_shadow_free");
-    std::size_t violations = 0;
     for (ShadowFreePolicy pol :
          {ShadowFreePolicy::MergeOnSwap, ShadowFreePolicy::LazyMigrate}) {
-        Result r = run(pol, trace, profile, robust, machine, obs,
-                       persist,
-                       scale);
-        violations += r.auditViolations;
-        if (!trace.path.empty())
-            captures.push_back(std::move(r.trace));
-        const char *label = pol == ShadowFreePolicy::MergeOnSwap
-                                ? "merge-on-swap"
-                                : "lazy-migrate";
-        printRunProfile(hout, label, r.profile, r.host);
-        table.row({label, cellU(r.cycles), cellU(r.shadowAllocs),
-                   cellU(r.shadowFrees), cellU(r.liveShadows),
-                   cellU(r.lazyMigrations), cellU(r.swapOuts),
-                   cellU(r.swapIns), r.ok ? "yes" : "NO"});
+        ExperimentResult r = run(d, pol);
+        const StatSnapshot &s = r.snapshot;
+        std::uint64_t allocs = s.counter("vts.shadow_allocs");
+        std::uint64_t frees = s.counter("vts.shadow_frees");
+        std::uint64_t live = s.counter("vts.live_shadow_pages");
+        std::uint64_t migrations = s.counter("vts.lazy_migrations");
+        std::uint64_t swap_outs = s.counter("os.swap_outs");
+        std::uint64_t swap_ins = s.counter("os.swap_ins");
+        table.row({policyName(pol), cellU(r.cycles), cellU(allocs),
+                   cellU(frees), cellU(live), cellU(migrations),
+                   cellU(swap_outs), cellU(swap_ins),
+                   r.verified ? "yes" : "NO"});
         rec.beginRow()
-            .field("policy", label)
+            .field("policy", policyName(pol))
             .field("cycles", std::uint64_t(r.cycles))
-            .field("shadow_allocs", r.shadowAllocs)
-            .field("shadow_frees", r.shadowFrees)
-            .field("live_shadows", r.liveShadows)
-            .field("lazy_migrations", r.lazyMigrations)
-            .field("swap_outs", r.swapOuts)
-            .field("swap_ins", r.swapIns)
-            .field("verified", r.ok);
-        addProfileFields(rec, r.profile);
+            .field("shadow_allocs", allocs)
+            .field("shadow_frees", frees)
+            .field("live_shadows", live)
+            .field("lazy_migrations", migrations)
+            .field("swap_outs", swap_outs)
+            .field("swap_ins", swap_ins)
+            .field("verified", r.verified);
+        d.runFields(rec, r);
     }
     table.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr,
-                     "bench_ablation_shadow_free: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_ablation_shadow_free: %s\n",
-                         err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-    std::fprintf(hout, "\n(LazyMigrate reclaims shadows through ordinary "
-                "write-backs; MergeOnSwap holds them until the OS "
-                "pages the home out and merges into the SIT image.)\n");
-    return violations == 0 ? 0 : 1;
+    return d.finish(rec, [&] {
+        std::fprintf(hout, "\n(LazyMigrate reclaims shadows through "
+                     "ordinary write-backs; MergeOnSwap holds them until "
+                     "the OS pages the home out and merges into the SIT "
+                     "image.)\n");
+    });
 }

@@ -21,75 +21,20 @@
 #include <string>
 #include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace ptm;
 
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_fig4",
-                     "Reproduce Figure 4: % speedup over "
-                     "single-threaded execution.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_fig4: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_fig4",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_fig4",
+                  "Reproduce Figure 4: % speedup over "
+                  "single-threaded execution.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     const TmKind kinds[] = {TmKind::Locks, TmKind::Vtm, TmKind::VcVtm,
                             TmKind::CopyPtm, TmKind::SelectPtm};
@@ -101,37 +46,20 @@ main(int argc, char **argv)
     BenchRecorder rec("fig4");
 
     double sums[5] = {};
-    bool all_ok = true;
-    std::size_t violations = 0;
     for (const auto &name : workloadNames()) {
+        // The serial baseline runs on bare SystemParams: the shared
+        // options (tracing, chaos, persistence, ...) never reach it.
         SystemParams sp;
         sp.tmKind = TmKind::Serial;
-        Tick serial = runWorkload(name, sp, scale, 4).cycles;
+        Tick serial = d.run(name, sp, 4).cycles;
 
         std::vector<std::string> cells{name};
         for (unsigned k = 0; k < 5; ++k) {
-            SystemParams prm;
-            prm.tmKind = kinds[k];
-            prm.trace = trace;
-            prm.profile = profile;
-            // The persistence domain needs transactions to log; the
-            // locks baseline stays volatile.
-            if (prm.tmKind != TmKind::Locks)
-                prm.persist = persist;
-            robust.applyTo(prm);
-            machine.applyTo(prm);
-            obs.applyTo(prm);
-            ExperimentResult r = runWorkload(name, prm, scale, 4);
-            violations +=
-                reportAuditViolations("bench_fig4", name, prm, r);
-            if (!trace.path.empty())
-                captures.push_back(std::move(r.trace));
-            printRunProfile(hout,
-                            name + "/" + tmKindName(kinds[k]),
-                            r.profile, r.host);
+            ExperimentResult r =
+                d.run(name, d.params(kinds[k]), 4,
+                      name + "/" + tmKindName(kinds[k]));
             double pct = speedupPct(serial, r.cycles);
             sums[k] += pct;
-            all_ok = all_ok && r.verified;
             cells.push_back(cell("%+.0f%%", pct) +
                             (r.verified ? "" : " !!WRONG"));
             rec.beginRow()
@@ -143,7 +71,7 @@ main(int argc, char **argv)
                 .field("commits", r.snapshot.counter("tx.commits"))
                 .field("aborts", r.snapshot.counter("tx.aborts"))
                 .field("verified", r.verified);
-            addProfileFields(rec, r.profile);
+            d.runFields(rec, r);
         }
         table.row(std::move(cells));
     }
@@ -158,26 +86,11 @@ main(int argc, char **argv)
     table.row(std::move(avg));
     table.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr, "bench_fig4: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_fig4: %s\n", err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-
-    std::fprintf(hout, "\nPaper's averages: locks +134%%, VC-VTM +72%%, "
-                "Copy-PTM +116%%, Sel-PTM +220%%; base VTM ~0%% on "
-                "fft/ocean.\n");
-    std::fprintf(hout, "All results functionally verified: %s\n",
-                all_ok ? "yes" : "NO");
-    return (all_ok && violations == 0) ? 0 : 1;
+    return d.finish(rec, [&] {
+        std::fprintf(hout, "\nPaper's averages: locks +134%%, VC-VTM "
+                     "+72%%, Copy-PTM +116%%, Sel-PTM +220%%; base VTM "
+                     "~0%% on fft/ocean.\n");
+        std::fprintf(hout, "All results functionally verified: %s\n",
+                     d.allVerified() ? "yes" : "NO");
+    });
 }

@@ -23,14 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
 #include "harness/system.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 namespace
 {
@@ -82,62 +77,12 @@ mwMicro(Granularity g, int scale)
 int
 main(int argc, char **argv)
 {
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_fig5",
-                     "Reproduce Figure 5: conflict detection at word "
-                     "granularity.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_fig5: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_fig5",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_fig5",
+                  "Reproduce Figure 5: conflict detection at word "
+                  "granularity.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     std::fprintf(hout, "Figure 5: conflict detection at word granularity "
                 "(%% speedup over 1 thread)\n\n");
@@ -150,17 +95,17 @@ main(int argc, char **argv)
                                  Granularity::WordCache,
                                  Granularity::WordCacheMem};
 
-    bool all_ok = true;
-    std::size_t violations = 0;
     for (const auto &name : workloadNames()) {
+        // The serial and locks baselines run on bare SystemParams: the
+        // shared options (tracing, chaos, persistence, ...) never
+        // reach them.
         SystemParams sp;
         sp.tmKind = TmKind::Serial;
-        Tick serial = runWorkload(name, sp, scale, 4).cycles;
+        Tick serial = d.run(name, sp, 4).cycles;
 
         SystemParams lp;
         lp.tmKind = TmKind::Locks;
-        ExperimentResult locks = runWorkload(name, lp, scale, 4);
-        all_ok = all_ok && locks.verified;
+        ExperimentResult locks = d.run(name, lp, 4);
 
         std::vector<std::string> cells{
             name, cell("%+.0f%%", speedupPct(serial, locks.cycles))};
@@ -170,24 +115,12 @@ main(int argc, char **argv)
             .field("cycles", std::uint64_t(locks.cycles))
             .field("speedup_pct", speedupPct(serial, locks.cycles))
             .field("verified", locks.verified);
+        d.runFields(rec, locks);
         for (Granularity g : grans) {
-            SystemParams prm;
-            prm.tmKind = TmKind::SelectPtm;
+            SystemParams prm = d.params(TmKind::SelectPtm);
             prm.granularity = g;
-            prm.trace = trace;
-            prm.profile = profile;
-            prm.persist = persist;
-            robust.applyTo(prm);
-            machine.applyTo(prm);
-            obs.applyTo(prm);
-            ExperimentResult r = runWorkload(name, prm, scale, 4);
-            violations +=
-                reportAuditViolations("bench_fig5", name, prm, r);
-            if (!trace.path.empty())
-                captures.push_back(std::move(r.trace));
-            printRunProfile(hout, name + "/" + granularityName(g),
-                            r.profile, r.host);
-            all_ok = all_ok && r.verified;
+            ExperimentResult r =
+                d.run(name, prm, 4, name + "/" + granularityName(g));
             std::uint64_t aborts = r.snapshot.counter("tx.aborts");
             cells.push_back(cell("%+.0f%%",
                                  speedupPct(serial, r.cycles)) +
@@ -200,7 +133,7 @@ main(int argc, char **argv)
                 .field("speedup_pct", speedupPct(serial, r.cycles))
                 .field("aborts", aborts)
                 .field("verified", r.verified);
-            addProfileFields(rec, r.profile);
+            d.runFields(rec, r);
         }
         table.row(std::move(cells));
     }
@@ -210,7 +143,7 @@ main(int argc, char **argv)
                 "with forced mid-transaction evictions\n\n");
     Report micro({"mode", "cycles", "aborts"});
     for (Granularity g : grans) {
-        auto [cycles, aborts] = mwMicro(g, scale);
+        auto [cycles, aborts] = mwMicro(g, d.scale());
         micro.row({granularityName(g), cellU(cycles), cellU(aborts)});
         rec.beginRow()
             .field("app", "mw-micro")
@@ -220,27 +153,15 @@ main(int argc, char **argv)
     }
     micro.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr, "bench_fig5: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_fig5: %s\n", err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-    std::fprintf(hout, "\n(blk-only: every co-writer conflicts; wd:cache: no "
-                "access conflicts but multi-writer evictions abort; "
-                "wd:cache+mem: per-word vectors, no aborts.)\n");
-    std::fprintf(hout, "Paper: radix +116%% (blk) -> +170%% (wd:cache+mem); "
-                "wd:cache alone gives only minor gains.\n");
-    std::fprintf(hout, "All results functionally verified: %s\n",
-                all_ok ? "yes" : "NO");
-    return (all_ok && violations == 0) ? 0 : 1;
+    return d.finish(rec, [&] {
+        std::fprintf(hout, "\n(blk-only: every co-writer conflicts; "
+                     "wd:cache: no access conflicts but multi-writer "
+                     "evictions abort; wd:cache+mem: per-word vectors, "
+                     "no aborts.)\n");
+        std::fprintf(hout, "Paper: radix +116%% (blk) -> +170%% "
+                     "(wd:cache+mem); wd:cache alone gives only minor "
+                     "gains.\n");
+        std::fprintf(hout, "All results functionally verified: %s\n",
+                     d.allVerified() ? "yes" : "NO");
+    });
 }

@@ -22,12 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
-#include "harness/trace_io.hh"
 #include "sim/logging.hh"
 
 int
@@ -35,71 +31,24 @@ main(int argc, char **argv)
 {
     using namespace ptm;
 
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
+    BenchDriver d("bench_kv",
+                  "KV serving workload: committed tx/sec, abort "
+                  "causes and commit-latency percentiles on "
+                  "Select-PTM across threads and Zipfian skew.",
+                  "0 = tiny store + reduced sweep, 1 = benchmark size");
     WorkloadOptList wl_opts;
-    OptionTable opts("bench_kv",
-                     "KV serving workload: committed tx/sec, abort "
-                     "causes and commit-latency percentiles on "
-                     "Select-PTM across threads and Zipfian skew.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny store + reduced sweep, 1 = benchmark size",
-                   scale);
-    addWorkloadOptions(opts, wl_opts);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_kv: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_kv",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    addWorkloadOptions(d.options(), wl_opts);
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     // The wide-machine rows (16/32/64) exercise the banked
     // interconnect and the sharded supervisor at scale; the smoke
     // sweep keeps one mid and one max row so CI covers the wide
     // configurations without the full ladder.
     const std::vector<unsigned> thread_sweep =
-        scale == 0 ? std::vector<unsigned>{2, 4, 16, 64}
-                   : std::vector<unsigned>{1, 2, 4, 8, 16, 32, 64};
+        d.scale() == 0 ? std::vector<unsigned>{2, 4, 16, 64}
+                       : std::vector<unsigned>{1, 2, 4, 8, 16, 32, 64};
     const double zipf_sweep[] = {0.0, 0.99};
 
     std::fprintf(hout, "KV serving workload on Sel-PTM "
@@ -109,23 +58,14 @@ main(int argc, char **argv)
                   "TAV hit%", "ok"});
     BenchRecorder rec("kv");
 
-    bool all_ok = true;
-    std::size_t violations = 0;
     for (unsigned threads : thread_sweep) {
         for (double zipf : zipf_sweep) {
             std::string zstr = zipf == 0.0 ? "0" : "0.99";
             std::string config =
-                "t" + std::to_string(threads) + "-z" + zstr;
+                strprintf("t%u-z%s", threads, zstr.c_str());
 
-            SystemParams prm;
-            prm.tmKind = TmKind::SelectPtm;
+            SystemParams prm = d.params(TmKind::SelectPtm);
             prm.numCores = threads;
-            prm.trace = trace;
-            prm.profile = profile;
-            prm.persist = persist;
-            robust.applyTo(prm);
-            machine.applyTo(prm);
-            obs.applyTo(prm);
             // Always capture the time series internally: the sampler
             // is a pure read at the lowest event priority, so the
             // simulated results are bit-identical, and the last-half
@@ -137,13 +77,7 @@ main(int argc, char **argv)
             given.insert(given.end(), wl_opts.begin(), wl_opts.end());
 
             ExperimentResult r =
-                runWorkload("kv", prm, scale, threads, given);
-            violations +=
-                reportAuditViolations("bench_kv", "kv", prm, r);
-            if (!trace.path.empty())
-                captures.push_back(std::move(r.trace));
-            printRunProfile(hout, "kv/" + config, r.profile, r.host);
-            all_ok = all_ok && r.verified;
+                d.run("kv", prm, threads, "kv/" + config, given);
 
             const StatSnapshot &s = r.snapshot;
             std::uint64_t commits = s.counter("tx.commits");
@@ -235,7 +169,7 @@ main(int argc, char **argv)
             // wal, so volatile baseline rows are byte-identical and
             // bench_compare gates the new fields only when both runs
             // carried them.
-            if (persist.enabled()) {
+            if (prm.persist.enabled()) {
                 const StatValue *pw =
                     s.find("persist.commit_persist_wait");
                 rec.field("commits_persisted",
@@ -249,37 +183,15 @@ main(int argc, char **argv)
                     .field("p99_durable_commit_latency",
                            pw ? pw->dist.percentile(99) : 0.0);
             }
-            // Host throughput is machine-dependent: emitted only on
-            // request so checked-in baselines compare across hosts.
-            if (machine.hostMetrics)
-                rec.field("sim_events_per_sec",
-                          r.wallSeconds > 0
-                              ? r.eventsExecuted / r.wallSeconds
-                              : 0.0);
-            addProfileFields(rec, r.profile);
+            d.runFields(rec, r);
         }
     }
     table.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr, "bench_kv: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_kv: %s\n", err.c_str());
-            return 2;
-        }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-
-    std::fprintf(hout, "\nLatencies are end-to-end commit ticks "
-                       "(first begin to commit, retries included).\n");
-    std::fprintf(hout, "All results functionally verified: %s\n",
-                 all_ok ? "yes" : "NO");
-    return (all_ok && violations == 0) ? 0 : 1;
+    return d.finish(rec, [&] {
+        std::fprintf(hout, "\nLatencies are end-to-end commit ticks "
+                           "(first begin to commit, retries included).\n");
+        std::fprintf(hout, "All results functionally verified: %s\n",
+                     d.allVerified() ? "yes" : "NO");
+    });
 }

@@ -20,15 +20,9 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "harness/cli.hh"
-#include "harness/experiment.hh"
-#include "harness/profile_io.hh"
+#include "harness/bench_driver.hh"
 #include "harness/report.hh"
-#include "harness/stats_io.hh"
-#include "harness/trace_io.hh"
-#include "sim/logging.hh"
 
 namespace
 {
@@ -56,62 +50,12 @@ main(int argc, char **argv)
 {
     using namespace ptm;
 
-    std::string json_path;
-    TraceParams trace;
-    ProfileParams profile;
-    int scale = 1;
-    OptionTable opts("bench_table1",
-                     "Reproduce Table 1: transactional execution "
-                     "behavior of the SPLASH-2 loop regions.");
-    opts.optionString("json", "FILE",
-                      "write ptm-bench-v1 results to FILE (- = stdout)",
-                      json_path);
-    opts.optionInt("scale", "N",
-                   "0 = tiny test size, 1 = benchmark size", scale);
-    addTraceOptions(opts, trace);
-    addProfileOptions(opts, profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
-    PersistParams persist;
-    addPersistOptions(opts, persist);
-    switch (opts.parse(argc, argv)) {
-      case CliStatus::Ok:
-        break;
-      case CliStatus::Exit:
-        return 0;
-      case CliStatus::Error:
-        return 2;
-    }
-
-    // Crash dumps are single-run artifacts; a sweep would overwrite
-    // one per configuration. Durable-commit policy knobs still apply.
-    if (!persist.walPath.empty() || persist.crashAtTick) {
-        std::fprintf(stderr,
-                     "bench_table1: --wal-file / --crash-at-tick are "
-                     "single-run options; use ptm_sim\n");
-        return 2;
-    }
-
-    if (!checkOutputSinks("bench_table1",
-                          {{"--json", json_path},
-                           {"--trace", trace.path},
-                           {"--timeseries", obs.timeseries.path},
-                           {"--postmortem",
-                            obs.forensics.postmortemPath}}))
-        return 2;
-
-    // Machine-readable output on stdout moves the human tables and
-    // inform() status lines to stderr so the stream stays parseable.
-    bool machine_stdout = json_path == "-" || trace.path == "-";
-    if (machine_stdout)
-        setInformToStderr(true);
-    std::FILE *hout = machine_stdout ? stderr : stdout;
-    std::vector<TraceCapture> captures;
+    BenchDriver d("bench_table1",
+                  "Reproduce Table 1: transactional execution "
+                  "behavior of the SPLASH-2 loop regions.");
+    if (auto rc = d.parse(argc, argv))
+        return *rc;
+    std::FILE *hout = d.out();
 
     std::fprintf(hout, "Table 1: transactional execution behavior "
                 "(4p Select-PTM, OS noise on)\n\n");
@@ -121,22 +65,9 @@ main(int argc, char **argv)
                   "mop/evict"});
     BenchRecorder rec("table1");
 
-    std::size_t violations = 0;
     for (const auto &name : workloadNames()) {
-        SystemParams prm;
-        prm.tmKind = TmKind::SelectPtm;
-        prm.trace = trace;
-        prm.profile = profile;
-        prm.persist = persist;
-        robust.applyTo(prm);
-        machine.applyTo(prm);
-        obs.applyTo(prm);
-        ExperimentResult r = runWorkload(name, prm, scale, 4);
-        violations +=
-            reportAuditViolations("bench_table1", name, prm, r);
-        if (!trace.path.empty())
-            captures.push_back(std::move(r.trace));
-        printRunProfile(hout, name, r.profile, r.host);
+        ExperimentResult r =
+            d.run(name, d.params(TmKind::SelectPtm), 4, name);
         const StatSnapshot &s = r.snapshot;
         std::uint64_t evictions = s.counter("mem.evictions");
         double mop = evictions
@@ -168,12 +99,7 @@ main(int argc, char **argv)
             .field("ideal_pct", s.value("sys.ideal_pct"))
             .field("mop_per_evict", mop)
             .field("verified", r.verified);
-        if (machine.hostMetrics)
-            rec.field("sim_events_per_sec",
-                      r.wallSeconds > 0
-                          ? r.eventsExecuted / r.wallSeconds
-                          : 0.0);
-        addProfileFields(rec, r.profile);
+        d.runFields(rec, r);
     }
     table.print(hout);
 
@@ -184,20 +110,9 @@ main(int argc, char **argv)
     Report scaling({"cores", "commit", "abort", "cycles",
                     "ctx-switch", "ok"});
     for (unsigned cores : {16u, 32u, 64u}) {
-        SystemParams prm;
-        prm.tmKind = TmKind::SelectPtm;
+        SystemParams prm = d.params(TmKind::SelectPtm);
         prm.numCores = cores;
-        prm.trace = trace;
-        prm.profile = profile;
-        prm.persist = persist;
-        robust.applyTo(prm);
-        machine.applyTo(prm);
-        obs.applyTo(prm);
-        ExperimentResult r = runWorkload("fft", prm, scale, cores);
-        violations +=
-            reportAuditViolations("bench_table1", "fft", prm, r);
-        if (!trace.path.empty())
-            captures.push_back(std::move(r.trace));
+        ExperimentResult r = d.run("fft", prm, cores);
         const StatSnapshot &s = r.snapshot;
         scaling.row({"c" + std::to_string(cores),
                      cellU(s.counter("tx.commits")),
@@ -215,40 +130,23 @@ main(int argc, char **argv)
             .field("context_switches",
                    s.counter("os.context_switches"))
             .field("verified", r.verified);
-        if (machine.hostMetrics)
-            rec.field("sim_events_per_sec",
-                      r.wallSeconds > 0
-                          ? r.eventsExecuted / r.wallSeconds
-                          : 0.0);
+        d.runFields(rec, r, /*profile=*/false);
     }
     scaling.print(hout);
 
-    if (!rec.writeJson(json_path)) {
-        std::fprintf(stderr, "bench_table1: cannot write %s\n",
-                     json_path.c_str());
-        return 2;
-    }
-
-    if (!trace.path.empty()) {
-        std::string err;
-        if (!writeTrace(trace.path, trace.format, captures, &err)) {
-            std::fprintf(stderr, "bench_table1: %s\n", err.c_str());
-            return 2;
+    return d.finish(rec, [&] {
+        std::fprintf(hout,
+                     "\nPaper's Table 1 (for shape comparison):\n\n");
+        Report paper({"app", "commit", "abort", "exception",
+                      "ctx-switch", "pages", "pg-x-wr", "conservative",
+                      "ideal", "mop/evict"});
+        for (const auto &p : kPaper) {
+            paper.row({p.app, cellU(p.commit), cellU(p.abort),
+                       cellU(p.exc), cellU(p.ctx), cellU(p.pages),
+                       cellU(p.pgxwr), cell("%.1f%%", p.conservative),
+                       cell("%.1f%%", p.ideal),
+                       cell("%.1f", p.mopPerEvict)});
         }
-        inform("trace written to %s (%zu captures)",
-               trace.path.c_str(), captures.size());
-    }
-
-    std::fprintf(hout, "\nPaper's Table 1 (for shape comparison):\n\n");
-    Report paper({"app", "commit", "abort", "exception", "ctx-switch",
-                  "pages", "pg-x-wr", "conservative", "ideal",
-                  "mop/evict"});
-    for (const auto &p : kPaper) {
-        paper.row({p.app, cellU(p.commit), cellU(p.abort), cellU(p.exc),
-                   cellU(p.ctx), cellU(p.pages), cellU(p.pgxwr),
-                   cell("%.1f%%", p.conservative),
-                   cell("%.1f%%", p.ideal), cell("%.1f", p.mopPerEvict)});
-    }
-    paper.print(hout);
-    return violations == 0 ? 0 : 1;
+        paper.print(hout);
+    });
 }

@@ -206,6 +206,9 @@ OptionTable::printHelp() const
                 "show this help and exit");
 }
 
+namespace
+{
+
 void
 addTraceOptions(OptionTable &opts, TraceParams &dest)
 {
@@ -281,7 +284,7 @@ addProfileOptions(OptionTable &opts, ProfileParams &dest)
 }
 
 void
-addMachineOptions(OptionTable &opts, MachineParams &dest)
+addMachineOptions(OptionTable &opts, SystemParams &dest)
 {
     opts.option("mem-banks", "N",
                 "address-interleaved interconnect banks (power of "
@@ -307,15 +310,10 @@ addMachineOptions(OptionTable &opts, MachineParams &dest)
             dest.fastForwardOps = unsigned(n);
             return true;
         });
-    opts.flag("host-metrics",
-              "emit host-derived throughput (sim_events_per_sec) in "
-              "bench result rows (machine-dependent; off in "
-              "checked-in baselines)",
-              [&dest] { dest.hostMetrics = true; });
 }
 
 void
-addRobustnessOptions(OptionTable &opts, RobustnessParams &prm)
+addRobustnessOptions(OptionTable &opts, SystemParams &prm)
 {
     opts.flag("chaos",
               "enable deterministic fault injection (seeded; see "
@@ -449,7 +447,7 @@ addForensicsOptions(OptionTable &opts, ForensicsParams &prm)
 }
 
 void
-addObservabilityOptions(OptionTable &opts, ObservabilityParams &prm)
+addObservabilityOptions(OptionTable &opts, SystemParams &prm)
 {
     opts.flagOrValue(
         "live-stats", "TICKS",
@@ -558,6 +556,20 @@ addPersistOptions(OptionTable &opts, PersistParams &dest)
                     dest.logBytesPerCycle = n;
                     return true;
                 });
+}
+
+} // namespace
+
+void
+addSystemOptions(OptionTable &opts, SystemParams &prm)
+{
+    addTraceOptions(opts, prm.trace);
+    addProfileOptions(opts, prm.profile);
+    addRobustnessOptions(opts, prm);
+    addMachineOptions(opts, prm);
+    addObservabilityOptions(opts, prm);
+    addForensicsOptions(opts, prm.forensics);
+    addPersistOptions(opts, prm.persist);
 }
 
 bool

@@ -34,9 +34,7 @@
 #include <vector>
 
 #include "sim/config.hh"
-#include "sim/profile.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "workloads/workload.hh"
 
 namespace ptm
@@ -135,181 +133,38 @@ class OptionTable
 };
 
 /**
- * Register the shared event-tracing options (--trace, --trace-format,
- * --trace-categories, --trace-buffer-events, --trace-sample-interval,
- * --watch-addr) storing into @p dest. Used by ptm_sim and every
- * bench_* front end so the tracing surface is identical everywhere.
- */
-void addTraceOptions(OptionTable &opts, TraceParams &dest);
-
-/**
- * Register the shared profiling options (--profile, --host-profile,
- * --host-profile-interval) storing into @p dest. Used by ptm_sim and
- * every bench_* front end so the profiling surface is identical
- * everywhere. --host-profile implies --profile.
- */
-void addProfileOptions(OptionTable &opts, ProfileParams &dest);
-
-/**
- * The robustness-option bundle of a front end: fault injection,
- * invariant auditing, and contention knobs, collected once and applied
- * to every SystemParams the front end builds.
- */
-struct RobustnessParams
-{
-    ChaosParams chaos;
-    AuditParams audit;
-    ContentionParams contention;
-
-    void
-    applyTo(SystemParams &prm) const
-    {
-        prm.chaos = chaos;
-        prm.audit = audit;
-        prm.contention = contention;
-    }
-};
-
-/**
- * The observability-option bundle of a front end: time-series
- * telemetry, the per-page contention heatmap, and the transaction
- * flight recorder, collected once and applied to every SystemParams
- * the front end builds. The forensics member is filled by the
- * separate addForensicsOptions (front ends register both bundles).
- */
-struct ObservabilityParams
-{
-    TimeseriesParams timeseries;
-    HeatmapParams heatmap;
-    ForensicsParams forensics;
-
-    void
-    applyTo(SystemParams &prm) const
-    {
-        prm.timeseries = timeseries;
-        prm.heatmap = heatmap;
-        prm.forensics = forensics;
-    }
-};
-
-/**
- * The machine-scaling option bundle of a front end: interconnect
- * banking, host-loop fast-forward, and host-throughput metric
- * emission, collected once and applied to every SystemParams the
- * front end builds.
- */
-struct MachineParams
-{
-    /** Interleaved interconnect banks (power of two; 1 = paper bus). */
-    unsigned memBanks = 1;
-    /** Max ops per direct-execution fast-forward batch (0 = off). */
-    unsigned fastForwardOps = 0;
-    /**
-     * Emit host-derived throughput (sim_events_per_sec) in bench rows.
-     * Off by default so checked-in baselines stay machine-independent.
-     */
-    bool hostMetrics = false;
-
-    void
-    applyTo(SystemParams &prm) const
-    {
-        prm.memBanks = memBanks;
-        prm.fastForwardOps = fastForwardOps;
-    }
-};
-
-/**
- * Register the shared machine-scaling options storing into @p dest:
+ * Register the option groups shared by ptm_sim and every bench_*
+ * front end, storing straight into @p prm so the surface is identical
+ * everywhere:
  *
- *  - `--mem-banks N` splits the interconnect into N address-interleaved
- *    banks (power of two; default 1 reproduces the paper's single bus
- *    bit-exactly);
- *  - `--fast-forward[=K]` batches up to K non-transactional ops per
- *    host event in conflict-free stretches (bare flag: K=32; simulated
- *    results are unchanged, host throughput rises);
- *  - `--host-metrics` adds host-derived throughput to bench rows.
- *
- * Used by ptm_sim and every bench_* front end so the scaling surface
- * is identical everywhere.
+ *  - tracing: --trace, --trace-format, --trace-categories,
+ *    --trace-buffer-events, --trace-sample-interval, --watch-addr;
+ *  - profiling: --profile, --host-profile (implies --profile),
+ *    --host-profile-interval;
+ *  - robustness: fault injection (--chaos, --chaos-seed, --chaos-plan,
+ *    --chaos-interval, --chaos-squeeze, --chaos-cleanup-delay; the
+ *    value-taking chaos options imply --chaos), invariant auditing
+ *    (--audit, --audit-interval) and contention knobs (--backoff,
+ *    --watchdog, --retry-budget);
+ *  - machine scaling: --mem-banks N address-interleaved interconnect
+ *    banks (power of two; 1 reproduces the paper's single bus
+ *    bit-exactly) and --fast-forward[=K] batching of up to K
+ *    non-transactional ops per host event (bare flag: K=32; simulated
+ *    results unchanged);
+ *  - observability: --live-stats[=TICKS], --timeseries FILE,
+ *    --timeseries-interval, --heatmap, --heatmap-k (streaming implies
+ *    --heatmap so live records carry hot_pages);
+ *  - forensics: --flightrec-depth (0 removes the recorder),
+ *    --postmortem FILE and --postmortem-on-abort N, which arm
+ *    post-mortem capture (unarmed runs record but never dump);
+ *  - persistence: --durability off|wal, --wal-file FILE (the input of
+ *    `ptm_sim --recover`), --crash-at-tick TICK, --wal-flush-latency,
+ *    --wal-bytes-per-cycle. None of the value options imply
+ *    `--durability wal`: validateParams rejects a dump path or crash
+ *    tick on a volatile run so a sweep script cannot silently produce
+ *    nothing.
  */
-void addMachineOptions(OptionTable &opts, MachineParams &dest);
-
-/**
- * Register the shared observability options storing into @p dest:
- *
- *  - `--live-stats[=TICKS]` streams ptm-timeseries-v1 interval
- *    records to stderr while the run is in flight, optionally setting
- *    the sampling period;
- *  - `--timeseries FILE` streams the same records to a JSONL file
- *    ('-' for stderr); `--timeseries-interval TICKS` sets the period;
- *  - `--heatmap` / `--heatmap-k N` enable and size the per-page
- *    contention heatmap (`hot_pages` section of the stats JSON).
- *
- * Streaming options imply --heatmap so live records carry hot_pages.
- * Used by ptm_sim and every bench_* front end so the observability
- * surface is identical everywhere.
- */
-void addObservabilityOptions(OptionTable &opts,
-                             ObservabilityParams &dest);
-
-/**
- * Register the shared forensics options storing into @p dest:
- *
- *  - `--flightrec-depth N` sizes the retired-transaction ring of the
- *    always-on flight recorder (default 256; 0 removes the recorder
- *    and its hooks entirely);
- *  - `--postmortem FILE` arms post-mortem capture and writes each
- *    ptm-postmortem-v1 JSON document to FILE ('-' for stderr);
- *  - `--postmortem-on-abort N` arms capture and additionally triggers
- *    a post-mortem when any transaction reaches N aborts.
- *
- * Without either option the recorder still runs (cheap, always on)
- * but capture stays disarmed: starvation-watchdog trips, token
- * grants, auditor violations and chaos injections produce post-mortems
- * only on armed runs. An armed run always prints the human-readable
- * block to stderr; the JSON dump additionally needs a FILE. Used by
- * ptm_sim and every bench_* front end so the forensics surface is
- * identical everywhere.
- */
-void addForensicsOptions(OptionTable &opts, ForensicsParams &dest);
-
-/**
- * Register the shared robustness options storing into @p dest:
- *
- *  - fault injection: --chaos, --chaos-seed, --chaos-plan,
- *    --chaos-interval, --chaos-squeeze, --chaos-cleanup-delay (the
- *    value-taking chaos options imply --chaos);
- *  - invariant auditing: --audit, --audit-interval (which implies
- *    --audit);
- *  - contention robustness: --backoff, --watchdog, --retry-budget.
- *
- * Used by ptm_sim and every bench_* front end so the robustness
- * surface is identical everywhere.
- */
-void addRobustnessOptions(OptionTable &opts, RobustnessParams &dest);
-
-/**
- * Register the shared persistence options storing into @p dest:
- *
- *  - `--durability MODE` selects the commit-durability policy: `off`
- *    (volatile TM, bit-identical to builds without the flag) or `wal`
- *    (every commit appends a redo record to a modeled write-ahead log
- *    and stalls for the ordered flush);
- *  - `--wal-file FILE` serializes the surviving persistent image
- *    (workload checkpoint + durable log prefix) at end of run, the
- *    input of `ptm_sim --recover`;
- *  - `--crash-at-tick TICK` cuts the run at TICK with no drain or
- *    cleanup, leaving torn log tails (the chaos `crash` plan bit draws
- *    a seeded random tick instead);
- *  - `--wal-flush-latency TICKS` / `--wal-bytes-per-cycle N` set the
- *    ordered-flush base cost and log-device bandwidth.
- *
- * None of the value options imply `--durability wal`: validateParams
- * rejects a dump path or crash tick on a volatile run so a sweep
- * script cannot silently produce nothing. Used by ptm_sim and every
- * bench_* front end so the durability surface is identical everywhere.
- */
-void addPersistOptions(OptionTable &opts, PersistParams &dest);
+void addSystemOptions(OptionTable &opts, SystemParams &prm);
 
 /**
  * One machine-readable output sink of a front end, for collision

@@ -51,35 +51,13 @@ runWorkload(const std::string &workload_name, SystemParams params,
                                   tmKindArg(params.tmKind) + " " +
                                   chaosReproArgs(params));
 
-    ExperimentResult r;
-    auto t0 = std::chrono::steady_clock::now();
-    r.cycles = sys.run();
-    r.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    r.snapshot = sys.snapshot();
-    r.eventsExecuted = r.snapshot.value("events.executed");
-    r.crashed = sys.crashed();
-    if (r.crashed)
-        r.crashTick = sys.crashTick();
+    ExperimentResult r = runSystem(sys);
     // A crashed run has no final state to verify in-process; recovery
     // replays the dump and verifies the committed prefix instead.
     r.verified = !r.crashed && wl->verify(sys);
-    r.profile = sys.profiler().snapshot();
-    r.host = sys.eq().hostProfile();
-    r.auditViolations = sys.auditor().violations();
-    r.auditChecks = sys.auditor().checksRun.value();
     r.resolvedOptions = wl->config().options.items();
-    if (sys.heatmap())
-        r.heatmap = sys.heatmap()->snapshot();
-    if (sys.timeseries())
-        r.timeseries = sys.timeseries()->capture();
-    if (sys.flightrec())
-        r.forensics = sys.flightrec()->snapshot();
-    if (sys.tracer().active())
-        r.trace = captureTrace(sys.tracer(),
-                               workload_name + "/" +
-                                   tmKindName(params.tmKind));
+    collectObservers(
+        sys, workload_name + "/" + tmKindName(params.tmKind), r);
 
     if (const WalManager *wal = sys.wal()) {
         r.walDurableBytes =
@@ -115,6 +93,41 @@ runWorkload(const std::string &workload_name, SystemParams params,
         warn("%s/%s produced a wrong result", workload_name.c_str(),
              tmKindName(params.tmKind));
     return r;
+}
+
+ExperimentResult
+runSystem(System &sys)
+{
+    ExperimentResult r;
+    auto t0 = std::chrono::steady_clock::now();
+    r.cycles = sys.run();
+    r.wallSeconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    r.snapshot = sys.snapshot();
+    r.eventsExecuted = r.snapshot.value("events.executed");
+    r.crashed = sys.crashed();
+    if (r.crashed)
+        r.crashTick = sys.crashTick();
+    return r;
+}
+
+void
+collectObservers(System &sys, const std::string &label,
+                 ExperimentResult &r)
+{
+    r.profile = sys.profiler().snapshot();
+    r.host = sys.eq().hostProfile();
+    r.auditViolations = sys.auditor().violations();
+    r.auditChecks = sys.auditor().checksRun.value();
+    if (sys.heatmap())
+        r.heatmap = sys.heatmap()->snapshot();
+    if (sys.timeseries())
+        r.timeseries = sys.timeseries()->capture();
+    if (sys.flightrec())
+        r.forensics = sys.flightrec()->snapshot();
+    if (sys.tracer().active())
+        r.trace = captureTrace(sys.tracer(), label);
 }
 
 std::size_t

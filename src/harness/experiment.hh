@@ -112,6 +112,26 @@ ExperimentResult runWorkload(const std::string &workload_name,
                              unsigned threads = 4,
                              const WorkloadOptList &wl_opts = {});
 
+/**
+ * Run @p sys to completion and capture what must be read before any
+ * verification touches memory: cycles, event-loop wall time and
+ * events executed, the stat snapshot, and the crash cut. With
+ * collectObservers() it is the body of runWorkload, and of the benches
+ * that build their System by hand.
+ */
+ExperimentResult runSystem(System &sys);
+
+/**
+ * Capture the observer outputs of the finished run on @p sys into
+ * @p r: cycle and host profiles, audit results, heatmap, time series,
+ * flight-recorder forensics and, when tracing, the trace buffer
+ * labelled @p label. Separate from runSystem() because verification
+ * reads memory and may page-fault into the profile and trace:
+ * runWorkload collects after verifying, the hand-built benches before.
+ */
+void collectObservers(System &sys, const std::string &label,
+                      ExperimentResult &r);
+
 /** Percent speedup of @p par over @p serial: (serial/par - 1) * 100. */
 double speedupPct(Tick serial, Tick par);
 

@@ -111,8 +111,11 @@ recoverRun(const std::string &path)
     for (const auto &tc : replay.perThread)
         counts[tc.first] = tc.second;
     std::string clist;
-    for (unsigned t = 0; t < dump.threads; ++t)
-        clist += (t ? "," : "") + std::to_string(counts[t]);
+    for (unsigned t = 0; t < dump.threads; ++t) {
+        if (t)
+            clist += ',';
+        clist += std::to_string(counts[t]);
+    }
     recLine("replayed %zu durable commits (per thread: %s)",
             replay.records.size(), clist.c_str());
 

@@ -175,10 +175,11 @@ TEST(FastForward, SimulatedResultsUnchangedEventsFewer)
              {"tx.commits", "tx.aborts", "sys.mem_ops", "mem.l1_hits",
               "mem.l2_hits", "mem.misses", "mem.bus_transactions",
               "os.exceptions", "os.context_switches", "os.tlb_misses"})
-            if (a.snapshot.has(stat) && b.snapshot.has(stat))
+            if (a.snapshot.has(stat) && b.snapshot.has(stat)) {
                 EXPECT_EQ(a.snapshot.counter(stat),
                           b.snapshot.counter(stat))
                     << wl << " " << stat;
+            }
         std::uint64_t ff_ops = 0;
         for (unsigned c = 0; c < ff.numCores; ++c)
             ff_ops += b.snapshot.counter(

@@ -79,7 +79,6 @@ main(int argc, char **argv)
     opts.optionString("stats-json", "FILE",
                       "write ptm-stats-v1 JSON to FILE (- = stdout)",
                       json_path);
-    addPersistOptions(opts, prm.persist);
     std::string recover_path;
     opts.option("recover", "FILE",
                 "recover and verify the crash dump at FILE (written "
@@ -92,15 +91,7 @@ main(int argc, char **argv)
                 });
     WorkloadOptList wl_opts;
     addWorkloadOptions(opts, wl_opts);
-    addTraceOptions(opts, prm.trace);
-    addProfileOptions(opts, prm.profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
+    addSystemOptions(opts, prm);
     bool list_stats = false;
     opts.flag("list-stats",
               "list every statistic of the configured system and exit",
@@ -122,10 +113,6 @@ main(int argc, char **argv)
 
     if (!recover_path.empty())
         return recoverRun(recover_path);
-
-    robust.applyTo(prm);
-    obs.applyTo(prm);
-    machine.applyTo(prm);
 
     if (std::string err = validateParams(prm); !err.empty()) {
         std::fprintf(stderr, "ptm_sim: %s\n", err.c_str());
