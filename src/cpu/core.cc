@@ -68,13 +68,7 @@ Core::scheduleStep(Tick delay)
 }
 
 bool
-Core::shouldPreempt() const
-{
-    return shouldPreemptAt(eq_.curTick());
-}
-
-bool
-Core::shouldPreemptAt(Tick at) const
+Core::shouldPreempt(Tick at) const
 {
     if (at < daemon_until_)
         return true;
@@ -257,7 +251,7 @@ Core::resumeCoro(ThreadCtx &t, std::uint64_t value)
         handleAbort(t);
         return;
     }
-    if (shouldPreempt()) {
+    if (shouldPreempt(eq_.curTick())) {
         // Deliver the value after the thread is rescheduled.
         t.hasPendingResume = true;
         t.resumeValue = value;
@@ -267,8 +261,7 @@ Core::resumeCoro(ThreadCtx &t, std::uint64_t value)
         return;
     }
 
-    if (params_.fastForwardOps > 0 && t.curTx == invalidTxId &&
-        params_.trace.path.empty()) {
+    if (params_.fastForwardOps > 0 && t.curTx == invalidTxId) {
         fastForward(t, value);
         return;
     }
@@ -300,26 +293,32 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
 
     Tick adv = 0; // virtual cycles accumulated past start
     unsigned done = 0;
+    // Leave the batch: fn runs where the one-event path would run
+    // it — right away when no op retired, else when the last one
+    // completes.
+    auto leave = [&](std::uint16_t site, auto fn) {
+        if (done == 0)
+            fn();
+        else
+            after(t, adv, fn, site);
+    };
     for (;;) {
         const MemYield *op = t.coro.resume(value);
         if (!op) {
-            if (adv == 0) {
-                stepFinished(t);
-                return;
-            }
-            std::uint64_t ep = t.epoch;
-            eq_.scheduleIn(adv, EventPriority::Cpu, [this, &t, ep] {
-                if (t.epoch == ep)
-                    stepFinished(t);
-            }, site_step_);
+            leave(site_step_, [this, &t] { stepFinished(t); });
             return;
         }
 
+        // The op's virtual issue tick, its cycles and the profiler
+        // bucket the one-event path charges them to.
+        const Tick at = start + adv;
+        Tick len;
+        ProfBucket b = ProfBucket::NonTx;
         if (op->kind == OpKind::Compute) {
             ++computeOps;
             ++ffOps;
             t.computeCycles += op->cycles;
-            adv += op->cycles ? op->cycles : 1;
+            len = op->cycles ? op->cycles : 1;
             value = 0;
         } else {
             auto pa = os_.translateFast(id_, t.proc, op->vaddr);
@@ -328,68 +327,63 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
                 // at its virtual issue time (runOp counts it and runs
                 // the full translate() with correctly-timed side
                 // effects).
-                if (adv == 0) {
-                    runOp(t, *op);
-                    return;
-                }
                 MemYield opc = *op;
-                std::uint64_t ep = t.epoch;
-                eq_.scheduleIn(adv, EventPriority::Cpu,
-                               [this, &t, opc, ep] {
-                                   if (t.epoch == ep)
-                                       runOp(t, opc);
-                               }, site_xlat_);
+                leave(site_xlat_, [this, &t, opc] { runOp(t, opc); });
                 return;
             }
             ++memOps;
             ++t.memOps;
             ++ffOps;
-            Access acc;
-            acc.core = id_;
-            acc.tx = invalidTxId;
-            acc.isWrite = op->kind == OpKind::Store;
-            acc.isCas = op->kind == OpKind::Cas;
-            acc.paddr = *pa & ~Addr(3);
-            acc.storeValue = std::uint32_t(op->value);
-            acc.casExpected = std::uint32_t(op->expected);
-            auto hit = mem_.trySync(acc);
+            Access acc = makeAccess(t, *op, *pa);
+            auto hit = mem_.trySync(acc, at);
             if (!hit) {
                 // Needs the bus: issue at the virtual time so the bus
                 // reservation and grant processing see natural timing.
                 // (trySync is side-effect-free on a miss; the re-probe
                 // inside issueAccess misses identically.)
-                if (adv == 0) {
-                    issueAccess(t, acc);
-                    return;
-                }
-                std::uint64_t ep = t.epoch;
-                eq_.scheduleIn(adv, EventPriority::Cpu,
-                               [this, &t, acc, ep] {
-                                   if (t.epoch == ep)
-                                       issueAccess(t, acc);
-                               }, site_mem_);
+                leave(site_mem_, [this, &t, acc] { issueAccess(t, acc); });
                 return;
             }
-            adv += hit->first;
+            len = hit->first;
+            b = hitBucket(len);
             value = hit->second.value;
         }
 
         ++done;
+        adv += len;
         Tick v = start + adv;
         if (done >= params_.fastForwardOps || v >= horizon ||
-            shouldPreemptAt(v)) {
-            // Batch exit: hand the next op to resumeCoro at its
-            // natural tick (it re-checks preemption/abort there and
-            // may open a fresh batch).
-            std::uint64_t ep = t.epoch;
-            std::uint64_t rv = value;
-            eq_.scheduleIn(adv, EventPriority::Cpu, [this, &t, rv, ep] {
-                if (t.epoch == ep)
-                    resumeCoro(t, rv);
-            }, site_compute_);
+            shouldPreempt(v)) {
+            // Batch exit: the op's span stays open, as the one-event
+            // path has it at the op's issue tick (v may lie past the
+            // horizon, where finish() at a run limit must not look);
+            // its completion closes it and hands the next op to
+            // resumeCoro, which re-checks preemption/abort there and
+            // may open a fresh batch.
+            prof_->span(id_, b, at);
+            leave(site_compute_, [this, &t, rv = value] {
+                prof_->pop(id_);
+                resumeCoro(t, rv);
+            });
             return;
         }
+        prof_->span(id_, b, at, v);
     }
+}
+
+Access
+Core::makeAccess(const ThreadCtx &t, const MemYield &op,
+                 Addr paddr) const
+{
+    Access acc;
+    acc.core = id_;
+    acc.tx = t.curTx;
+    acc.isWrite = op.kind == OpKind::Store;
+    acc.isCas = op.kind == OpKind::Cas;
+    acc.paddr = paddr & ~Addr(3);
+    acc.storeValue = std::uint32_t(op.value);
+    acc.casExpected = std::uint32_t(op.expected);
+    return acc;
 }
 
 void
@@ -400,11 +394,7 @@ Core::runOp(ThreadCtx &t, const MemYield &op)
         t.computeCycles += op.cycles;
         Tick d = op.cycles ? op.cycles : 1;
         profExec(t);
-        std::uint64_t ep = t.epoch;
-        eq_.scheduleIn(d, EventPriority::Cpu, [this, &t, ep] {
-            if (t.epoch == ep)
-                resumeCoro(t, 0);
-        }, site_compute_);
+        after(t, d, [this, &t] { resumeCoro(t, 0); }, site_compute_);
         return;
     }
 
@@ -431,15 +421,7 @@ Core::runOp(ThreadCtx &t, const MemYield &op)
         }
     }
 
-    Access acc;
-    acc.core = id_;
-    acc.tx = t.curTx;
-    acc.isWrite = is_write;
-    acc.isCas = is_cas;
-    acc.paddr = xr.paddr & ~Addr(3);
-    acc.storeValue = std::uint32_t(op.value);
-    acc.casExpected = std::uint32_t(op.expected);
-
+    Access acc = makeAccess(t, op, xr.paddr);
     if (xr.latency == 0) {
         issueAccess(t, acc);
     } else {
@@ -447,14 +429,10 @@ Core::runOp(ThreadCtx &t, const MemYield &op)
         // fault path (which includes any swap I/O).
         prof_->push(id_, xr.faulted ? ProfBucket::FaultSwap
                                     : ProfBucket::StallXlat);
-        std::uint64_t ep = t.epoch;
-        eq_.scheduleIn(xr.latency, EventPriority::Cpu,
-                       [this, &t, acc, ep] {
-                           if (t.epoch == ep) {
-                               prof_->pop(id_);
-                               issueAccess(t, acc);
-                           }
-                       }, site_xlat_);
+        after(t, xr.latency, [this, &t, acc] {
+            prof_->pop(id_);
+            issueAccess(t, acc);
+        }, site_xlat_);
     }
 }
 
@@ -465,18 +443,13 @@ Core::issueAccess(ThreadCtx &t, const Access &acc)
         handleAbort(t);
         return;
     }
-    if (auto hit = mem_.trySync(acc)) {
+    if (auto hit = mem_.trySync(acc, eq_.curTick())) {
         Tick lat = hit->first;
         std::uint32_t v = hit->second.value;
-        prof_->push(id_, lat <= params_.l1Latency
-                             ? ProfBucket::StallL1
-                             : ProfBucket::StallL2);
-        std::uint64_t ep = t.epoch;
-        eq_.scheduleIn(lat, EventPriority::Cpu, [this, &t, v, ep] {
-            if (t.epoch == ep) {
-                prof_->pop(id_);
-                resumeCoro(t, v);
-            }
+        prof_->push(id_, hitBucket(lat));
+        after(t, lat, [this, &t, v] {
+            prof_->pop(id_);
+            resumeCoro(t, v);
         }, site_mem_);
         return;
     }
@@ -507,17 +480,12 @@ Core::stepFinished(ThreadCtx &t)
     if (std::holds_alternative<TxStep>(t.currentStep())) {
         t.commitPending = true;
         prof_->set(id_, ProfBucket::TxCommit);
-        std::uint64_t ep = t.epoch;
-        eq_.scheduleIn(params_.commitLatency, EventPriority::Cpu,
-                       [this, &t, ep] {
-                           if (t.epoch != ep)
-                               return;
-                           if (t.abortPending) {
-                               handleAbort(t);
-                               return;
-                           }
-                           tryCommit(t);
-                       });
+        after(t, params_.commitLatency, [this, &t] {
+            if (t.abortPending)
+                handleAbort(t);
+            else
+                tryCommit(t);
+        });
         return;
     }
 
@@ -542,14 +510,10 @@ Core::tryCommit(ThreadCtx &t)
             // Durable commit: the thread stalls until its record's
             // ordered flush drains from the log device.
             prof_->set(id_, ProfBucket::TxPersist);
-            std::uint64_t ep = t.epoch;
-            eq_.scheduleIn(persist_wait, EventPriority::Cpu,
-                           [this, &t, ep] {
-                               if (t.epoch != ep)
-                                   return;
-                               profExec(t);
-                               scheduleStep(1);
-                           });
+            after(t, persist_wait, [this, &t] {
+                profExec(t);
+                scheduleStep(1);
+            });
             return;
         }
         profExec(t);

@@ -91,22 +91,43 @@ class Core
     /** Model one yielded operation. */
     void runOp(ThreadCtx &t, const MemYield &op);
 
+    /** The access @p op of @p t makes to home address @p paddr. */
+    Access makeAccess(const ThreadCtx &t, const MemYield &op,
+                      Addr paddr) const;
+
     /** Issue a memory access (post-translation). */
     void issueAccess(ThreadCtx &t, const Access &acc);
 
+    /** Profiler bucket of a local hit that took @p lat cycles. */
+    ProfBucket
+    hitBucket(Tick lat) const
+    {
+        return lat <= params_.l1Latency ? ProfBucket::StallL1
+                                        : ProfBucket::StallL2;
+    }
+
     /**
-     * Direct-execution fast-forward: retire up to fastForwardOps
-     * non-transactional ops of @p t synchronously at the current tick,
-     * advancing the thread's virtual time without per-op events. Only
-     * entered with no open transaction; ops are batched strictly while
-     * their virtual completion time stays below the next pending
-     * event's tick (and the run limit), so no other simulated activity
-     * can interleave and every op observes exactly the state it would
-     * have observed on the one-event-per-op path. TLB misses, cache
-     * misses and batch exits are handed back to the natural path at
-     * their virtual issue time.
+     * Direct-execution fast-forward (DESIGN.md §6c): retire up to
+     * fastForwardOps non-transactional ops of @p t at the current tick,
+     * each at its virtual issue tick, while no other event can
+     * interleave. TLB misses, cache misses and batch exits go back to
+     * the one-event path at their virtual issue time.
      */
     void fastForward(ThreadCtx &t, std::uint64_t value);
+
+    /** Run @p fn in @p delay ticks unless @p t's epoch moved on (an
+     *  abort abandons every continuation scheduled before it). */
+    template <class F>
+    void
+    after(ThreadCtx &t, Tick delay, F fn,
+          std::uint16_t site = EventQueue::noSite)
+    {
+        std::uint64_t ep = t.epoch;
+        eq_.scheduleIn(delay, EventPriority::Cpu, [&t, ep, fn] {
+            if (t.epoch == ep)
+                fn();
+        }, site);
+    }
 
     /** The current step's coroutine ran to completion. */
     void stepFinished(ThreadCtx &t);
@@ -120,11 +141,8 @@ class Core
     /** Preempt the current thread back to the run queue. */
     void preempt(ThreadCtx &t, Tick next_step_delay);
 
-    /** True if the thread must yield the core right now. */
-    bool shouldPreempt() const;
-
-    /** shouldPreempt() as evaluated at (future) tick @p at. */
-    bool shouldPreemptAt(Tick at) const;
+    /** True if the thread must yield the core at tick @p at. */
+    bool shouldPreempt(Tick at) const;
 
     /**
      * Park with no pending continuation (kick()/kickParked() wake).

@@ -297,19 +297,6 @@ addMachineOptions(OptionTable &opts, SystemParams &dest)
                     dest.memBanks = unsigned(n);
                     return true;
                 });
-    opts.flagOrValue(
-        "fast-forward", "K",
-        "batch up to K non-transactional ops per host event in "
-        "conflict-free stretches (bare flag: K=32; simulated "
-        "results unchanged)",
-        [&dest] { dest.fastForwardOps = 32; },
-        [&dest](const std::string &v) {
-            std::uint64_t n;
-            if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
-                return false;
-            dest.fastForwardOps = unsigned(n);
-            return true;
-        });
 }
 
 void

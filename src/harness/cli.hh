@@ -148,9 +148,7 @@ class OptionTable
  *    --watchdog, --retry-budget);
  *  - machine scaling: --mem-banks N address-interleaved interconnect
  *    banks (power of two; 1 reproduces the paper's single bus
- *    bit-exactly) and --fast-forward[=K] batching of up to K
- *    non-transactional ops per host event (bare flag: K=32; simulated
- *    results unchanged);
+ *    bit-exactly);
  *  - observability: --live-stats[=TICKS], --timeseries FILE,
  *    --timeseries-interval, --heatmap, --heatmap-k (streaming implies
  *    --heatmap so live records carry hot_pages);

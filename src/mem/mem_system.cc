@@ -125,7 +125,7 @@ MemSystem::lineConflicts(const Access &acc, std::uint16_t mask,
 }
 
 std::optional<std::pair<Tick, AccessResult>>
-MemSystem::trySync(const Access &acc)
+MemSystem::trySync(const Access &acc, Tick at)
 {
     const Addr block = blockAlign(acc.paddr);
     const std::uint16_t mask = accessMask(acc.paddr);
@@ -161,7 +161,7 @@ MemSystem::trySync(const Access &acc)
         if (ok || extend) {
             CacheLine *line = l2_[c]->find(block);
             panic_if(!line, "L1 hit without inclusive L2 line");
-            std::uint32_t v = applyOp(acc, *line);
+            std::uint32_t v = applyOp(acc, *line, at);
             if (extend) {
                 setMarks(acc, *line);
                 if (TxMark *m = line->findMark(acc.tx)) {
@@ -201,7 +201,7 @@ MemSystem::trySync(const Access &acc)
         }
     }
 
-    std::uint32_t v = applyOp(acc, *line);
+    std::uint32_t v = applyOp(acc, *line, at);
     setMarks(acc, *line);
     fillL1(c, *line, acc.tx);
     l2_[c]->touch(*line);
@@ -332,7 +332,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
         if (!wordMode() && write && acc.tx != invalidTxId &&
             own->dirty() && own->writeMask() == 0)
             extra += writebackCommitted(*own);
-        std::uint32_t v = applyOp(acc, *own);
+        std::uint32_t v = applyOp(acc, *own, eq_.curTick());
         setMarks(acc, *own);
         fillL1(c, *own, acc.tx);
         l2_[c]->touch(*own);
@@ -513,7 +513,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     if (write && !moesiWritable(target->state))
         target->state = Moesi::M;
 
-    std::uint32_t v = applyOp(acc, *target);
+    std::uint32_t v = applyOp(acc, *target, eq_.curTick());
     setMarks(acc, *target);
     fillL1(c, *target, acc.tx);
     l2_[c]->touch(*target);
@@ -628,7 +628,7 @@ MemSystem::evictLine(CoreId c, CacheLine &victim)
 }
 
 std::uint32_t
-MemSystem::applyOp(const Access &acc, CacheLine &line)
+MemSystem::applyOp(const Access &acc, CacheLine &line, Tick at)
 {
     unsigned off = byteOff(acc.paddr);
     if (tracer_->watchingWord(wordAlign(acc.paddr))) {
@@ -637,9 +637,9 @@ MemSystem::applyOp(const Access &acc, CacheLine &line)
                                     : WatchKind::Load;
         double v = acc.isWrite || acc.isCas ? double(acc.storeValue)
                                             : double(line.readWord32(off));
-        tracer_->record(TraceEventType::Watchpoint, acc.core,
-                        traceNoId, acc.tx, invalidTxId, acc.paddr,
-                        std::uint64_t(k), v);
+        tracer_->recordAt(at, TraceEventType::Watchpoint, acc.core,
+                          traceNoId, acc.tx, invalidTxId, acc.paddr,
+                          std::uint64_t(k), v);
     }
     if (acc.isCas) {
         std::uint32_t old = line.readWord32(off);

@@ -93,12 +93,14 @@ class MemSystem
     void setProfiler(CycleProfiler *p) { prof_ = p; }
 
     /**
-     * Attempt to complete @p acc without a bus transaction.
+     * Attempt to complete @p acc, issued at tick @p at (a batched op's
+     * virtual issue tick may lie ahead of the clock), without a bus
+     * transaction.
      * @return (latency, result) if it hit locally, std::nullopt if the
      *         access needs the asynchronous path.
      */
     std::optional<std::pair<Tick, AccessResult>>
-    trySync(const Access &acc);
+    trySync(const Access &acc, Tick at);
 
     /**
      * Full access path. @p cb fires exactly once at completion (which
@@ -232,8 +234,8 @@ class MemSystem
      */
     Tick writebackCommitted(CacheLine &line);
 
-    /** Apply a load/store/CAS to an L2 line; returns the result value. */
-    std::uint32_t applyOp(const Access &acc, CacheLine &line);
+    /** Apply an op issued at tick @p at to an L2 line; returns its value. */
+    std::uint32_t applyOp(const Access &acc, CacheLine &line, Tick at);
 
     /**
      * Bookkeeping before a word write: track committed-dirty words

@@ -160,7 +160,6 @@ recoverRun(const std::string &path)
     lp.numCores = 1;
     lp.seed = dump.seed;
     lp.audit.enabled = true;
-    lp.fastForwardOps = 32;
     lp.maxTicks = 20ull * 1000 * 1000 * 1000;
     System sys(lp);
     ProcId proc = sys.createProcess();

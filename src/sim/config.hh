@@ -282,15 +282,15 @@ struct SystemParams
     unsigned memBanks = 1;
 
     /**
-     * Host-side direct-execution fast-forward: batch up to this many
+     * Host-side direct-execution fast-forward: retire up to this many
      * non-transactional memory/compute ops per event-loop dispatch
      * when the core has no open transaction and the next pending event
      * is far enough away that the batch cannot be observed out of
-     * order (conservative lookahead). 0 disables batching (the
-     * default); simulated results are bit-exact either way — only the
-     * host event count changes.
+     * order (conservative lookahead). Always on: every output is
+     * bit-exact against 0, the one-event-per-op reference of the tests;
+     * only the host event count and the ff_* counters change.
      */
-    unsigned fastForwardOps = 0;
+    unsigned fastForwardOps = 32;
 
     /** Main-memory access latency (minimum). */
     Tick dramLatency = 200;

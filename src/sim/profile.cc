@@ -148,6 +148,19 @@ CycleProfiler::doPop(unsigned core)
     l.stack.pop_back();
 }
 
+void
+CycleProfiler::doSpan(unsigned core, std::uint8_t b, Tick from, Tick to)
+{
+    Lane &l = lane(core);
+    accrue(l, from);
+    if (to == maxTick) {
+        l.stack.push_back(b);
+        return;
+    }
+    l.buckets[b] += to - from;
+    l.last = to;
+}
+
 Tick
 CycleProfiler::doResolveTx(unsigned core, bool committed)
 {

@@ -237,6 +237,18 @@ class CycleProfiler : public TraceObserver
     }
 
     /**
+     * push(b) at tick @p from and pop() at @p to, for ops a batch
+     * retires ahead of the clock. With @p to omitted the span stays
+     * open for the caller's pop() at the op's completion.
+     */
+    void
+    span(unsigned core, ProfBucket b, Tick from, Tick to = maxTick)
+    {
+        if (enabled_)
+            doSpan(core, std::uint8_t(b), from, to);
+    }
+
+    /**
      * Enter in-transaction execution on @p core: subsequent ticks
      * accrue into the pending pot until resolveTx().
      */
@@ -313,6 +325,7 @@ class CycleProfiler : public TraceObserver
     void doSet(unsigned core, std::uint8_t b);
     void doPush(unsigned core, std::uint8_t b);
     void doPop(unsigned core);
+    void doSpan(unsigned core, std::uint8_t b, Tick from, Tick to);
     Tick doResolveTx(unsigned core, bool committed);
     void doCollapse(unsigned core, std::uint8_t b);
     void accrue(Lane &lane, Tick now);

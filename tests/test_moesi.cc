@@ -51,7 +51,7 @@ class MoesiTest : public ::testing::Test
         a.isWrite = write;
         a.paddr = paddr;
         a.storeValue = val;
-        if (auto hit = mem.trySync(a))
+        if (auto hit = mem.trySync(a, eq.curTick()))
             return hit->second;
         AccessResult out;
         bool done = false;

@@ -1,14 +1,18 @@
 /**
  * @file
  * Wide-machine scaling: banked interconnect interleaving, the
- * direct-execution fast-forward invariants, configuration validation,
- * and a 64-core audited end-to-end smoke.
+ * direct-execution fast-forward invariants (simulated results and
+ * every observer's view), configuration validation, and a 64-core
+ * audited end-to-end smoke.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -155,17 +159,17 @@ TEST(ValidateParams, RejectsBadBankCounts)
 /**
  * The fast-forward contract: simulated results (cycles, commits,
  * aborts, memory ops, cache traffic) are bit-identical to the
- * one-event-per-op path; only host event counts shrink. This is the
- * entry/exit invariant test — a batch entered with an open
- * transaction or acting past a pending snoop's tick would perturb
- * these totals.
+ * one-event-per-op path (fastForwardOps = 0); only host event counts
+ * shrink. This is the entry/exit invariant test — a batch entered
+ * with an open transaction or acting past a pending snoop's tick
+ * would perturb these totals.
  */
 TEST(FastForward, SimulatedResultsUnchangedEventsFewer)
 {
     for (const char *wl : {"fft", "kv"}) {
-        SystemParams base = quietParams(TmKind::SelectPtm);
-        SystemParams ff = base;
-        ff.fastForwardOps = 32;
+        SystemParams ff = quietParams(TmKind::SelectPtm);
+        SystemParams base = ff;
+        base.fastForwardOps = 0;
         ExperimentResult a = runWorkload(wl, base, 0, 4);
         ExperimentResult b = runWorkload(wl, ff, 0, 4);
         ASSERT_TRUE(a.verified);
@@ -195,11 +199,11 @@ TEST(FastForward, ComposesWithOsNoiseAndQuanta)
 {
     // Preemption boundaries (quantum + daemon) are batch-exit points;
     // results must stay identical with them enabled.
-    SystemParams base = quietParams(TmKind::SelectPtm);
-    base.osQuantum = 6000;
-    base.daemonInterval = 9000;
-    SystemParams ff = base;
-    ff.fastForwardOps = 32;
+    SystemParams ff = quietParams(TmKind::SelectPtm);
+    ff.osQuantum = 6000;
+    ff.daemonInterval = 9000;
+    SystemParams base = ff;
+    base.fastForwardOps = 0;
     ExperimentResult a = runWorkload("fft", base, 0, 4);
     ExperimentResult b = runWorkload("fft", ff, 0, 4);
     ASSERT_TRUE(a.verified);
@@ -213,6 +217,155 @@ TEST(FastForward, ComposesWithOsNoiseAndQuanta)
               b.snapshot.counter("sys.mem_ops"));
 }
 
+/** A run with the cycle profiler, the whole trace ring and the time
+ *  series on, batching up to @p ff_ops ops (0 = one event per op). */
+ExperimentResult
+observedRun(const char *wl, TmKind kind, unsigned ff_ops)
+{
+    SystemParams p = quietParams(kind);
+    p.fastForwardOps = ff_ops;
+    p.profile.enabled = true;
+    p.trace.path = "unused"; // non-empty wires the ring; nothing writes
+    p.timeseries.capture = true;
+    p.timeseries.interval = 5000;
+    ExperimentResult r = runWorkload(wl, p, 0, 4);
+    EXPECT_TRUE(r.verified) << wl;
+    return r;
+}
+
+/** One line per time-series interval, minus the host-side counters
+ *  batching is allowed to move (events.*, core<N>.ff_*). */
+std::vector<std::string>
+modelSeries(const TimeseriesCapture &ts)
+{
+    std::vector<std::string> out;
+    for (const TimeseriesInterval &iv : ts.intervals) {
+        std::string line = std::to_string(iv.t0) + ".." +
+                           std::to_string(iv.t1) +
+                           (iv.final_ ? " final" : "");
+        for (const auto &c : iv.counters) {
+            const std::string &name = ts.counterNames[c.ref];
+            if (name.rfind("events.", 0) == 0 ||
+                name.find(".ff_") != std::string::npos)
+                continue;
+            line += " " + name + "=" + std::to_string(c.delta);
+        }
+        for (const auto &d : iv.dists)
+            line += " " + ts.distNames[d.ref] + "=" +
+                    std::to_string(d.samples) + "/" +
+                    std::to_string(d.sum);
+        out.push_back(std::move(line));
+    }
+    return out;
+}
+
+/** Every payload field of a trace record, for equality. */
+auto
+fields(const TraceEvent &e)
+{
+    return std::make_tuple(e.tick, e.type, e.core, e.thread, e.tx, e.tx2,
+                           e.a0, e.a1, e.v, e.a2);
+}
+
+/**
+ * Batching is invisible to every observer: with the profiler, the
+ * trace ring (all categories) and the time series on, a batched run
+ * yields the same cycle accounting, trace records and time-series
+ * deltas as the one-event-per-op reference — and the batches really
+ * run under those observers.
+ */
+TEST(FastForward, ObserversSeeTheSameRun)
+{
+    const std::pair<const char *, TmKind> runs[] = {
+        {"fft", TmKind::SelectPtm},
+        {"kv", TmKind::SelectPtm},
+        {"radix", TmKind::Locks},
+    };
+    for (const auto &[wl, kind] : runs) {
+        SCOPED_TRACE(std::string(wl) + "/" + tmKindName(kind));
+        ExperimentResult a = observedRun(wl, kind, 0);
+        ExperimentResult b = observedRun(wl, kind, 32);
+        std::uint64_t ff_ops = 0;
+        for (unsigned c = 0; c < 4; ++c)
+            ff_ops += b.snapshot.counter("core" + std::to_string(c) +
+                                         ".ff_ops");
+        EXPECT_GT(ff_ops, 0u);
+        EXPECT_EQ(a.cycles, b.cycles);
+
+        ASSERT_TRUE(a.profile.enabled && b.profile.enabled);
+        EXPECT_EQ(a.profile.elapsed, b.profile.elapsed);
+        ASSERT_EQ(a.profile.cores.size(), b.profile.cores.size());
+        for (std::size_t c = 0; c < a.profile.cores.size(); ++c)
+            for (unsigned k = 0; k < profBuckets; ++k)
+                EXPECT_EQ(a.profile.cores[c][k], b.profile.cores[c][k])
+                    << "core" << c << " "
+                    << profBucketName(ProfBucket(k));
+        EXPECT_EQ(a.profile.charges, b.profile.charges);
+
+        EXPECT_EQ(a.trace.dropped, 0u);
+        EXPECT_EQ(a.trace.recorded, b.trace.recorded);
+        ASSERT_EQ(a.trace.events.size(), b.trace.events.size());
+        for (std::size_t i = 0; i < a.trace.events.size(); ++i)
+            ASSERT_EQ(fields(a.trace.events[i]), fields(b.trace.events[i]))
+                << "trace record " << i;
+
+        ASSERT_TRUE(a.timeseries.enabled && b.timeseries.enabled);
+        EXPECT_GT(a.timeseries.intervals.size(), 1u);
+        EXPECT_EQ(modelSeries(a.timeseries), modelSeries(b.timeseries));
+    }
+}
+
+/**
+ * Watchpoint hits inside a batch carry their own virtual issue ticks,
+ * not the tick the batch started at: a thread storing to a watched
+ * word between short compute ops records the same ticks batched as
+ * one event per op.
+ */
+TEST(FastForward, WatchpointHitsMidBatchKeepTheirTicks)
+{
+    constexpr Addr kWord = 0x40000;
+    auto watchTicks = [](unsigned ff_ops, std::uint64_t &batched) {
+        SystemParams p = quietParams(TmKind::SelectPtm);
+        p.numCores = 1;
+        p.fastForwardOps = ff_ops;
+        p.trace.path = "unused";
+        p.trace.categories = traceCatMask(TraceCat::Watch);
+        System sys(p);
+        ProcId proc = sys.createProcess();
+        // Map the page up front so the watchpoint can name its word's
+        // physical address.
+        sys.readWord32(proc, kWord);
+        sys.tracer().setWatchAddr(
+            sys.os().translate(0, proc, kWord, false).paddr);
+        std::vector<Step> steps;
+        steps.push_back(plain([](MemCtx m) -> TxCoro {
+            for (unsigned i = 0; i < 9; ++i) {
+                co_await m.compute(3);
+                co_await m.store(kWord, i);
+            }
+        }));
+        sys.addThread(proc, std::move(steps));
+        sys.run();
+        EXPECT_EQ(sys.readWord32(proc, kWord), 8u);
+        batched = sys.snapshot().counter("core0.ff_ops");
+        std::vector<Tick> ticks;
+        for (const TraceEvent &e : sys.tracer().snapshot())
+            if (e.type == TraceEventType::Watchpoint)
+                ticks.push_back(e.tick);
+        return ticks;
+    };
+    std::uint64_t ref_ff = 0, ff = 0;
+    std::vector<Tick> ref = watchTicks(0, ref_ff);
+    std::vector<Tick> got = watchTicks(32, ff);
+    EXPECT_EQ(ref_ff, 0u);
+    EXPECT_GE(ff, 8u); // the stores after the first miss hit in-batch
+    ASSERT_EQ(ref.size(), 9u);
+    EXPECT_TRUE(std::adjacent_find(ref.begin(), ref.end(),
+                                   std::greater_equal<Tick>()) ==
+                ref.end());
+    EXPECT_EQ(got, ref);
+}
+
 // ----------------------------------------------- wide-machine smoke
 
 TEST(WideMachine, SixtyFourCoreAuditedRunPasses)
@@ -220,7 +373,6 @@ TEST(WideMachine, SixtyFourCoreAuditedRunPasses)
     SystemParams p = quietParams(TmKind::SelectPtm);
     p.numCores = 64;
     p.memBanks = 8;
-    p.fastForwardOps = 32;
     p.audit.enabled = true;
     ExperimentResult r = runWorkload("fft", p, 0, 64);
     EXPECT_TRUE(r.verified);

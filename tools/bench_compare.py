@@ -31,6 +31,10 @@ THRESHOLDS = {
     "cycles": 0.01,            # headline metric: 1% noise budget
     "prof_total_ticks": 0.01,  # must track cycles by construction
     "prof_tx_wasted": 0.05,
+    # Execution vs. local-hit attribution: a batch that charged its
+    # hits to non_tx (or the reverse) moves ticks between these two.
+    "prof_non_tx": 0.05,
+    "prof_stall_l1": 0.05,
     "prof_stall_l2": 0.05,
     "prof_stall_mem": 0.05,
     "prof_stall_xlat": 0.05,
@@ -274,7 +278,29 @@ def self_test():
     if any("p99_durable_commit_latency" in r for r in regs):
         failures.append("one-sided p99_durable_commit_latency compared")
 
-    # 10. A vanished row must be a regression.
+    # 10. Ticks moved between non_tx and stall_l1 (hits charged as
+    # execution, or the reverse) must be detected beyond the 5%
+    # budget in either direction of the move.
+    prof = copy.deepcopy(base)
+    prof["benches"]["bench_table1"][0].update(
+        {"prof_non_tx": 100000, "prof_stall_l1": 100000})
+    moved = copy.deepcopy(prof)
+    moved["benches"]["bench_table1"][0].update(
+        {"prof_non_tx": 190000, "prof_stall_l1": 10000})
+    regs, _ = compare(prof, moved, 0.50)
+    if not any("prof_non_tx" in r for r in regs):
+        failures.append("hits charged to non_tx not detected")
+    regs, _ = compare(moved, prof, 0.50)
+    if not any("prof_stall_l1" in r for r in regs):
+        failures.append("execution charged to stall_l1 not detected")
+    near_prof = copy.deepcopy(prof)
+    near_prof["benches"]["bench_table1"][0].update(
+        {"prof_non_tx": 104000, "prof_stall_l1": 96000})
+    regs, _ = compare(prof, near_prof, 0.50)
+    if regs:
+        failures.append(f"+4% prof_non_tx inside budget flagged: {regs}")
+
+    # 11. A vanished row must be a regression.
     gone = copy.deepcopy(base)
     gone["benches"]["bench_table1"].pop(0)
     regs, _ = compare(base, gone, 0.10)

@@ -107,7 +107,7 @@ def main():
                          "to a serial run")
     ap.add_argument("--extra-args", default="",
                     help="extra arguments passed to every bench binary "
-                         "(e.g. \"--host-metrics --fast-forward\")")
+                         "(e.g. \"--host-metrics --mem-banks 4\")")
     args = ap.parse_args()
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)

@@ -36,10 +36,10 @@ DEFAULT_CONFIGS = [
      "--profile"],
     ["--workload", "water", "--system", "vtm", "--scale", "0",
      "--swap"],
-    # Wide machine: banked interconnect + direct-execution fast-forward
-    # must stay deterministic too.
+    # Wide machine: the banked interconnect must stay deterministic
+    # too.
     ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
-     "--cores", "16", "--mem-banks", "4", "--fast-forward"],
+     "--cores", "16", "--mem-banks", "4"],
 ]
 
 
