@@ -122,17 +122,6 @@ class Tlb
         }
     }
 
-    /** Drop everything. */
-    void
-    flushAll()
-    {
-        index_.clear();
-        free_.clear();
-        for (std::uint32_t i = std::uint32_t(slab_.size()); i-- > 0;)
-            free_.push_back(i);
-        head_ = tail_ = nil;
-    }
-
     Counter hits;
     Counter misses;
 

@@ -124,8 +124,6 @@ class ThreadCtx
         return steps_[stepIdx];
     }
 
-    std::size_t numSteps() const { return steps_.size(); }
-
   private:
     std::vector<Step> steps_;
 };

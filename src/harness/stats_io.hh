@@ -123,7 +123,6 @@ struct Value
     /** Object member lookup; nullptr if absent or not an object. */
     const Value *get(const std::string &k) const;
 
-    bool isNumber() const { return type == Type::Number; }
     bool isObject() const { return type == Type::Object; }
 };
 

@@ -190,7 +190,6 @@ class System
     TmBackend *backend() { return backend_.get(); }
     const SystemParams &params() const { return params_; }
     ThreadCtx &thread(ThreadId t) { return *threads_[t]; }
-    unsigned numThreads() const { return unsigned(threads_.size()); }
     /// @}
 
     /**

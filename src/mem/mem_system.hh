@@ -198,13 +198,6 @@ class MemSystem
         return params_.granularity != Granularity::Block;
     }
 
-    /** True in the end-to-end word-granularity mode. */
-    bool
-    wordMemMode() const
-    {
-        return params_.granularity == Granularity::WordCacheMem;
-    }
-
     /**
      * Collect in-cache conflicts of @p acc against marks on @p line
      * (skipping the requester's own marks). Appends live transaction

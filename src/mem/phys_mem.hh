@@ -33,26 +33,6 @@ class PhysMem
     /** One 4 KB frame of storage. */
     using Frame = std::array<std::uint8_t, pageBytes>;
 
-    /** Read the 8-byte word at physical address @p a (must be aligned). */
-    std::uint64_t
-    readWord(Addr a) const
-    {
-        const Frame *f = find(pageOf(a));
-        if (!f)
-            return 0;
-        std::uint64_t v;
-        std::memcpy(&v, f->data() + pageOffset(a), sizeof(v));
-        return v;
-    }
-
-    /** Write the 8-byte word at physical address @p a. */
-    void
-    writeWord(Addr a, std::uint64_t v)
-    {
-        Frame &f = get(pageOf(a));
-        std::memcpy(f.data() + pageOffset(a), &v, sizeof(v));
-    }
-
     /** Copy one 64-byte block out of memory into @p dst. */
     void
     readBlock(Addr block_addr, std::uint8_t *dst) const

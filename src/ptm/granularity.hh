@@ -80,14 +80,6 @@ class PageGran
                 [&](unsigned i) { vec.set(i); });
     }
 
-    /** Bit index of the whole block (block mode) / first word. */
-    unsigned
-    blockBit(Addr block_addr) const
-    {
-        unsigned blk = blockInPage(block_addr);
-        return per_word_ ? blk * wordsPerBlock : blk;
-    }
-
     /** Vector bit index covering the 4-byte word at @p word_addr. */
     unsigned
     wordBit(Addr word_addr) const

@@ -140,16 +140,6 @@ struct SptEntry
 
     bool hasShadow() const { return shadow != invalidPage; }
 
-    /** Number of TAV nodes on the page. */
-    unsigned
-    tavCount() const
-    {
-        unsigned n = 0;
-        for (TavNode *t = tavHead; t; t = t->nextOnPage)
-            ++n;
-        return n;
-    }
-
     /** Find the TAV node of @p tx, or nullptr. */
     TavNode *
     findTav(TxId tx) const

@@ -264,9 +264,6 @@ class Vts : public TmBackend
     void pageSwapIn(std::uint64_t slot, PageNum new_home) override;
     /// @}
 
-    /** True if Select-PTM (vs Copy-PTM). */
-    bool isSelect() const { return select_; }
-
     /**
      * Composite key for the TAV cache. Mixes the full (page, tx) pair
      * through the splitmix64 finalizer; the old `(home << 22) ^ tx`

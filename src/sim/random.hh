@@ -46,13 +46,6 @@ class Pcg32
         return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
     }
 
-    /** Next 64 uniformly distributed bits. */
-    std::uint64_t
-    next64()
-    {
-        return (std::uint64_t(next()) << 32) | next();
-    }
-
     /**
      * Uniform integer in [0, bound), bias-free via rejection sampling.
      * @param bound must be non-zero.

@@ -122,8 +122,6 @@ class VtmController : public TmBackend
     void abortTx(TxId tx) override;
     /// @}
 
-    bool victimCacheEnabled() const { return vc_enabled_; }
-
     /** @name Statistics */
     /// @{
     Counter xadtInserts;

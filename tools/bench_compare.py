@@ -22,8 +22,11 @@ Usage:
 
 import argparse
 import copy
-import json
+import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import read_benchsuite, read_file  # noqa: E402
 
 # metric -> allowed relative increase before it counts as a regression.
 # Cost-like metrics only: a *decrease* is never flagged.
@@ -332,20 +335,12 @@ def main():
     if not args.old or not args.new:
         ap.error("OLD and NEW baseline files are required")
 
-    docs = []
-    for path in (args.old, args.new):
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: {path}: {e}", file=sys.stderr)
-            return 2
-        if doc.get("schema") != "ptm-benchsuite-v1":
-            print(f"error: {path}: bad schema tag "
-                  f"{doc.get('schema')!r}", file=sys.stderr)
-            return 2
-        docs.append(doc)
-    old, new = docs
+    old, errors = read_file(args.old, read_benchsuite, args.old)
+    new, errs = read_file(args.new, read_benchsuite, args.new)
+    for e in errors + errs:
+        print(f"error: {e}", file=sys.stderr)
+    if errors or errs:
+        return 2
 
     if old.get("smoke") != new.get("smoke"):
         print("error: comparing a smoke baseline against a full-scale "

@@ -39,10 +39,12 @@ import concurrent.futures
 import json
 import os
 import shlex
-import subprocess
 import sys
 import tempfile
 import time
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import read_bench, run_json  # noqa: E402
 
 BENCHES = [
     "bench_table1",
@@ -65,20 +67,12 @@ def run_bench(path, smoke, extra_args=()):
         cmd += ["--scale", "0"]
     cmd += list(extra_args)
     try:
-        proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{os.path.basename(path)} exited {proc.returncode}: "
-                f"{proc.stderr.strip()[-400:]}")
-        with open(tmp) as f:
-            doc = json.load(f)
+        doc, errors = run_json(cmd, read_bench, os.path.basename(path),
+                               out=tmp)
     finally:
         os.unlink(tmp)
-    if doc.get("schema") != "ptm-bench-v1":
-        raise RuntimeError(
-            f"{os.path.basename(path)}: bad schema tag "
-            f"{doc.get('schema')!r}")
+    if errors:
+        raise RuntimeError("; ".join(errors))
     return doc
 
 

@@ -3,78 +3,52 @@
 
 Checks three invocations of the given bench at --scale 0:
 
- 1. `--json - --trace FILE`  : stdout must be exactly one parseable
-    ptm-bench-v1 JSON document (tables/status must go to stderr);
- 2. `--trace - --json FILE`  : stdout must be machine-clean JSONL
-    (every non-empty line parses as a JSON object);
+ 1. `--json - --trace FILE`  : stdout must be exactly one ptm-bench-v1
+    document (tables/status must go to stderr) and FILE a ptm-trace-v1
+    stream;
+ 2. `--trace - --json FILE`  : stdout must be exactly one ptm-trace-v1
+    stream and FILE a ptm-bench-v1 document;
  3. `--json - --trace -`     : both streams cannot own stdout -- the
     binary must refuse with exit code 2 and print nothing on stdout.
+
+Both formats are read with ptm_schema's readers.
 
 Usage: check_bench_streams.py PATH_TO_BENCH
 """
 
-import json
 import os
 import subprocess
 import sys
 import tempfile
 
-
-def run(cmd):
-    return subprocess.run(cmd, capture_output=True, text=True)
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import (read_bench, read_file, read_trace,  # noqa: E402
+                        run_json)
 
 
 def check(bench):
     errors = []
-    tmpdir = tempfile.mkdtemp(prefix="bench_streams_")
-    trace_path = os.path.join(tmpdir, "t.jsonl")
-    json_path = os.path.join(tmpdir, "b.json")
+    with tempfile.TemporaryDirectory(prefix="bench_streams_") as tmp:
+        trace_path = os.path.join(tmp, "t.jsonl")
+        json_path = os.path.join(tmp, "b.json")
 
-    # 1. JSON owns stdout; trace goes to a file.
-    proc = run([bench, "--scale", "0", "--json", "-",
-                "--trace", trace_path])
-    if proc.returncode != 0:
-        errors.append(f"--json -: exited {proc.returncode}")
-    else:
-        try:
-            doc = json.loads(proc.stdout)
-            if doc.get("schema") != "ptm-bench-v1":
-                errors.append(f"--json -: bad schema tag "
-                              f"{doc.get('schema')!r}")
-            if not doc.get("rows"):
-                errors.append("--json -: no rows")
-        except json.JSONDecodeError as e:
-            errors.append(f"--json -: stdout not clean JSON: {e}")
-        if not os.path.exists(trace_path):
-            errors.append("--json -: trace file not written")
+        # 1. JSON owns stdout; trace goes to a file.
+        _, errs = run_json([bench, "--scale", "0", "--json", "-",
+                            "--trace", trace_path], read_bench, "--json -")
+        if not errs:
+            errs = read_file(trace_path, read_trace, "--json - trace")[1]
+        errors += errs
 
-    # 2. Trace owns stdout; JSON goes to a file.
-    proc = run([bench, "--scale", "0", "--trace", "-",
-                "--json", json_path])
-    if proc.returncode != 0:
-        errors.append(f"--trace -: exited {proc.returncode}")
-    else:
-        lines = [l for l in proc.stdout.splitlines() if l.strip()]
-        if not lines:
-            errors.append("--trace -: no trace records on stdout")
-        for i, line in enumerate(lines):
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("not an object")
-            except (json.JSONDecodeError, ValueError) as e:
-                errors.append(
-                    f"--trace -: stdout line {i + 1} not a JSON "
-                    f"object: {e} ({line[:60]!r})")
-                break
-        try:
-            with open(json_path) as f:
-                json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            errors.append(f"--trace -: side JSON file bad: {e}")
+        # 2. Trace owns stdout; JSON goes to a file.
+        _, errs = run_json([bench, "--scale", "0", "--trace", "-",
+                            "--json", json_path], read_trace, "--trace -")
+        if not errs:
+            errs = read_file(json_path, read_bench, "--trace - json")[1]
+        errors += errs
 
     # 3. Both on stdout must be refused with exit 2, stdout silent.
-    proc = run([bench, "--scale", "0", "--json", "-", "--trace", "-"])
+    proc = subprocess.run([bench, "--scale", "0", "--json", "-",
+                           "--trace", "-"], capture_output=True, text=True)
     if proc.returncode != 2:
         errors.append(f"--json - --trace -: expected exit 2, got "
                       f"{proc.returncode}")
@@ -82,7 +56,6 @@ def check(bench):
         errors.append("--json - --trace -: stdout not empty on refusal")
     if "stdout" not in proc.stderr:
         errors.append("--json - --trace -: no diagnostic on stderr")
-
     return errors
 
 

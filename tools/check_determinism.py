@@ -15,16 +15,13 @@ Usage:
 With no extra args a default matrix of configurations is exercised.
 """
 
-import json
-import subprocess
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-# Host-dependent manifest fields; everything else must match.
-IGNORED_MANIFEST_FIELDS = ("wall_seconds", "git", "events_per_sec",
-                          "sim_events_per_sec",
-                          "sim_ticks_per_wall_sec")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import HOST_MANIFEST_FIELDS, read_stats, run_json  # noqa: E402
 
 DEFAULT_CONFIGS = [
     ["--workload", "fft", "--system", "sel-ptm", "--gran", "wd:cache",
@@ -45,18 +42,11 @@ DEFAULT_CONFIGS = [
 
 def run_once(sim, args, out):
     cmd = [sim, *args, "--stats-json", str(out)]
-    res = subprocess.run(cmd, stdout=subprocess.PIPE,
-                         stderr=subprocess.STDOUT, text=True)
-    if res.returncode != 0:
-        print(res.stdout)
-        raise SystemExit(f"FAIL: {' '.join(cmd)} exited "
-                         f"{res.returncode}")
-    return json.loads(Path(out).read_text())
-
-
-def scrub(doc):
-    for field in IGNORED_MANIFEST_FIELDS:
-        doc.get("manifest", {}).pop(field, None)
+    doc, errors = run_json(cmd, read_stats, " ".join(cmd), out=out)
+    if errors:
+        raise SystemExit("FAIL: " + "\n".join(errors))
+    for field in HOST_MANIFEST_FIELDS:
+        doc["manifest"].pop(field)
     return doc
 
 
@@ -92,8 +82,8 @@ def main():
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, cfg in enumerate(configs):
-            a = scrub(run_once(sim, cfg, Path(tmp) / f"{i}_a.json"))
-            b = scrub(run_once(sim, cfg, Path(tmp) / f"{i}_b.json"))
+            a = run_once(sim, cfg, Path(tmp) / f"{i}_a.json")
+            b = run_once(sim, cfg, Path(tmp) / f"{i}_b.json")
             diffs = list(diff_paths(a, b))
             label = " ".join(cfg)
             if diffs:

@@ -1,146 +1,42 @@
 #!/usr/bin/env python3
-"""Schema and reconciliation checker for ptm-timeseries-v1 streams.
+"""Reconciliation checker for ptm-timeseries-v1 streams.
 
 Runs ptm_sim with --timeseries and --stats-json on the contended KV
-workload (zipf 0.99) and validates the emitted JSONL stream:
+workload (zipf 0.99), reads both outputs with ptm_schema (which
+checks the header, the interval records, dense n, contiguous [t0, t1)
+tick spans, positive deltas and the one trailing final=true flush),
+and checks:
 
-  * exactly one header record, carrying schema/system/seed/cores/
-    interval, before any interval record;
-  * interval records with monotonically increasing n, contiguous
-    [t0, t1) tick spans, host-throughput gauges, and exactly one
-    trailing final=true flush record;
+  * the file holds exactly one run, for the configured system and
+    interval, every non-final interval spanning exactly that period
+    and the last one reaching the run's end;
   * EXACT reconciliation: for every counter, the sum of its per-
     interval deltas equals the final total in the ptm-stats-v1 JSON
     of the same run, and likewise for every distribution's samples
-    and sum — the stream provably loses nothing;
+    and sum -- the stream provably loses nothing;
   * per-interval hot_pages arrays (the run enables --heatmap), with
     a non-empty array by the final record under zipf 0.99;
   * a control run without --timeseries must not create the file.
 
-With --self-test the record validator runs against crafted streams
-(bad schema, gap in tick coverage, duplicate final, missing gauges)
-instead of driving the simulator.
+With --self-test these checks run against mutations of a crafted
+stream instead of driving the simulator.
 
 Usage:
     check_timeseries_json.py PATH_TO_PTM_SIM
     check_timeseries_json.py --self-test
 """
 
-import json
 import os
 import subprocess
 import sys
 import tempfile
 
-HEADER_FIELDS = {
-    "schema": str,
-    "type": str,
-    "system": str,
-    "seed": (int, float),
-    "cores": (int, float),
-    "interval": (int, float),
-}
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import (DELETE, FORMATS, SAMPLES,  # noqa: E402
+                        mutate, read_file, read_stats, read_timeseries,
+                        rejections, report, run_json)
 
-INTERVAL_FIELDS = {
-    "type": str,
-    "n": int,
-    "t0": int,
-    "t1": int,
-    "final": bool,
-    "wall_seconds": (int, float),
-    "events": int,
-    "events_per_sec": (int, float),
-    "ticks_per_wall_sec": (int, float),
-    "events_per_tick": (int, float),
-    "d": dict,
-    "dist": dict,
-}
-
-
-def parse_stream(lines):
-    """Parse one run's JSONL records; returns (header, intervals, errs).
-
-    Structural validation only — reconciliation against the final
-    stats is the caller's job.
-    """
-    errors = []
-    header = None
-    intervals = []
-    for i, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(f"line {i}: invalid JSON: {e}")
-            continue
-        kind = rec.get("type")
-        if kind == "header":
-            if header is not None:
-                errors.append(f"line {i}: duplicate header")
-            if intervals:
-                errors.append(f"line {i}: header after intervals")
-            for field, ty in HEADER_FIELDS.items():
-                if field not in rec:
-                    errors.append(f"line {i}: header missing {field!r}")
-                elif not isinstance(rec[field], ty):
-                    errors.append(
-                        f"line {i}: header.{field} has type "
-                        f"{type(rec[field]).__name__}")
-            if rec.get("schema") != "ptm-timeseries-v1":
-                errors.append(
-                    f"line {i}: bad schema tag {rec.get('schema')!r}")
-            header = rec
-        elif kind == "interval":
-            if header is None:
-                errors.append(f"line {i}: interval before header")
-            for field, ty in INTERVAL_FIELDS.items():
-                if field not in rec:
-                    errors.append(
-                        f"line {i}: interval missing {field!r}")
-                elif not isinstance(rec[field], ty):
-                    errors.append(
-                        f"line {i}: interval.{field} has type "
-                        f"{type(rec[field]).__name__}")
-            intervals.append(rec)
-        else:
-            errors.append(f"line {i}: unknown record type {kind!r}")
-
-    if header is None:
-        errors.append("stream has no header record")
-    if not intervals:
-        errors.append("stream has no interval records")
-        return header, intervals, errors
-
-    # Interval sequencing: dense n, contiguous tick coverage, one
-    # trailing final flush.
-    prev_t1 = None
-    for k, iv in enumerate(intervals):
-        if iv.get("n") != k:
-            errors.append(f"interval {k}: n={iv.get('n')} not dense")
-        t0, t1 = iv.get("t0"), iv.get("t1")
-        if isinstance(t0, int) and isinstance(t1, int) and t1 < t0:
-            errors.append(f"interval {k}: t1 {t1} < t0 {t0}")
-        if prev_t1 is not None and t0 != prev_t1:
-            errors.append(
-                f"interval {k}: t0 {t0} != previous t1 {prev_t1} "
-                "(gap or overlap in tick coverage)")
-        prev_t1 = t1
-        is_last = k == len(intervals) - 1
-        if bool(iv.get("final")) != is_last:
-            errors.append(
-                f"interval {k}: final={iv.get('final')} "
-                f"(must be true on the last record only)")
-        d = iv.get("d")
-        if isinstance(d, dict):
-            for path, delta in d.items():
-                if not isinstance(delta, int) or delta <= 0:
-                    errors.append(
-                        f"interval {k}: d[{path!r}]={delta!r} "
-                        "(deltas are positive integers; zero deltas "
-                        "are omitted)")
-    return header, intervals, errors
+INTERVAL = 20000
 
 
 def reconcile(intervals, stats_doc):
@@ -195,79 +91,54 @@ def reconcile(intervals, stats_doc):
     return errors
 
 
+def check_stream(runs, stats_doc, interval=INTERVAL):
+    if len(runs) != 1:
+        return [f"stream holds {len(runs)} runs, expected one"]
+    header, intervals = runs[0]
+    errors = reconcile(intervals, stats_doc)
+    if header["system"] != "sel-ptm":
+        errors.append(f"header.system {header['system']!r} != 'sel-ptm'")
+    if header["interval"] != interval:
+        errors.append(f"header.interval {header['interval']!r} != "
+                      "--timeseries-interval")
+    for k, iv in enumerate(intervals[:-1]):
+        if iv["t1"] - iv["t0"] != interval:
+            errors.append(f"interval {k}: span {iv['t1'] - iv['t0']} != "
+                          f"configured {interval}")
+    # The stream covers the whole run: the final record's t1 is at or
+    # past the manifest cycle count.
+    cycles = stats_doc["manifest"]["cycles"]
+    if intervals[-1]["t1"] < cycles:
+        errors.append(f"stream ends at {intervals[-1]['t1']} before run "
+                      f"end {cycles}")
+    # --timeseries implies --heatmap: cumulative hot_pages on each
+    # record, non-empty by the final one under zipf 0.99.
+    missing = [k for k, iv in enumerate(intervals) if "hot_pages" not in iv]
+    if missing:
+        errors.append(f"interval {missing[0]}: hot_pages missing")
+    elif not intervals[-1]["hot_pages"]:
+        errors.append("final hot_pages empty under zipf=0.99 (contended "
+                      "run must attribute conflicts)")
+    return errors
+
+
 def check_run(ptm_sim):
-    errors = []
+    ptm_sim = os.path.abspath(ptm_sim)
     with tempfile.TemporaryDirectory() as tmp:
         ts_path = os.path.join(tmp, "ts.jsonl")
         stats_path = os.path.join(tmp, "stats.json")
-        cmd = [
+        stats_doc, errors = run_json([
             ptm_sim, "--workload", "kv", "--system", "sel-ptm",
-            "--scale", "0", "--threads", "4",
-            "--wl-opt", "zipf=0.99",
-            "--timeseries", ts_path, "--timeseries-interval", "20000",
-            "--stats-json", stats_path,
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            return [f"ptm_sim exited {proc.returncode}: "
-                    f"{proc.stderr.strip()}"]
-        try:
-            with open(ts_path) as f:
-                lines = f.readlines()
-        except OSError as e:
-            return [f"timeseries file not written: {e}"]
-        try:
-            with open(stats_path) as f:
-                stats_doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            return [f"stats json not readable: {e}"]
-
-        header, intervals, errs = parse_stream(lines)
-        errors.extend(errs)
-        if errs:
+            "--scale", "0", "--threads", "4", "--wl-opt", "zipf=0.99",
+            "--timeseries", ts_path, "--timeseries-interval",
+            str(INTERVAL), "--stats-json", stats_path],
+            read_stats, "stats", out=stats_path)
+        if errors:
             return errors
-
-        errors.extend(reconcile(intervals, stats_doc))
-
-        if header.get("system") != "sel-ptm":
-            errors.append(
-                f"header.system {header.get('system')!r} != 'sel-ptm'")
-        interval = header.get("interval")
-        if interval != 20000:
-            errors.append(
-                f"header.interval {interval!r} != --timeseries-interval")
-        # Every non-final interval spans exactly the configured period.
-        for k, iv in enumerate(intervals[:-1]):
-            if iv["t1"] - iv["t0"] != interval:
-                errors.append(
-                    f"interval {k}: span {iv['t1'] - iv['t0']} != "
-                    f"configured {interval}")
-
-        # The stream must cover the whole run: the final record's t1
-        # is at or past the manifest cycle count.
-        cycles = stats_doc.get("manifest", {}).get("cycles", 0)
-        if intervals[-1]["t1"] < cycles:
-            errors.append(
-                f"stream ends at {intervals[-1]['t1']} before run end "
-                f"{cycles}")
-
-        # --timeseries implies --heatmap: cumulative hot_pages on each
-        # record, non-empty by the final one under zipf 0.99.
-        for k, iv in enumerate(intervals):
-            hp = iv.get("hot_pages")
-            if not isinstance(hp, list):
-                errors.append(f"interval {k}: hot_pages missing")
-                break
-            for e in hp:
-                if not all(isinstance(e.get(f), int)
-                           for f in ("page", "count", "err")):
-                    errors.append(
-                        f"interval {k}: malformed hot_pages entry {e}")
-                    break
-        if intervals and not intervals[-1].get("hot_pages"):
-            errors.append(
-                "final hot_pages empty under zipf=0.99 (contended "
-                "run must attribute conflicts)")
+        runs, errors = read_file(ts_path, read_timeseries)
+        if errors:
+            return errors
+        errors = check_stream(runs, stats_doc)
 
         # Off by default: without --timeseries no file appears.
         off_path = os.path.join(tmp, "off.jsonl")
@@ -276,8 +147,7 @@ def check_run(ptm_sim):
              "--scale", "0", "--threads", "4"],
             capture_output=True, text=True, cwd=tmp)
         if proc.returncode != 0:
-            errors.append(
-                f"control run exited {proc.returncode}")
+            errors.append(f"control run exited {proc.returncode}")
         if os.path.exists(off_path):
             errors.append("control run created a timeseries file")
         if "ptm-timeseries-v1" in proc.stdout or \
@@ -287,85 +157,34 @@ def check_run(ptm_sim):
 
 
 def self_test():
-    """Exercise the stream validator on crafted inputs."""
-    failures = []
+    """The run checks on mutations of ptm_schema's sample stream (two
+    100-tick intervals of 5 commits each); the stream's structure rules
+    run in ptm_schema's own self-test."""
+    stream = SAMPLES["timeseries"]
 
-    def hdr(**kw):
-        rec = {"schema": "ptm-timeseries-v1", "type": "header",
-               "system": "sel-ptm", "seed": 1, "cores": 4,
-               "interval": 100}
-        rec.update(kw)
-        return rec
+    def check(doc):
+        runs, errors = read_timeseries(FORMATS["timeseries"][1](
+            doc["stream"]))
+        return errors or check_stream(runs, doc["stats"], interval=100)
 
-    def iv(n, t0, t1, final=False, **kw):
-        rec = {"type": "interval", "n": n, "t0": t0, "t1": t1,
-               "final": final, "wall_seconds": 0.001, "events": 10,
-               "events_per_sec": 10000.0, "ticks_per_wall_sec": 1e5,
-               "events_per_tick": 0.1, "d": {"tx.commits": 5},
-               "dist": {}}
-        rec.update(kw)
-        return rec
-
-    def run(records):
-        lines = [json.dumps(r) for r in records]
-        _, _, errs = parse_stream(lines)
-        return errs
-
-    # 1. A well-formed stream must pass clean.
-    errs = run([hdr(), iv(0, 0, 100), iv(1, 100, 200, final=True)])
-    if errs:
-        failures.append(f"clean stream flagged: {errs}")
-
-    # 2. A bad schema tag must be detected.
-    errs = run([hdr(schema="nope"), iv(0, 0, 100, final=True)])
-    if not any("schema" in e for e in errs):
-        failures.append("bad schema tag not detected")
-
-    # 3. A gap in tick coverage must be detected.
-    errs = run([hdr(), iv(0, 0, 100), iv(1, 150, 200, final=True)])
-    if not any("gap" in e for e in errs):
-        failures.append("tick coverage gap not detected")
-
-    # 4. final=true anywhere but last (or a missing final) must fail.
-    errs = run([hdr(), iv(0, 0, 100, final=True),
-                iv(1, 100, 200, final=True)])
-    if not any("final" in e for e in errs):
-        failures.append("duplicate final not detected")
-    errs = run([hdr(), iv(0, 0, 100), iv(1, 100, 200)])
-    if not any("final" in e for e in errs):
-        failures.append("missing final flush not detected")
-
-    # 5. A missing gauge must be detected.
-    bad = iv(0, 0, 100, final=True)
-    del bad["events_per_sec"]
-    errs = run([hdr(), bad])
-    if not any("events_per_sec" in e for e in errs):
-        failures.append("missing gauge not detected")
-
-    # 6. A zero delta must be rejected (the emitter omits them).
-    errs = run([hdr(), iv(0, 0, 100, final=True,
-                          d={"tx.commits": 0})])
-    if not any("delta" in e for e in errs):
-        failures.append("zero delta not detected")
-
-    # 7. Reconciliation must catch a short delta sum.
-    stats = {"groups": {"tx": {"commits":
-                               {"kind": "counter", "value": 12}}}}
-    errs = reconcile([iv(0, 0, 100), iv(1, 100, 200, final=True)],
-                     stats)
-    if not any("delta sum" in e for e in errs):
-        failures.append("counter under-count not detected")
-    stats["groups"]["tx"]["commits"]["value"] = 10
-    errs = reconcile([iv(0, 0, 100), iv(1, 100, 200, final=True)],
-                     stats)
-    if errs:
-        failures.append(f"exact reconciliation flagged: {errs}")
-
-    for f in failures:
-        print(f"self-test FAIL: {f}", file=sys.stderr)
-    print("self-test: " + ("ok" if not failures else
-                           f"{len(failures)} failure(s)"))
-    return 1 if failures else 0
+    return report(rejections(check, {"stream": stream, "stats": {
+        "manifest": {"cycles": 200},
+        "groups": {"tx": {"commits": {"kind": "counter", "value": 10}}}}}, [
+        (["stats", "groups", "tx", "commits", "value"], 12,
+         "delta sum 10"),
+        (["stats", "groups", "tx", "commits"], DELETE, "unknown counter"),
+        (["stats", "groups", "tx", "lat"], {"kind": "distribution",
+                                            "samples": 1, "sum": 2.0},
+         "sample delta sum 0"),
+        (["stream"], stream * 2, "holds 2 runs"),
+        (["stream", 0, "system"], "vtm", "header.system"),
+        (["stream", 0, "interval"], 50, "header.interval"),
+        (["stream"], mutate(mutate(stream, [1, "t1"], 150), [2, "t0"], 150),
+         "span 150 != configured 100"),
+        (["stats", "manifest", "cycles"], 300, "before run end 300"),
+        (["stream", 1, "hot_pages"], DELETE, "hot_pages missing"),
+        (["stream", 2, "hot_pages"], [], "final hot_pages empty"),
+    ]))
 
 
 def main():

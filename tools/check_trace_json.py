@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validator for the simulator's trace output.
 
-Two modes:
+Modes:
 
   check_trace_json.py validate FILE [--require-slice] [--require-flow]
                                     [--require-counter]
@@ -17,230 +17,92 @@ Two modes:
       on a durable (--durability wal) kv run, tracing in both formats,
       and validate each file.
 
+  check_trace_json.py --self-test
+      Run the invariant checks against mutations of crafted traces.
+
+ptm_schema's readers check each format's structure; on top this
+checks the trace invariants: ticks never go backwards on a core within
+a capture, Chrome timestamps are sorted, every E closes an open B on
+its track, and flow starts match finishes.
+
 Exits non-zero with a message per failure if any check fails.
 """
 
+import functools
 import json
 import os
-import subprocess
 import sys
 import tempfile
+from collections import Counter
 
-SYSTEMS = ["serial", "locks", "copy-ptm", "sel-ptm", "vtm", "vc-vtm"]
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import (FORMATS, SAMPLES, SYSTEMS,  # noqa: E402
+                        read_chrome_trace, read_file, read_trace,
+                        rejections, report, run_json)
 
-EVENT_NAMES = {
-    "tx_begin", "tx_restart", "tx_commit", "tx_abort", "conflict_edge",
-    "spt_hit", "spt_miss", "spt_evict", "tav_hit", "tav_miss",
-    "tav_evict", "walk_start", "walk_end", "shadow_alloc",
-    "shadow_free", "sel_flip", "page_fault", "swap_out", "swap_in",
-    "overflow_spill", "line_evict", "writeback", "ctx_switch",
-    "watchpoint", "counter_sample", "chaos_inject", "watchdog_trip",
-    "starvation_grant", "wal_append", "wal_flush", "crash_cut",
-}
-
-CATEGORIES = {
-    "tx", "conflict", "meta", "page", "cache", "os", "watch", "sample",
-    "chaos", "persist",
-}
-
-# Optional event-line fields and the JSON types they must carry.
-EV_FIELDS = {
-    "core": int, "th": int, "tx": int, "tx2": int,
-    "a": int, "b": int, "v": (int, float), "c": int,
-}
-
-# The only events that may carry the "c" field (proc / attempt begin).
-C_FIELD_EVENTS = {"tx_begin", "tx_commit", "tx_abort"}
+REQUIRE = {"slice": ("B", "transaction slices"),
+           "flow": ("s", "conflict flow events"),
+           "counter": ("C", "counter samples")}
 
 
-def check_jsonl(lines, label):
-    """Validate a ptm-trace-v1 stream; returns a list of errors."""
+def check_jsonl(data, where):
+    # The ring is recorded in tick order and snapshotted oldest-first.
     errors = []
-    try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, IndexError) as e:
-        return [f"{label}: bad header line: {e}"]
-    if header.get("schema") != "ptm-trace-v1":
-        errors.append(f"{label}: bad schema tag "
-                      f"{header.get('schema')!r}")
-    if not isinstance(header.get("git"), str):
-        errors.append(f"{label}: header missing git string")
-    captures = header.get("captures")
-    if not isinstance(captures, int) or captures < 0:
-        errors.append(f"{label}: bad captures count {captures!r}")
-
-    seen_captures = 0
-    cur_events = 0
-    cur_meta = None
-    # Ticks must be nondecreasing per (capture, core) — the ring is
-    # recorded in tick order and snapshotted oldest-first.
-    last_tick = {}
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(f"{label}:{n}: invalid JSON: {e}")
-            continue
-        ty = obj.get("type")
-        if ty == "capture":
-            if cur_meta is not None and cur_events > cur_meta:
-                errors.append(
-                    f"{label}: capture has {cur_events} events, "
-                    f"more than its recorded={cur_meta}")
-            seen_captures += 1
-            cur_events = 0
-            last_tick = {}
-            if not isinstance(obj.get("label"), str):
-                errors.append(f"{label}:{n}: capture missing label")
-            for field in ("recorded", "dropped"):
-                if not isinstance(obj.get(field), int):
-                    errors.append(
-                        f"{label}:{n}: capture missing {field!r}")
-            series = obj.get("series")
-            if not isinstance(series, list) or any(
-                    not isinstance(s, str) for s in series):
-                errors.append(
-                    f"{label}:{n}: capture series not a string list")
-            cur_meta = obj.get("recorded", 0)
-        elif ty == "ev":
-            if seen_captures == 0:
-                errors.append(
-                    f"{label}:{n}: event before any capture line")
-            cur_events += 1
-            tick = obj.get("t")
-            if not isinstance(tick, int) or tick < 0:
-                errors.append(f"{label}:{n}: bad tick {tick!r}")
-                continue
-            if obj.get("ev") not in EVENT_NAMES:
-                errors.append(
-                    f"{label}:{n}: unknown event {obj.get('ev')!r}")
-            if obj.get("cat") not in CATEGORIES:
-                errors.append(
-                    f"{label}:{n}: unknown category "
-                    f"{obj.get('cat')!r}")
-            for field, want in EV_FIELDS.items():
-                if field in obj and not isinstance(obj[field], want):
-                    errors.append(
-                        f"{label}:{n}: field {field!r} has type "
-                        f"{type(obj[field]).__name__}")
-            core = obj.get("core", -1)
-            if tick < last_tick.get(core, 0):
-                errors.append(
-                    f"{label}:{n}: tick {tick} goes backwards on "
-                    f"core {core}")
-            last_tick[core] = tick
-            extra = set(obj) - {"type", "t", "ev", "cat"} - set(EV_FIELDS)
-            if "c" in obj and obj.get("ev") not in C_FIELD_EVENTS:
-                extra.add("c")
-            if extra:
-                errors.append(
-                    f"{label}:{n}: unexpected fields {sorted(extra)}")
-        else:
-            errors.append(f"{label}:{n}: unknown line type {ty!r}")
-    if seen_captures != captures:
-        errors.append(
-            f"{label}: header says {captures} captures, found "
-            f"{seen_captures}")
+    for cap in data["captures"]:
+        last = {}
+        for e in cap["events"]:
+            core = e.get("core", -1)
+            if e["t"] < last.get(core, 0):
+                errors.append(f"{where}: tick {e['t']} goes backwards "
+                              f"on core {core}")
+            last[core] = e["t"]
     return errors
 
 
-def check_chrome(doc, label, require_slice=False, require_flow=False,
-                 require_counter=False):
-    """Validate a Chrome trace-event object; returns errors."""
+def check_chrome(doc, where, require=()):
     errors = []
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return [f"{label}: no traceEvents array"]
-
-    begins = ends = flows_s = flows_f = counters = 0
-    # Per-(pid, tid) stack depth: every E must close an open B and the
-    # stream is sorted, so depth never goes negative.
-    depth = {}
+    events = doc["traceEvents"]
+    # Per-(pid, tid) stack depth: the stream is sorted, so every E
+    # must close an open B and depth never goes negative.
+    depth = Counter()
     last_ts = None
     for i, e in enumerate(events):
-        ph = e.get("ph")
-        if ph not in ("B", "E", "i", "s", "f", "C", "M"):
-            errors.append(f"{label}: event {i} has bad ph {ph!r}")
-            continue
-        if ph != "M":
-            ts = e.get("ts")
-            if not isinstance(ts, (int, float)):
-                errors.append(f"{label}: event {i} has bad ts")
-                continue
-            if last_ts is not None and ts < last_ts:
-                errors.append(
-                    f"{label}: event {i} ts {ts} < previous {last_ts}")
-            last_ts = ts
+        if e["ph"] != "M":
+            if last_ts is not None and e["ts"] < last_ts:
+                errors.append(f"{where}: event {i} ts {e['ts']} < "
+                              f"previous {last_ts}")
+            last_ts = e["ts"]
         track = (e.get("pid"), e.get("tid"))
-        if ph == "B":
-            begins += 1
-            depth[track] = depth.get(track, 0) + 1
-            if not e.get("name", "").startswith("tx "):
-                errors.append(
-                    f"{label}: slice {i} has odd name "
-                    f"{e.get('name')!r}")
-        elif ph == "E":
-            ends += 1
-            depth[track] = depth.get(track, 0) - 1
-            if depth[track] < 0:
-                errors.append(
-                    f"{label}: event {i}: E without open B on "
-                    f"track {track}")
-        elif ph == "s":
-            flows_s += 1
-        elif ph == "f":
-            flows_f += 1
-            if e.get("bp") != "e":
-                errors.append(
-                    f"{label}: flow finish {i} missing bp=e")
-        elif ph == "C":
-            counters += 1
-
-    if begins != ends:
-        errors.append(
-            f"{label}: {begins} B slices vs {ends} E slices")
-    for track, d in depth.items():
-        if d != 0:
-            errors.append(
-                f"{label}: track {track} left {d} slices open")
-    if flows_s != flows_f:
-        errors.append(
-            f"{label}: {flows_s} flow starts vs {flows_f} finishes")
-    if require_slice and begins == 0:
-        errors.append(f"{label}: no transaction slices")
-    if require_flow and flows_s == 0:
-        errors.append(f"{label}: no conflict flow events")
-    if require_counter and counters == 0:
-        errors.append(f"{label}: no counter samples")
+        depth[track] += {"B": 1, "E": -1}.get(e["ph"], 0)
+        if depth[track] < 0:
+            errors.append(f"{where}: event {i}: E without open B on "
+                          f"track {track}")
+            depth[track] = 0
+    n = Counter(e["ph"] for e in events)
+    if n["B"] != n["E"]:
+        errors.append(f"{where}: {n['B']} B slices vs {n['E']} E slices")
+    errors += [f"{where}: track {t} left {d} slices open"
+               for t, d in depth.items() if d]
+    if n["s"] != n["f"]:
+        errors.append(f"{where}: {n['s']} flow starts vs {n['f']} "
+                      "finishes")
+    for flag in require:
+        ph, what = REQUIRE[flag]
+        if not n[ph]:
+            errors.append(f"{where}: no {what}")
     return errors
 
 
-def check_file(path, label=None, require_slice=False,
-               require_flow=False, require_counter=False):
-    label = label or os.path.basename(path)
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        return [f"{label}: {e}"]
-    if not text.strip():
-        return [f"{label}: empty file"]
-    # Chrome output is one JSON object; JSONL's first line is an
-    # object too, but the whole file is not.
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return check_chrome(doc, label, require_slice, require_flow,
-                            require_counter)
-    errors = check_jsonl(text.splitlines(), label)
-    if require_slice or require_flow or require_counter:
-        errors.append(
-            f"{label}: --require-* flags apply to chrome format only")
-    return errors
+def read_checked(text, where, require=()):
+    """Reader-shaped: (None, structure and invariant errors)."""
+    if '"traceEvents"' in text.split("\n", 1)[0]:
+        doc, errors = read_chrome_trace(text, where)
+        return None, errors or check_chrome(doc, where, require)
+    data, errors = read_trace(text, where)
+    if require:
+        errors.append(f"{where}: --require-* flags apply to chrome "
+                      "format only")
+    return None, errors or check_jsonl(data, where)
 
 
 def drive(ptm_sim):
@@ -255,25 +117,44 @@ def drive(ptm_sim):
         for name, args in runs:
             for fmt in ("jsonl", "chrome"):
                 out = os.path.join(tmp, f"{name}.{fmt}")
-                cmd = [ptm_sim, *args, "--scale", "0", "--threads", "2",
-                       "--trace", out, "--trace-format", fmt]
-                proc = subprocess.run(cmd, capture_output=True,
-                                      text=True)
                 label = f"{name}/{fmt}"
-                if proc.returncode != 0:
-                    failures.append(
-                        f"{label}: ptm_sim exited {proc.returncode}: "
-                        f"{proc.stderr.strip()}")
-                    continue
-                errs = check_file(out, label)
-                status = "ok" if not errs else f"{len(errs)} error(s)"
-                print(f"{label:16s} {status}")
-                failures.extend(errs)
+                _, errs = run_json([ptm_sim, *args, "--scale", "0",
+                                    "--threads", "2", "--trace", out,
+                                    "--trace-format", fmt],
+                                   read_checked, label, out=out)
+                print(f"{label:16s} "
+                      f"{'ok' if not errs else f'{len(errs)} error(s)'}")
+                failures += errs
     return failures
+
+
+def self_test():
+    def jsonl(recs):
+        return read_checked(FORMATS["trace"][1](recs), "trace")[1]
+
+    def chrome(doc):
+        return read_checked(json.dumps(doc), "chrome", REQUIRE)[1]
+
+    return report(rejections(jsonl, SAMPLES["trace"], [
+        ([4, "t"], 4, "tick 4 goes backwards on core 0"),
+    ]) + rejections(chrome, SAMPLES["chrome"], [
+        (["traceEvents", 4, "ts"], 1, "ts 1 < previous 6"),
+        (["traceEvents", 5, "ph"], "i", "1 B slices vs 0 E"),
+        (["traceEvents", 5, "tid"], 7, "E without open B"),
+        (["traceEvents", 1, "ph"], "E", "E without open B"),
+        (["traceEvents", 3, "ph"], "i", "1 flow starts vs 0"),
+        (["traceEvents", 4, "ph"], "i", "no counter samples"),
+        (["traceEvents"], [SAMPLES["chrome"]["traceEvents"][0]],
+         "no transaction slices"),
+        (["traceEvents"], [SAMPLES["chrome"]["traceEvents"][i]
+                           for i in (1, 4, 5)], "no conflict flow"),
+    ]))
 
 
 def main():
     args = sys.argv[1:]
+    if args == ["--self-test"]:
+        return self_test()
     if not args:
         print(__doc__, file=sys.stderr)
         return 2
@@ -286,21 +167,17 @@ def main():
     elif mode == "validate":
         flags = {a for a in args if a.startswith("--")}
         paths = [a for a in args if not a.startswith("--")]
-        unknown = flags - {"--require-slice", "--require-flow",
-                           "--require-counter"}
-        if unknown or not paths:
+        if flags - {f"--require-{r}" for r in REQUIRE} or not paths:
             print(__doc__, file=sys.stderr)
             return 2
         failures = []
+        reader = functools.partial(
+            read_checked, require=[f.split("-")[-1] for f in flags])
         for p in paths:
-            errs = check_file(
-                p,
-                require_slice="--require-slice" in flags,
-                require_flow="--require-flow" in flags,
-                require_counter="--require-counter" in flags)
-            status = "ok" if not errs else f"{len(errs)} error(s)"
-            print(f"{os.path.basename(p):16s} {status}")
-            failures.extend(errs)
+            _, errs = read_file(p, reader)
+            print(f"{os.path.basename(p):16s} "
+                  f"{'ok' if not errs else f'{len(errs)} error(s)'}")
+            failures += errs
     else:
         print(__doc__, file=sys.stderr)
         return 2

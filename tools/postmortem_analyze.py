@@ -17,7 +17,9 @@ its --postmortem file and reports:
     dominates post-mortems but is missing there usually means the
     heatmap k is too small).
 
---json emits the same analysis as one machine-readable document.
+--json emits the same analysis as one machine-readable document. Input
+ptm_schema rejects (wrong schema tag, malformed documents) is reported
+and exits 1 with no analysis.
 
 Usage:
     postmortem_analyze.py DUMP_FILE [--stats STATS_JSON] [--top N]
@@ -26,82 +28,49 @@ Usage:
 
 import argparse
 import json
+import os
 import sys
+from collections import Counter
 
-
-def parse_docs(text):
-    """Split a dump file of concatenated JSON documents."""
-    docs = []
-    dec = json.JSONDecoder()
-    i, n = 0, len(text)
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        doc, end = dec.raw_decode(text, i)
-        docs.append(doc)
-        i = end
-    return docs
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import read_file, read_postmortem, read_stats  # noqa: E402
 
 
 def analyze(docs, stats_doc=None, top=10):
     """Aggregate the dump into one analysis dict."""
-    triggers = {}
-    depth_hist = {}
+    triggers = Counter(d["trigger"]["kind"] for d in docs)
+    depth_hist = Counter(d["chain_depth"] for d in docs)
     # Latest snapshot per transaction: records are point-in-time
     # copies, so a tx seen in several captures keeps the newest one.
-    records = {}
-    pages = {}
-    for doc in docs:
-        kind = doc.get("trigger", {}).get("kind", "?")
-        triggers[kind] = triggers.get(kind, 0) + 1
-        depth = doc.get("chain_depth", 0)
-        depth_hist[depth] = depth_hist.get(depth, 0) + 1
-        for rec in doc.get("records", []):
-            records[rec.get("tx")] = rec
-        for node in doc.get("nodes", []):
-            page = node.get("page", -1)
-            if isinstance(page, int) and page >= 0:
-                pages[page] = pages.get(page, 0) + 1
+    records = {r["tx"]: r for d in docs for r in d["records"]}
+    pages = Counter(n["page"] for d in docs for n in d["nodes"]
+                    if n["page"] >= 0)
+    killers = sorted((r for r in records.values() if r["kills"]),
+                     key=lambda r: (-r["kills"], r["tx"]))[:top]
 
-    killers = sorted(
-        (r for r in records.values() if r.get("kills", 0)),
-        key=lambda r: (-r.get("kills", 0), r.get("tx", 0)))[:top]
-
-    hot = set()
-    hot_available = False
-    if stats_doc is not None:
-        conflicts = stats_doc.get("hot_pages", {}).get("conflicts", {})
-        entries = conflicts.get("pages")
-        if isinstance(entries, list):
-            hot_available = True
-            hot = {e.get("page") for e in entries}
-
+    hot = None
+    if stats_doc is not None and "hot_pages" in stats_doc:
+        hot = {e["page"]
+               for e in stats_doc["hot_pages"]["conflicts"]["pages"]}
     page_rows = []
     for page, count in sorted(pages.items(),
                               key=lambda kv: (-kv[1], kv[0]))[:top]:
         row = {"page": page, "abort_events": count}
-        if hot_available:
+        if hot is not None:
             row["in_heatmap_topk"] = page in hot
         page_rows.append(row)
 
     return {
         "captures": len(docs),
-        "triggers": triggers,
-        "repro": docs[0].get("repro", "") if docs else "",
-        "killers": [
-            {"tx": r.get("tx"), "kills": r.get("kills", 0),
-             "attempts": r.get("attempts", 0),
-             "aborts": r.get("aborts", 0),
-             "lost_ticks": r.get("lost_ticks", 0),
-             "wasted_ticks": r.get("wasted_ticks", 0),
-             "committed": r.get("committed", False)}
-            for r in killers],
+        "triggers": dict(triggers),
+        "repro": docs[0]["repro"],
+        "killers": [{k: r[k] for k in (
+            "tx", "kills", "attempts", "aborts", "lost_ticks",
+            "wasted_ticks", "committed")} for r in killers],
         "chain_depth_histogram": {
             str(d): depth_hist[d] for d in sorted(depth_hist)},
         "pages": page_rows,
-        "heatmap_crossref": hot_available,
+        "heatmap_crossref": hot is not None,
     }
 
 
@@ -157,26 +126,15 @@ def main():
                     help="emit the analysis as JSON")
     args = ap.parse_args()
 
-    try:
-        with open(args.dump) as f:
-            docs = parse_docs(f.read())
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read dump: {e}", file=sys.stderr)
-        return 1
-    if not docs:
-        print("error: dump holds no post-mortem documents",
-              file=sys.stderr)
-        return 1
-
+    docs, errors = read_file(args.dump, read_postmortem)
     stats_doc = None
     if args.stats:
-        try:
-            with open(args.stats) as f:
-                stats_doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot read stats json: {e}",
-                  file=sys.stderr)
-            return 1
+        stats_doc, errs = read_file(args.stats, read_stats)
+        errors += errs
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    if errors:
+        return 1
 
     a = analyze(docs, stats_doc, top=args.top)
     if args.json:

@@ -16,7 +16,9 @@ and reports, per run in the file:
     is cumulative, so the last record carries run totals).
 
 With --json the same analysis is emitted as one machine-readable
-document; --top N bounds the hot-page listing (default 8).
+document; --top N bounds the hot-page listing (default 8). A stream
+ptm_schema.read_timeseries rejects (wrong schema tag, broken interval
+sequence) is reported and exits 1 with no analysis.
 
 Usage:
     timeseries_analyze.py TS.jsonl [--json] [--top N]
@@ -24,35 +26,11 @@ Usage:
 
 import argparse
 import json
+import os
 import sys
 
-
-def load_runs(path):
-    """Split a JSONL file into runs: (header, [intervals]) pairs."""
-    runs = []
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise SystemExit(f"error: {path}: {e}")
-    for i, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SystemExit(f"error: {path}:{i}: invalid JSON: {e}")
-        if rec.get("type") == "header":
-            runs.append((rec, []))
-        elif rec.get("type") == "interval":
-            if not runs:
-                raise SystemExit(
-                    f"error: {path}:{i}: interval before any header")
-            runs[-1][1].append(rec)
-    if not runs:
-        raise SystemExit(f"error: {path}: no ptm-timeseries-v1 runs")
-    return runs
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import read_file, read_timeseries  # noqa: E402
 
 
 def rate(iv, key):
@@ -220,15 +198,13 @@ def main():
                     help="hot pages to list (default 8)")
     args = ap.parse_args()
 
-    runs = load_runs(args.stream)
-    analyses = []
-    for header, intervals in runs:
-        if not intervals:
-            print(f"warning: run with no intervals "
-                  f"(system={header.get('system')!r})",
-                  file=sys.stderr)
-            continue
-        analyses.append(analyze_run(header, intervals, args.top))
+    runs, errors = read_file(args.stream, read_timeseries)
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    if errors:
+        return 1
+    analyses = [analyze_run(header, intervals, args.top)
+                for header, intervals in runs]
 
     if args.json:
         json.dump({"schema": "ptm-timeseries-analysis-v1",
@@ -239,7 +215,7 @@ def main():
             if i:
                 print()
             print_run(i, a)
-    return 0 if analyses else 1
+    return 0
 
 
 if __name__ == "__main__":

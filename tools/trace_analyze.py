@@ -19,76 +19,22 @@ Usage:
 --json    emit the full analysis as one JSON object on stdout
 --dot     write the merged conflict graph in Graphviz DOT form
 
-The file is schema-checked while parsing; malformed lines are
-reported and make the exit status non-zero.
+The file is read with ptm_schema.read_trace; a file it rejects (wrong
+schema tag, malformed lines) is reported and exits 1 with no
+analysis.
 """
 
 import argparse
 import json
+import os
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ptm_schema import ABORT_CAUSES, read_file, read_trace  # noqa: E402
 
 PAGE_SHIFT = 12
 BLOCK_SHIFT = 6
-
-ABORT_REASONS = {
-    0: "conflict-lost",
-    1: "non-tx-conflict",
-    2: "multi-writer-eviction",
-    3: "explicit",
-}
-
-
-def parse(path):
-    """Parse a ptm-trace-v1 file into (captures, errors)."""
-    errors = []
-    captures = []
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        return [], [f"{path}: empty file"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        return [], [f"{path}:1: {e}"]
-    if header.get("schema") != "ptm-trace-v1":
-        if "traceEvents" in lines[0]:
-            return [], [f"{path}: chrome-format trace; this tool "
-                        "reads --trace-format jsonl output"]
-        return [], [f"{path}: bad schema {header.get('schema')!r}"]
-
-    cur = None
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(f"{path}:{n}: {e}")
-            continue
-        ty = obj.get("type")
-        if ty == "capture":
-            cur = {"label": obj.get("label", f"capture {n}"),
-                   "recorded": obj.get("recorded", 0),
-                   "dropped": obj.get("dropped", 0),
-                   "series": obj.get("series", []),
-                   "events": []}
-            captures.append(cur)
-        elif ty == "ev":
-            if cur is None:
-                errors.append(f"{path}:{n}: event before capture")
-                continue
-            if not isinstance(obj.get("t"), int) or "ev" not in obj:
-                errors.append(f"{path}:{n}: malformed event")
-                continue
-            cur["events"].append(obj)
-        else:
-            errors.append(f"{path}:{n}: unknown line type {ty!r}")
-    if len(captures) != header.get("captures"):
-        errors.append(
-            f"{path}: header says {header.get('captures')} captures, "
-            f"found {len(captures)}")
-    return captures, errors
 
 
 def txname(tx):
@@ -162,8 +108,10 @@ def analyze(cap, top):
             if tx in open_at:
                 wasted += e["t"] - open_at.pop(tx)
             aborted_attempts += 1
-            abort_causes[ABORT_REASONS.get(
-                e.get("a", 0), f"reason {e.get('a')}")] += 1
+            reason = e.get("a", 0)
+            abort_causes[ABORT_CAUSES[reason]
+                         if 0 <= reason < len(ABORT_CAUSES)
+                         else f"reason {reason}"] += 1
 
     total = wasted + useful
     return {
@@ -263,11 +211,12 @@ def main():
     ap.add_argument("--dot", metavar="FILE")
     args = ap.parse_args()
 
-    captures, errors = parse(args.file)
+    data, errors = read_file(args.file, read_trace)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
-    if not captures:
+    if errors:
         return 1
+    captures = data["captures"]
 
     analyses = [analyze(c, args.top) for c in captures]
     if args.dot:
@@ -279,7 +228,7 @@ def main():
     else:
         for a in analyses:
             report(a, sys.stdout)
-    return 1 if errors else 0
+    return 0
 
 
 if __name__ == "__main__":
