@@ -75,7 +75,7 @@ main(int argc, char **argv)
                 .field("spt_hit_pct", spt_pct)
                 .field("tav_hit_pct", tav_pct)
                 .field("verified", r.verified);
-            d.runFields(rec, r);
+            addProfileFields(rec, r.profile);
         }
     }
     table.print(hout);

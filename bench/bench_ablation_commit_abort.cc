@@ -160,7 +160,7 @@ main(int argc, char **argv)
                 .field("vtm_copybacks", copybacks)
                 .field("stalls", stalls)
                 .field("verified", r.verified);
-            d.runFields(rec, r);
+            addProfileFields(rec, r.profile);
         }
     }
     table.print(hout);

@@ -60,7 +60,7 @@ main(int argc, char **argv)
                 .field("ctxsw_flush_aborts",
                        r.snapshot.counter("mem.ctxsw_flush_aborts"))
                 .field("verified", r.verified);
-            d.runFields(rec, r);
+            addProfileFields(rec, r.profile);
         }
     }
     table.print(hout);

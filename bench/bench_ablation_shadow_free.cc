@@ -149,7 +149,7 @@ main(int argc, char **argv)
             .field("swap_outs", swap_outs)
             .field("swap_ins", swap_ins)
             .field("verified", r.verified);
-        d.runFields(rec, r);
+        addProfileFields(rec, r.profile);
     }
     table.print(hout);
 

@@ -71,7 +71,7 @@ main(int argc, char **argv)
                 .field("commits", r.snapshot.counter("tx.commits"))
                 .field("aborts", r.snapshot.counter("tx.aborts"))
                 .field("verified", r.verified);
-            d.runFields(rec, r);
+            addProfileFields(rec, r.profile);
         }
         table.row(std::move(cells));
     }

@@ -115,7 +115,7 @@ main(int argc, char **argv)
             .field("cycles", std::uint64_t(locks.cycles))
             .field("speedup_pct", speedupPct(serial, locks.cycles))
             .field("verified", locks.verified);
-        d.runFields(rec, locks);
+        addProfileFields(rec, locks.profile);
         for (Granularity g : grans) {
             SystemParams prm = d.params(TmKind::SelectPtm);
             prm.granularity = g;
@@ -133,7 +133,7 @@ main(int argc, char **argv)
                 .field("speedup_pct", speedupPct(serial, r.cycles))
                 .field("aborts", aborts)
                 .field("verified", r.verified);
-            d.runFields(rec, r);
+            addProfileFields(rec, r.profile);
         }
         table.row(std::move(cells));
     }

@@ -183,7 +183,7 @@ main(int argc, char **argv)
                     .field("p99_durable_commit_latency",
                            pw ? pw->dist.percentile(99) : 0.0);
             }
-            d.runFields(rec, r);
+            addProfileFields(rec, r.profile);
         }
     }
     table.print(hout);

@@ -99,7 +99,7 @@ main(int argc, char **argv)
             .field("ideal_pct", s.value("sys.ideal_pct"))
             .field("mop_per_evict", mop)
             .field("verified", r.verified);
-        d.runFields(rec, r);
+        addProfileFields(rec, r.profile);
     }
     table.print(hout);
 
@@ -130,7 +130,6 @@ main(int argc, char **argv)
             .field("context_switches",
                    s.counter("os.context_switches"))
             .field("verified", r.verified);
-        d.runFields(rec, r, /*profile=*/false);
     }
     scaling.print(hout);
 

@@ -5,7 +5,6 @@
 
 #include "harness/bench_driver.hh"
 
-#include "harness/profile_io.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
 
@@ -26,11 +25,6 @@ std::optional<int>
 BenchDriver::parse(int argc, char **argv)
 {
     addSystemOptions(opts_, tmpl_);
-    opts_.flag("host-metrics",
-               "emit host-derived throughput (sim_events_per_sec) in "
-               "bench result rows (machine-dependent; off in "
-               "checked-in baselines)",
-               [this] { host_metrics_ = true; });
     switch (opts_.parse(argc, argv)) {
       case CliStatus::Ok:
         break;
@@ -99,20 +93,6 @@ BenchDriver::record(const std::string &workload, const SystemParams &prm,
         printRunProfile(out_, label, r.profile, r.host);
     if (!r.verified)
         ++failures_;
-}
-
-void
-BenchDriver::runFields(BenchRecorder &rec, const ExperimentResult &r,
-                       bool profile) const
-{
-    // Host throughput is machine-dependent: emitted only on request
-    // so checked-in baselines compare across hosts.
-    if (host_metrics_)
-        rec.field("sim_events_per_sec",
-                  r.wallSeconds > 0 ? r.eventsExecuted / r.wallSeconds
-                                    : 0.0);
-    if (profile)
-        addProfileFields(rec, r.profile);
 }
 
 int

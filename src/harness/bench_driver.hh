@@ -19,7 +19,7 @@
  *         ExperimentResult r =
  *             d.run(app, d.params(TmKind::SelectPtm), 4, app);
  *         rec.beginRow().field("app", app).field("verified", r.verified);
- *         d.runFields(rec, r);
+ *         addProfileFields(rec, r.profile);
  *     }
  *     return d.finish(rec);
  * @endcode
@@ -36,6 +36,7 @@
 
 #include "harness/cli.hh"
 #include "harness/experiment.hh"
+#include "harness/profile_io.hh"
 #include "harness/stats_io.hh"
 
 namespace ptm
@@ -105,14 +106,6 @@ class BenchDriver
                 ExperimentResult &r, const std::string &label);
 
     /**
-     * Append the per-run fields of a result row: sim_events_per_sec
-     * under --host-metrics, then the cycle decomposition under
-     * --profile unless @p profile is false.
-     */
-    void runFields(BenchRecorder &rec, const ExperimentResult &r,
-                   bool profile = true) const;
-
-    /**
      * Write the --json rows of @p rec and the collected trace, then run
      * @p epilogue (closing notes that follow the outputs).
      *
@@ -128,7 +121,6 @@ class BenchDriver
     OptionTable opts_;
     std::string json_path_;
     int scale_ = 1;
-    bool host_metrics_ = false;
     SystemParams tmpl_;
     std::FILE *out_ = stdout;
     std::vector<TraceCapture> captures_;

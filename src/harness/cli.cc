@@ -54,22 +54,6 @@ OptionTable::option(const std::string &name, const std::string &metavar,
     opts_.push_back(std::move(o));
 }
 
-void
-OptionTable::flagOrValue(const std::string &name,
-                         const std::string &metavar,
-                         const std::string &help,
-                         std::function<void()> onFlag,
-                         std::function<bool(const std::string &)> onValue)
-{
-    Opt o;
-    o.name = name;
-    o.metavar = metavar;
-    o.help = help;
-    o.onFlag = std::move(onFlag);
-    o.onValue = std::move(onValue);
-    opts_.push_back(std::move(o));
-}
-
 namespace
 {
 
@@ -190,8 +174,7 @@ OptionTable::printHelp() const
     auto render = [](const Opt &o) {
         std::string left = "--" + o.name;
         if (!o.metavar.empty())
-            left += (o.onFlag && o.onValue) ? "[=" + o.metavar + "]"
-                                            : " " + o.metavar;
+            left += " " + o.metavar;
         return left;
     };
     for (const auto &o : opts_) {
@@ -223,7 +206,7 @@ addTraceOptions(OptionTable &opts, TraceParams &dest)
                 });
     opts.option("trace-categories", "LIST",
                 "comma-separated categories (tx,conflict,meta,page,"
-                "cache,os,watch,sample) or 'all'",
+                "cache,os,watch,chaos,persist) or 'all'",
                 [&dest](const std::string &v) {
                     return parseTraceCategories(v, dest.categories);
                 });
@@ -235,15 +218,6 @@ addTraceOptions(OptionTable &opts, TraceParams &dest)
                     if (!parseU64(v, n) || n == 0)
                         return false;
                     dest.bufferEvents = std::size_t(n);
-                    return true;
-                });
-    opts.option("trace-sample-interval", "TICKS",
-                "stat-sampler period in ticks (0 disables sampling)",
-                [&dest](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n))
-                        return false;
-                    dest.sampleInterval = Tick(n);
                     return true;
                 });
     opts.option("watch-addr", "ADDR",
@@ -436,26 +410,6 @@ addForensicsOptions(OptionTable &opts, ForensicsParams &prm)
 void
 addObservabilityOptions(OptionTable &opts, SystemParams &prm)
 {
-    opts.flagOrValue(
-        "live-stats", "TICKS",
-        "stream ptm-timeseries-v1 interval records to stderr while "
-        "the run is in flight, optionally setting the sampling period "
-        "(default 100000 ticks); implies --heatmap",
-        [&prm] {
-            if (prm.timeseries.path.empty())
-                prm.timeseries.path = "stderr";
-            prm.heatmap.enabled = true;
-        },
-        [&prm](const std::string &v) {
-            std::uint64_t n;
-            if (!parseU64(v, n) || n == 0)
-                return false;
-            if (prm.timeseries.path.empty())
-                prm.timeseries.path = "stderr";
-            prm.timeseries.interval = Tick(n);
-            prm.heatmap.enabled = true;
-            return true;
-        });
     opts.option("timeseries", "FILE",
                 "write ptm-timeseries-v1 JSONL records to FILE ('-' "
                 "for stderr); implies --heatmap",
@@ -713,21 +667,7 @@ OptionTable::parse(int argc, char **argv) const
             return CliStatus::Error;
         }
 
-        if (o->onFlag && o->onValue) {
-            // Optional inline value: only the --name=V form carries
-            // one; the next argument is never consumed.
-            if (!have_value) {
-                o->onFlag();
-            } else if (!o->onValue(value)) {
-                std::fprintf(stderr,
-                             "%s: invalid value '%s' for option "
-                             "'--%s' (%s: %s)\n",
-                             prog_.c_str(), value.c_str(),
-                             name.c_str(), o->metavar.c_str(),
-                             o->help.c_str());
-                return CliStatus::Error;
-            }
-        } else if (o->onValue) {
+        if (o->onValue) {
             if (!have_value) {
                 if (i + 1 >= argc) {
                     std::fprintf(stderr,

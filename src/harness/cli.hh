@@ -80,16 +80,6 @@ class OptionTable
                 const std::string &help,
                 std::function<bool(const std::string &)> on);
 
-    /**
-     * A flag that also accepts an optional inline value: `--name`
-     * invokes @p onFlag, `--name=V` invokes @p onValue. The separate
-     * `--name V` form is NOT recognized — the next argument is never
-     * consumed — so the bare flag stays unambiguous.
-     */
-    void flagOrValue(const std::string &name, const std::string &metavar,
-                     const std::string &help, std::function<void()> onFlag,
-                     std::function<bool(const std::string &)> onValue);
-
     /** @name Typed conveniences storing straight into a variable */
     /// @{
     void optionString(const std::string &name, const std::string &metavar,
@@ -138,7 +128,7 @@ class OptionTable
  * everywhere:
  *
  *  - tracing: --trace, --trace-format, --trace-categories,
- *    --trace-buffer-events, --trace-sample-interval, --watch-addr;
+ *    --trace-buffer-events, --watch-addr;
  *  - profiling: --profile, --host-profile (implies --profile),
  *    --host-profile-interval;
  *  - robustness: fault injection (--chaos, --chaos-seed, --chaos-plan,
@@ -149,9 +139,10 @@ class OptionTable
  *  - machine scaling: --mem-banks N address-interleaved interconnect
  *    banks (power of two; 1 reproduces the paper's single bus
  *    bit-exactly);
- *  - observability: --live-stats[=TICKS], --timeseries FILE,
- *    --timeseries-interval, --heatmap, --heatmap-k (streaming implies
- *    --heatmap so live records carry hot_pages);
+ *  - observability: --timeseries FILE ('-' streams to stderr),
+ *    --timeseries-interval (also the period of a trace's counter
+ *    tracks), --heatmap, --heatmap-k (streaming implies --heatmap so
+ *    interval records carry hot_pages);
  *  - forensics: --flightrec-depth (0 removes the recorder),
  *    --postmortem FILE and --postmortem-on-abort N, which arm
  *    post-mortem capture (unarmed runs record but never dump);

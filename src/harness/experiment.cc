@@ -43,13 +43,14 @@ runWorkload(const std::string &workload_name, SystemParams params,
     auto wl = makeWorkload(workload_name, wcfg, given);
     System sys(params);
     wl->build(sys);
-    // Full reproducer (the System's default covers only seed/chaos):
-    // echoed in every post-mortem dump so a trip is replayable.
+    // The System's replay line lacks the workload and system: prefix
+    // them so audit warnings and post-mortem dumps replay this run.
+    std::string repro = "--workload " + workload_name + " --system " +
+                        tmKindArg(params.tmKind) + " " +
+                        chaosReproArgs(params);
+    sys.auditor().setRepro(repro);
     if (sys.flightrec())
-        sys.flightrec()->setRepro("--workload " + workload_name +
-                                  " --system " +
-                                  tmKindArg(params.tmKind) + " " +
-                                  chaosReproArgs(params));
+        sys.flightrec()->setRepro(repro);
 
     ExperimentResult r = runSystem(sys);
     // A crashed run has no final state to verify in-process; recovery
@@ -127,7 +128,7 @@ collectObservers(System &sys, const std::string &label,
     if (sys.flightrec())
         r.forensics = sys.flightrec()->snapshot();
     if (sys.tracer().active())
-        r.trace = captureTrace(sys.tracer(), label);
+        r.trace = captureTrace(sys.tracer(), label, r.timeseries);
 }
 
 std::size_t

@@ -63,8 +63,9 @@ struct ExperimentResult
     HeatmapSnapshot heatmap;
     /**
      * The run's in-memory time series (enabled == false unless
-     * params.timeseries.capture): per-interval counter deltas, the
-     * source of bench_kv's steady-state throughput.
+     * params.timeseries.capture or tracing): per-interval counter
+     * deltas, the source of bench_kv's steady-state throughput and of
+     * the trace's counter tracks.
      */
     TimeseriesCapture timeseries;
     /**
@@ -89,9 +90,9 @@ struct ExperimentResult
      * Host wall-clock seconds spent inside the event loop (the
      * sys.run() span only — workload build and verification excluded)
      * and the events it executed. sim_events_per_sec =
-     * eventsExecuted / wallSeconds is the host-throughput metric the
-     * scaling benches record (machine-dependent; never compared
-     * across machines).
+     * eventsExecuted / wallSeconds is the host-throughput field of
+     * ptm_sim's manifest (machine-dependent; never compared across
+     * machines).
      */
     double wallSeconds = 0;
     double eventsExecuted = 0;

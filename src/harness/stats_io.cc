@@ -5,7 +5,6 @@
 
 #include "harness/stats_io.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -157,233 +156,6 @@ JsonWriter::null()
     separate();
     os_ << "null";
 }
-
-namespace minijson
-{
-
-const Value *
-Value::get(const std::string &k) const
-{
-    if (type != Type::Object)
-        return nullptr;
-    for (const auto &m : object)
-        if (m.first == k)
-            return &m.second;
-    return nullptr;
-}
-
-namespace
-{
-
-struct Parser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string err;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err.empty()) {
-            err = what + " at offset " + std::to_string(pos);
-        }
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != c)
-            return false;
-        ++pos;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return fail("expected string");
-        out.clear();
-        while (pos < text.size()) {
-            char c = text[pos++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos >= text.size())
-                    return fail("bad escape");
-                char e = text[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                      if (pos + 4 > text.size())
-                          return fail("bad \\u escape");
-                      unsigned cp = 0;
-                      for (int i = 0; i < 4; ++i) {
-                          char h = text[pos++];
-                          cp <<= 4;
-                          if (h >= '0' && h <= '9')
-                              cp |= unsigned(h - '0');
-                          else if (h >= 'a' && h <= 'f')
-                              cp |= unsigned(h - 'a' + 10);
-                          else if (h >= 'A' && h <= 'F')
-                              cp |= unsigned(h - 'A' + 10);
-                          else
-                              return fail("bad \\u escape");
-                      }
-                      // Our emitter only escapes control chars; encode
-                      // the BMP code point as UTF-8.
-                      if (cp < 0x80) {
-                          out += char(cp);
-                      } else if (cp < 0x800) {
-                          out += char(0xC0 | (cp >> 6));
-                          out += char(0x80 | (cp & 0x3F));
-                      } else {
-                          out += char(0xE0 | (cp >> 12));
-                          out += char(0x80 | ((cp >> 6) & 0x3F));
-                          out += char(0x80 | (cp & 0x3F));
-                      }
-                      break;
-                  }
-                  default:
-                    return fail("bad escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseValue(Value &out)
-    {
-        skipWs();
-        if (pos >= text.size())
-            return fail("unexpected end of input");
-        char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out.type = Value::Type::Object;
-            skipWs();
-            if (consume('}'))
-                return true;
-            while (true) {
-                std::string k;
-                skipWs();
-                if (!parseString(k))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                Value v;
-                if (!parseValue(v))
-                    return false;
-                out.object.emplace_back(std::move(k), std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            out.type = Value::Type::Array;
-            skipWs();
-            if (consume(']'))
-                return true;
-            while (true) {
-                Value v;
-                if (!parseValue(v))
-                    return false;
-                out.array.push_back(std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '"') {
-            out.type = Value::Type::String;
-            return parseString(out.str);
-        }
-        if (text.compare(pos, 4, "true") == 0) {
-            pos += 4;
-            out.type = Value::Type::Bool;
-            out.boolean = true;
-            return true;
-        }
-        if (text.compare(pos, 5, "false") == 0) {
-            pos += 5;
-            out.type = Value::Type::Bool;
-            out.boolean = false;
-            return true;
-        }
-        if (text.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            out.type = Value::Type::Null;
-            return true;
-        }
-        // Number.
-        std::size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+'))
-            ++pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E' || text[pos] == '-' ||
-                text[pos] == '+'))
-            ++pos;
-        if (pos == start)
-            return fail("unexpected character");
-        try {
-            out.number = std::stod(text.substr(start, pos - start));
-        } catch (...) {
-            return fail("bad number");
-        }
-        out.type = Value::Type::Number;
-        return true;
-    }
-};
-
-} // namespace
-
-bool
-parse(const std::string &text, Value &out, std::string *err)
-{
-    Parser p{text, 0, {}};
-    if (!p.parseValue(out)) {
-        if (err)
-            *err = p.err;
-        return false;
-    }
-    p.skipWs();
-    if (p.pos != text.size()) {
-        if (err)
-            *err = "trailing garbage at offset " + std::to_string(p.pos);
-        return false;
-    }
-    return true;
-}
-
-} // namespace minijson
 
 const char *
 gitDescribe()

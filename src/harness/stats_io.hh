@@ -9,8 +9,6 @@
  *
  *  - JsonWriter: a small streaming JSON writer (escaping, commas,
  *    indentation) usable by any front end;
- *  - minijson: a compact JSON parser used by the emitter round-trip
- *    tests (and available to tools that read their own output back);
  *  - BenchRecorder: row-oriented "ptm-bench-v1" result files for the
  *    bench_* binaries' --json flag (BENCH_*.json trajectories).
  *
@@ -104,35 +102,6 @@ class JsonWriter
 
 /** Write @p s JSON-escaped (with quotes) to @p os. */
 void jsonEscape(std::ostream &os, const std::string &s);
-
-/** A compact JSON parser (objects, arrays, strings, numbers, bools). */
-namespace minijson
-{
-
-struct Value
-{
-    enum class Type { Null, Bool, Number, String, Array, Object };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string str;
-    std::vector<Value> array;
-    std::vector<std::pair<std::string, Value>> object;
-
-    /** Object member lookup; nullptr if absent or not an object. */
-    const Value *get(const std::string &k) const;
-
-    bool isObject() const { return type == Type::Object; }
-};
-
-/**
- * Parse @p text into @p out.
- * @return true on success; on failure @p err (if non-null) explains.
- */
-bool parse(const std::string &text, Value &out, std::string *err);
-
-} // namespace minijson
 
 /** Identification of one simulator run for the JSON manifest. */
 struct RunManifest

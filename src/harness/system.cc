@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "harness/cli.hh"
 #include "harness/forensics_io.hh"
 #include "sim/logging.hh"
 #include "vtm/vtm.hh"
@@ -54,6 +55,8 @@ System::System(const SystemParams &params)
         tracer_.configure(params_.trace.categories,
                           params_.trace.bufferEvents);
         tracer_.setWatchAddr(params_.trace.watchAddr);
+        // The trace's counter tracks are drawn from the time series.
+        params_.timeseries.capture = true;
     }
     txmgr_.setTracer(&tracer_);
     mem_.setTracer(&tracer_);
@@ -106,15 +109,9 @@ System::System(const SystemParams &params)
         if (vts_)
             vts_->setChaos(&chaos_);
     }
-    // Default replay line of the auditor and the flight recorder.
-    using ull = unsigned long long;
-    std::string repro = strprintf("--seed %llu", (ull)params_.seed);
-    if (params_.chaos.enabled)
-        repro += strprintf(" --chaos --chaos-seed %llu --chaos-plan %s "
-                           "--chaos-interval %llu",
-                           (ull)params_.chaos.seed,
-                           chaosPlanString(params_.chaos.plan).c_str(),
-                           (ull)params_.chaos.interval);
+    // Replay line of the auditor and the flight recorder; runWorkload
+    // prefixes the workload and system.
+    const std::string repro = chaosReproArgs(params_);
     if (params_.audit.enabled) {
         if (vts_) {
             auditor_.attach(vts_, &txmgr_);
@@ -369,39 +366,6 @@ System::schedulePeriodic(std::size_t i)
 }
 
 void
-System::startSampler()
-{
-    if (!tracer_.enabled(TraceCat::Sample) ||
-        params_.trace.sampleInterval == 0)
-        return;
-    // Probe whichever of these registered stats exist in this system
-    // (the backend groups are configuration dependent).
-    static const char *const paths[] = {
-        "tx.commits",          "tx.aborts",
-        "mem.conflicts",       "mem.evictions",
-        "os.context_switches", "os.page_faults",
-        "vts.live_shadow_pages", "vts.shadow_allocs",
-        "vtm.xadt_entries",
-    };
-    sampled_.clear();
-    for (const char *path : paths) {
-        std::string p(path);
-        auto dot = p.find('.');
-        const StatGroup *g = registry_.find(p.substr(0, dot));
-        const StatRef *r = g ? g->find(p.substr(dot + 1)) : nullptr;
-        if (r)
-            sampled_.emplace_back(tracer_.sampleSeries(p), r);
-    }
-    if (!sampled_.empty())
-        addPeriodic(params_.trace.sampleInterval, [this] {
-            for (const auto &[series, ref] : sampled_)
-                tracer_.record(TraceEventType::CounterSample, traceNoId,
-                               traceNoId, invalidTxId, invalidTxId,
-                               series, 0, ref->numeric());
-        });
-}
-
-void
 System::startTimeseries()
 {
     if (!params_.timeseries.enabled())
@@ -500,7 +464,6 @@ System::injectChaos()
 Tick
 System::run()
 {
-    startSampler();
     startTimeseries();
     if (chaos_.active())
         addPeriodic(params_.chaos.interval, [this] { injectChaos(); });

@@ -153,7 +153,8 @@ class System
 
     /**
      * The interval time-series sampler, or nullptr unless
-     * params.timeseries streaming or capture was requested. Built
+     * params.timeseries streaming or capture was requested or the run
+     * is traced (the trace's counter tracks come from it). Built
      * lazily at run() so it sees every registered stat group.
      */
     const TimeseriesSampler *timeseries() const
@@ -217,7 +218,6 @@ class System
     /** Add a PeriodicTask and schedule its first run. */
     void addPeriodic(Tick interval, std::function<void()> body);
     void schedulePeriodic(std::size_t i);
-    void startSampler();
     void startTimeseries();
     void injectChaos();
     /** Deterministic live-transaction victim pick (sorted ids). */
@@ -250,8 +250,6 @@ class System
     bool crashed_ = false;
     /** Effective crash-cut tick; 0 = no crash planned. */
     Tick crash_tick_ = 0;
-    /** (tracer series index, registered stat) pairs for the sampler. */
-    std::vector<std::pair<unsigned, const StatRef *>> sampled_;
 };
 
 } // namespace ptm

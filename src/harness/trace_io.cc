@@ -17,14 +17,14 @@ namespace ptm
 {
 
 TraceCapture
-captureTrace(const Tracer &t, std::string label)
+captureTrace(const Tracer &t, std::string label, TimeseriesCapture ts)
 {
     TraceCapture c;
     c.label = std::move(label);
     c.events = t.snapshot();
-    c.series = t.seriesNames();
     c.recorded = t.recorded();
     c.dropped = t.dropped();
+    c.timeseries = std::move(ts);
     return c;
 }
 
@@ -80,13 +80,7 @@ emitTraceJsonl(std::ostream &os, const std::vector<TraceCapture> &caps)
         os << "{\"type\":\"capture\",\"label\":";
         jsonEscape(os, c.label);
         os << ",\"recorded\":" << c.recorded << ",\"dropped\":"
-           << c.dropped << ",\"series\":[";
-        for (std::size_t i = 0; i < c.series.size(); ++i) {
-            if (i)
-                os << ",";
-            jsonEscape(os, c.series[i]);
-        }
-        os << "]}\n";
+           << c.dropped << "}\n";
         for (const auto &e : c.events)
             emitEventLine(os, e);
     }
@@ -121,6 +115,64 @@ laneOf(const TraceEvent &e)
     if (e.core != traceNoId)
         return 1000 + e.core;
     return 999;
+}
+
+/**
+ * The registry counters drawn as "C" tracks, where registered.
+ * "vts.live_shadow_pages" is shadow_allocs - shadow_frees: every
+ * change of the VTS's live shadow-page count bumps one of the two, so
+ * the difference is exact.
+ */
+const char *const counterTracks[] = {
+    "tx.commits",          "tx.aborts",
+    "mem.conflicts",       "mem.evictions",
+    "os.context_switches", "os.page_faults",
+    "vts.live_shadow_pages", "vts.shadow_allocs",
+};
+
+/** One "C" point per track at each interval end of @p ts. */
+void
+emitCounterTracks(std::vector<ChromeRec> &recs, unsigned pid,
+                  const TimeseriesCapture &ts)
+{
+    const auto &names = ts.counterNames;
+    auto index = [&](const std::string &path) {
+        return std::size_t(std::find(names.begin(), names.end(), path) -
+                           names.begin());
+    };
+    struct Track
+    {
+        std::string name;
+        std::size_t ref;
+        bool live; //!< value = shadow_allocs - ref (shadow_frees)
+    };
+    std::vector<Track> tracks;
+    for (std::string path : counterTracks) {
+        bool live = path == "vts.live_shadow_pages";
+        std::size_t i = index(live ? "vts.shadow_frees" : path);
+        if (i < names.size())
+            tracks.push_back({path, i, live});
+    }
+    const std::size_t allocs = index("vts.shadow_allocs");
+
+    std::vector<std::uint64_t> sum(names.size(), 0);
+    for (const TimeseriesInterval &iv : ts.intervals) {
+        for (const auto &d : iv.counters)
+            sum[d.ref] += d.delta;
+        for (const Track &t : tracks) {
+            std::uint64_t v =
+                t.live ? sum[allocs] - sum[t.ref] : sum[t.ref];
+            ChromeRec r;
+            r.ts = double(iv.t1);
+            r.order = 1;
+            std::ostringstream ss;
+            ss << "{\"ph\":\"C\",\"name\":\"" << t.name
+               << "\",\"ts\":" << num(double(iv.t1)) << ","
+               << ptid(pid, 0) << ",\"args\":{\"value\":" << v << "}}";
+            r.json = ss.str();
+            recs.push_back(std::move(r));
+        }
+    }
 }
 
 void
@@ -237,23 +289,6 @@ emitChromeCapture(std::vector<ChromeRec> &recs, unsigned pid,
             recs.push_back(std::move(f));
             break;
           }
-          case TraceEventType::CounterSample: {
-            ChromeRec r;
-            r.ts = double(e.tick);
-            r.order = 1;
-            std::string name = e.a0 < c.series.size()
-                                   ? c.series[e.a0]
-                                   : "series " + std::to_string(e.a0);
-            std::ostringstream ss;
-            ss << "{\"ph\":\"C\",\"name\":";
-            jsonEscape(ss, name);
-            ss << ",\"ts\":" << num(double(e.tick)) << ","
-               << ptid(pid, 0) << ",\"args\":{\"value\":" << num(e.v)
-               << "}}";
-            r.json = ss.str();
-            recs.push_back(std::move(r));
-            break;
-          }
           default: {
             // Everything else becomes a thread-scoped instant event.
             ChromeRec r;
@@ -278,6 +313,8 @@ emitChromeCapture(std::vector<ChromeRec> &recs, unsigned pid,
     // the last tick so every B has its E.
     for (const auto &[tx, o] : open)
         slice(tx, o, std::max(last_tick, o.tick), "truncated", 0);
+
+    emitCounterTracks(recs, pid, c.timeseries);
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Trace serialization: ptm-trace-v1 JSONL and Chrome trace-event JSON.
  *
  * A TraceCapture is the portable result of one traced run: the ring
- * buffer's surviving events plus the interned counter-series names and
- * the recorded/dropped totals. Front ends collect one capture per run
+ * buffer's surviving events, the recorded/dropped totals, and the run's
+ * time-series capture (every traced run keeps one). Front ends collect one capture per run
  * and write them all into a single file, so a bench sweep lands as one
  * Perfetto-loadable timeline with one process per run.
  *
@@ -12,7 +12,7 @@
  *
  *     {"schema":"ptm-trace-v1","captures":N}
  *     {"type":"capture","label":"fft/sel-ptm","recorded":N,
- *      "dropped":N,"series":["tx.commits",...]}
+ *      "dropped":N}
  *     {"type":"ev","t":TICK,"ev":"tx_begin","cat":"tx","core":C,
  *      "th":T,"tx":ID,"tx2":ID,"a":N,"b":N,"v":X}
  *     ...
@@ -25,9 +25,13 @@
  * duration slice on its thread's track (threads, not cores: a
  * transaction survives preemption and core migration, so per-core
  * slices could interleave and break slice nesting), conflict edges as
- * s/f flow events from the winner's track to the loser's, sampled
- * StatRegistry values as "C" counter tracks, and the remaining event
- * kinds as instant events.
+ * s/f flow events from the winner's track to the loser's, and the
+ * remaining event kinds as instant events. Its "C" counter tracks
+ * (commits, aborts, conflicts, evictions, context switches, page
+ * faults, shadow allocations and live shadow pages) are running sums
+ * of the time series' counter deltas, one point per interval end; the
+ * last point, at the run's end tick, equals the stats total. JSONL
+ * carries no counters: use --timeseries for counters over time.
  */
 
 #ifndef PTM_HARNESS_TRACE_IO_HH
@@ -38,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/timeseries.hh"
 #include "sim/trace.hh"
 
 namespace ptm
@@ -50,14 +55,15 @@ struct TraceCapture
     std::string label;
     /** Surviving ring-buffer events, oldest first. */
     std::vector<TraceEvent> events;
-    /** Counter-series names, indexed by CounterSample a0. */
-    std::vector<std::string> series;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;
+    /** The run's time series: the source of the Chrome counter tracks. */
+    TimeseriesCapture timeseries;
 };
 
-/** Snapshot @p t into a capture labelled @p label. */
-TraceCapture captureTrace(const Tracer &t, std::string label);
+/** Snapshot @p t and the run's time series @p ts, labelled @p label. */
+TraceCapture captureTrace(const Tracer &t, std::string label,
+                          TimeseriesCapture ts);
 
 /** Emit captures as ptm-trace-v1 JSONL. */
 void emitTraceJsonl(std::ostream &os,

@@ -80,6 +80,7 @@ class PtmAuditor
      * with every violation so a failing sweep run is replayable.
      */
     void setRepro(std::string repro) { repro_ = std::move(repro); }
+    const std::string &repro() const { return repro_; }
 
     /**
      * Run the full invariant catalog.

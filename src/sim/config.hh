@@ -190,14 +190,17 @@ struct TimeseriesParams
 {
     /**
      * Stream sink: empty = no stream, "stderr" = live emission to
-     * stderr (--live-stats), anything else = a JSONL file. Within one
+     * stderr (--timeseries -), anything else = a JSONL file. Within one
      * process the first run truncates a file sink; later runs append,
      * each starting with its own header record.
      */
     std::string path;
     /** Sampling period in simulated ticks. */
     Tick interval = 100000;
-    /** Keep the interval records in memory (bench post-processing). */
+    /**
+     * Keep the interval records in memory (bench post-processing and
+     * the trace's counter tracks; tracing turns this on).
+     */
     bool capture = false;
 
     /** The sampler is built when streaming or capturing. */

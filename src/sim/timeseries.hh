@@ -11,9 +11,11 @@
  * values are meaningless.
  *
  * Records stream as "ptm-timeseries-v1" JSONL (one object per line)
- * so a long run is monitorable while in flight (`--live-stats`
+ * so a long run is monitorable while in flight (`--timeseries -`
  * streams to stderr, `--timeseries FILE` to a file), and/or are kept
- * in memory for post-processing (bench_kv's steady-state throughput).
+ * in memory for post-processing (bench_kv's steady-state throughput,
+ * and the counter tracks of every Chrome trace). The sampler is the
+ * one periodic reader of the stats registry.
  *
  * Schema ptm-timeseries-v1 (one line each):
  *

@@ -38,7 +38,6 @@ traceEventTypeName(TraceEventType t)
       case TraceEventType::Writeback: return "writeback";
       case TraceEventType::CtxSwitch: return "ctx_switch";
       case TraceEventType::Watchpoint: return "watchpoint";
-      case TraceEventType::CounterSample: return "counter_sample";
       case TraceEventType::ChaosInject: return "chaos_inject";
       case TraceEventType::WatchdogTrip: return "watchdog_trip";
       case TraceEventType::StarvationGrant: return "starvation_grant";
@@ -61,7 +60,6 @@ traceCatName(TraceCat c)
       case TraceCat::Cache: return "cache";
       case TraceCat::Os: return "os";
       case TraceCat::Watch: return "watch";
-      case TraceCat::Sample: return "sample";
       case TraceCat::Chaos: return "chaos";
       case TraceCat::Persist: return "persist";
       case TraceCat::Observer: return "observer";
@@ -93,8 +91,8 @@ parseTraceCategories(const std::string &s, std::uint32_t &mask)
         {"tx", TraceCat::Tx},         {"conflict", TraceCat::Conflict},
         {"meta", TraceCat::Meta},     {"page", TraceCat::Page},
         {"cache", TraceCat::Cache},   {"os", TraceCat::Os},
-        {"watch", TraceCat::Watch},   {"sample", TraceCat::Sample},
-        {"chaos", TraceCat::Chaos},   {"persist", TraceCat::Persist},
+        {"watch", TraceCat::Watch},   {"chaos", TraceCat::Chaos},
+        {"persist", TraceCat::Persist},
     };
 
     std::uint32_t out = 0;
@@ -207,16 +205,6 @@ Tracer::snapshot() const
     for (std::size_t i = 0; i < buf_.size(); ++i)
         out.push_back(buf_[(head_ + i) % buf_.size()]);
     return out;
-}
-
-unsigned
-Tracer::sampleSeries(const std::string &name)
-{
-    for (unsigned i = 0; i < series_.size(); ++i)
-        if (series_[i] == name)
-            return i;
-    series_.push_back(name);
-    return unsigned(series_.size() - 1);
 }
 
 Tracer &

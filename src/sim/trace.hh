@@ -47,15 +47,14 @@ enum class TraceCat : std::uint32_t
     Cache    = 1u << 4, //!< evictions, overflow spills, writebacks
     Os       = 1u << 5, //!< context switches
     Watch    = 1u << 6, //!< watchpoint hits (--watch-addr)
-    Sample   = 1u << 7, //!< periodic counter samples
-    Chaos    = 1u << 8, //!< fault injections, watchdog trips
-    Persist  = 1u << 9, //!< WAL appends, ordered flushes, crash cuts
+    Chaos    = 1u << 7, //!< fault injections, watchdog trips
+    Persist  = 1u << 8, //!< WAL appends, ordered flushes, crash cuts
     /** Observer-only records: never enabled, never in the ring. */
     Observer = 0,
 };
 
 /** Bitmask with every category enabled. */
-constexpr std::uint32_t traceCatAll = 0x3ffu;
+constexpr std::uint32_t traceCatAll = 0x1ffu;
 
 /** The raw bit of one category. */
 constexpr std::uint32_t
@@ -93,7 +92,6 @@ enum class TraceEventType : std::uint8_t
     Writeback,      //!< a0: block address
     CtxSwitch,      //!< a0: 1 preemption, 0 natural; thread: incoming
     Watchpoint,      //!< a0: address; a1: WatchKind; v: value
-    CounterSample,   //!< a0: series index; v: sampled value
     ChaosInject,     //!< a0: ChaosFault bit; tx: victim (if any)
     WatchdogTrip,    //!< tx: id; a0: consecutive aborts
     StarvationGrant, //!< tx: id; a0: consecutive aborts
@@ -158,8 +156,6 @@ traceEventCat(TraceEventType t)
         return TraceCat::Os;
       case TraceEventType::Watchpoint:
         return TraceCat::Watch;
-      case TraceEventType::CounterSample:
-        return TraceCat::Sample;
       case TraceEventType::ChaosInject:
       case TraceEventType::WatchdogTrip:
       case TraceEventType::StarvationGrant:
@@ -203,7 +199,7 @@ struct TraceEvent
     TxId tx2 = invalidTxId; //!< secondary transaction (loser for edges)
     std::uint64_t a0 = 0;   //!< payload (address / cause / index)
     std::uint64_t a1 = 0;   //!< payload (extra)
-    double v = 0.0;         //!< payload (sampled value)
+    double v = 0.0;         //!< payload (watched value, WAL seq)
     std::uint64_t a2 = 0;   //!< payload (tx_* types only)
 };
 
@@ -244,8 +240,6 @@ struct TraceParams
     std::uint32_t categories = traceCatAll;
     /** Ring-buffer capacity, in events. */
     std::size_t bufferEvents = std::size_t(1) << 16;
-    /** Ticks between periodic counter samples. */
-    Tick sampleInterval = 100000;
     /** Watched address (invalidAddr = no watchpoint). */
     Addr watchAddr = invalidAddr;
 };
@@ -337,15 +331,6 @@ class Tracer
             dispatch({tick, type, core, thread, tx, tx2, a0, a1, v, a2});
     }
 
-    /**
-     * Intern a counter-sample series name ("tx.commits", ...);
-     * returns the series index carried in CounterSample events.
-     */
-    unsigned sampleSeries(const std::string &name);
-
-    /** Interned series names, indexed by CounterSample a0. */
-    const std::vector<std::string> &seriesNames() const { return series_; }
-
     /** Events currently held, oldest first. */
     std::vector<TraceEvent> snapshot() const;
 
@@ -373,7 +358,6 @@ class Tracer
     std::uint64_t dropped_ = 0;
     std::function<Tick()> clock_;
     Addr watch_ = invalidAddr;
-    std::vector<std::string> series_;
 };
 
 } // namespace ptm

@@ -13,6 +13,7 @@
 
 #include <cstring>
 
+#include "harness/cli.hh"
 #include "mem/frame_alloc.hh"
 #include "mem/phys_mem.hh"
 #include "mem/timing.hh"
@@ -402,6 +403,25 @@ TEST(ChaosSystem, ArmedRunAuditsCleanAndStaysCorrect)
     EXPECT_GT(injected, 0u) << "the plan never injected anything";
     EXPECT_GT(sys.auditor().checksRun.value(), 0u);
     EXPECT_TRUE(sys.auditor().violations().empty());
+}
+
+/**
+ * The auditor and the flight recorder replay the same run: both echo
+ * the full reproducer, durability and contention knobs included.
+ */
+TEST(ChaosSystem, AuditorAndRecorderShareTheFullRepro)
+{
+    SystemParams prm = quietParams(TmKind::SelectPtm);
+    prm.audit.enabled = true;
+    prm.persist.policy = Durability::Wal;
+    prm.contention.randomBackoff = true;
+    System sys(prm);
+    const std::string want = chaosReproArgs(prm);
+    EXPECT_NE(want.find("--durability wal"), std::string::npos);
+    EXPECT_NE(want.find("--backoff"), std::string::npos);
+    EXPECT_EQ(sys.auditor().repro(), want);
+    ASSERT_NE(sys.flightrec(), nullptr);
+    EXPECT_EQ(sys.flightrec()->repro(), want);
 }
 
 Tick

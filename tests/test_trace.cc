@@ -3,7 +3,8 @@
  * Unit tests for the event tracer (sim/trace) and its sinks
  * (harness/trace_io): ring-buffer wraparound, category filtering,
  * lazy payload suppression, watchpoint address matching, tick order
- * of real captures, and Chrome-export slice balance.
+ * of real captures, and the JSONL sink. Chrome slice balance, ordering
+ * and counter tracks are checked by tools/check_trace_json.py.
  */
 
 #include <gtest/gtest.h>
@@ -133,16 +134,6 @@ TEST(TracerTest, WatchAddrMatchesBlockAndWord)
     EXPECT_FALSE(off.watchingBlock(blockAlign(0x1234)));
 }
 
-TEST(TracerTest, SeriesInterning)
-{
-    Tracer t;
-    EXPECT_EQ(t.sampleSeries("tx.commits"), 0u);
-    EXPECT_EQ(t.sampleSeries("tx.aborts"), 1u);
-    EXPECT_EQ(t.sampleSeries("tx.commits"), 0u); // idempotent
-    ASSERT_EQ(t.seriesNames().size(), 2u);
-    EXPECT_EQ(t.seriesNames()[0], "tx.commits");
-}
-
 TEST(TraceCategoriesParse, ListsAndAll)
 {
     std::uint32_t mask = 0;
@@ -215,64 +206,13 @@ TEST(TraceIntegration, JsonlRoundTripsThroughMiniJson)
     emitTraceJsonl(os, {cap});
     std::istringstream is(os.str());
     std::string line;
+    ASSERT_TRUE(std::getline(is, line));
+    EXPECT_EQ(line, std::string("{\"schema\":\"ptm-trace-v1\",\"git\":\"") +
+                        gitDescribe() + "\",\"captures\":1}");
     std::size_t events = 0;
-    for (unsigned n = 1; std::getline(is, line); ++n) {
-        minijson::Value v;
-        std::string err;
-        ASSERT_TRUE(minijson::parse(line, v, &err))
-            << "line " << n << ": " << err;
-        if (n == 1)
-            EXPECT_EQ(v.get("schema")->str, "ptm-trace-v1");
-        else if (v.get("type")->str == "ev")
-            ++events;
-    }
+    while (std::getline(is, line))
+        events += line.rfind("{\"type\":\"ev\",", 0) == 0;
     EXPECT_EQ(events, cap.events.size());
-}
-
-TEST(TraceIntegration, ChromeSlicesBalance)
-{
-    TraceCapture cap = tracedRun(traceCatAll);
-    std::ostringstream os;
-    emitTraceChrome(os, {cap});
-
-    minijson::Value v;
-    std::string err;
-    ASSERT_TRUE(minijson::parse(os.str(), v, &err)) << err;
-    const minijson::Value *events = v.get("traceEvents");
-    ASSERT_NE(events, nullptr);
-
-    std::uint64_t begins = 0, ends = 0, starts = 0, finishes = 0;
-    std::map<std::pair<double, double>, std::int64_t> depth;
-    double last_ts = -1;
-    for (const minijson::Value &e : events->array) {
-        const std::string &ph = e.get("ph")->str;
-        if (ph != "M") {
-            double ts = e.get("ts")->number;
-            EXPECT_GE(ts, last_ts) << "events not sorted by ts";
-            last_ts = ts;
-        }
-        std::pair<double, double> track{
-            e.get("pid") ? e.get("pid")->number : 0,
-            e.get("tid") ? e.get("tid")->number : 0};
-        if (ph == "B") {
-            ++begins;
-            ++depth[track];
-        } else if (ph == "E") {
-            ++ends;
-            ASSERT_GT(depth[track], 0)
-                << "E without an open B on its track";
-            --depth[track];
-        } else if (ph == "s") {
-            ++starts;
-        } else if (ph == "f") {
-            ++finishes;
-        }
-    }
-    EXPECT_GT(begins, 0u);
-    EXPECT_EQ(begins, ends);
-    EXPECT_EQ(starts, finishes);
-    for (const auto &[track, d] : depth)
-        EXPECT_EQ(d, 0) << "track left slices open";
 }
 
 TEST(TraceIntegration, WriteTraceToFileAndStdoutError)

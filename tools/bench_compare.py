@@ -58,11 +58,6 @@ THRESHOLDS = {
 # its noise floor is wider than the cycle budget.
 THRESHOLDS_DECREASE = {
     "steady_tx_per_sec_1ghz": 0.10,
-    # Host event-loop throughput (only present when both baselines were
-    # produced with --host-metrics on the same machine): compare() only
-    # gates metrics present in BOTH rows, so ordinary cross-machine
-    # baselines — which omit the field — never trip this.
-    "sim_events_per_sec": 0.10,
 }
 
 
@@ -238,27 +233,7 @@ def self_test():
         failures.append(f"-5% steady throughput inside budget "
                         f"flagged: {regs}")
 
-    # 8. Host-throughput regressions (sim_events_per_sec, only present
-    # in same-machine --host-metrics pairs) must be detected beyond
-    # their 10% budget; a row pair where only one side carries the
-    # field must not be compared at all.
-    host = copy.deepcopy(base)
-    host["benches"]["bench_table1"][0]["sim_events_per_sec"] = 3.0e6
-    host_drop = copy.deepcopy(host)
-    host_drop["benches"]["bench_table1"][0]["sim_events_per_sec"] = 2.5e6
-    regs, _ = compare(host, host_drop, 0.50)
-    if not any("sim_events_per_sec" in r for r in regs):
-        failures.append("-17% sim_events_per_sec not detected")
-    host_gain = copy.deepcopy(host)
-    host_gain["benches"]["bench_table1"][0]["sim_events_per_sec"] = 4.0e6
-    regs, _ = compare(host, host_gain, 0.50)
-    if regs:
-        failures.append(f"sim_events_per_sec gain flagged: {regs}")
-    regs, _ = compare(host, copy.deepcopy(base), 0.50)
-    if any("sim_events_per_sec" in r for r in regs):
-        failures.append("one-sided sim_events_per_sec compared")
-
-    # 9. A durable-commit latency blowup (bench_kv rows produced with
+    # 8. A durable-commit latency blowup (bench_kv rows produced with
     # --durability wal) must be detected beyond its 15% budget, and a
     # pair where only the new row carries the field (volatile old
     # baseline) must not be compared.
@@ -281,7 +256,7 @@ def self_test():
     if any("p99_durable_commit_latency" in r for r in regs):
         failures.append("one-sided p99_durable_commit_latency compared")
 
-    # 10. Ticks moved between non_tx and stall_l1 (hits charged as
+    # 9. Ticks moved between non_tx and stall_l1 (hits charged as
     # execution, or the reverse) must be detected beyond the 5%
     # budget in either direction of the move.
     prof = copy.deepcopy(base)
@@ -303,7 +278,7 @@ def self_test():
     if regs:
         failures.append(f"+4% prof_non_tx inside budget flagged: {regs}")
 
-    # 11. A vanished row must be a regression.
+    # 10. A vanished row must be a regression.
     gone = copy.deepcopy(base)
     gone["benches"]["bench_table1"].pop(0)
     regs, _ = compare(base, gone, 0.10)

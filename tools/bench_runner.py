@@ -14,14 +14,8 @@ the prof_* cycle-decomposition fields -- is folded into a single
 suitable for committing as BENCH_<label>.json and diffing with
 bench_compare.py. Simulated metrics (cycles, prof_* ticks, stat
 counters) are deterministic for a given seed, so a committed smoke
-baseline is a valid cross-machine regression gate; wall-clock values
-are kept out of committed baselines by default. For same-machine A/B
-host-speed measurements, `--wall` adds a suite-level
-
-    "wall_seconds": { "<bench>": seconds, ... }
-
-map (one wall time per bench binary run); bench_compare.py never
-reads it, so it can't turn host noise into a gate failure.
+baseline is a valid cross-machine regression gate. Host speed is
+perfbench/run.py's concern, not this suite's.
 
 `--jobs N` runs up to N bench binaries concurrently. The merged
 document is byte-identical to a serial run: results are folded in the
@@ -30,7 +24,7 @@ rows come from its own private temp file.
 
 Usage:
     bench_runner.py --bench-dir BUILD/bench [--smoke] [--label NAME]
-                    [--out FILE] [--only BENCH[,BENCH...]] [--wall]
+                    [--out FILE] [--only BENCH[,BENCH...]]
                     [--jobs N] [--extra-args "..."]
 """
 
@@ -41,7 +35,6 @@ import os
 import shlex
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ptm_schema import read_bench, run_json  # noqa: E402
@@ -91,17 +84,13 @@ def main():
                          "- = stdout)")
     ap.add_argument("--only", default=None,
                     help="comma-separated subset of benches to run")
-    ap.add_argument("--wall", action="store_true",
-                    help="record per-bench host wall seconds at suite "
-                         "level (same-machine A/B pairs only; never "
-                         "compared by bench_compare.py)")
     ap.add_argument("--jobs", type=int, default=1,
                     help="run up to N bench binaries concurrently "
                          "(default 1); the merged output is identical "
                          "to a serial run")
     ap.add_argument("--extra-args", default="",
                     help="extra arguments passed to every bench binary "
-                         "(e.g. \"--host-metrics --mem-banks 4\")")
+                         "(e.g. \"--mem-banks 4\")")
     args = ap.parse_args()
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
@@ -123,8 +112,6 @@ def main():
         "smoke": bool(args.smoke),
         "benches": {},
     }
-    if args.wall:
-        suite["wall_seconds"] = {}
     extra = shlex.split(args.extra_args)
     paths = {}
     for name in names:
@@ -137,9 +124,7 @@ def main():
     def one(name):
         print(f"running {name}{' (smoke)' if args.smoke else ''} ...",
               file=sys.stderr)
-        start = time.monotonic()
-        doc = run_bench(paths[name], args.smoke, extra)
-        return doc, round(time.monotonic() - start, 3)
+        return run_bench(paths[name], args.smoke, extra)
 
     # Workers only produce (bench -> document); the merge below walks
     # `names` in declaration order, so the output is deterministic
@@ -160,9 +145,7 @@ def main():
         return 1
 
     for name in names:
-        doc, wall = results[name]
-        if args.wall:
-            suite["wall_seconds"][name] = wall
+        doc = results[name]
         if not suite["git"]:
             suite["git"] = doc.get("git", "")
         suite["benches"][name] = doc.get("rows", [])

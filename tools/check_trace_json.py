@@ -15,7 +15,11 @@ Modes:
   check_trace_json.py drive PTM_SIM
       Run PTM_SIM on the tiny fft workload for every system kind and
       on a durable (--durability wal) kv run, tracing in both formats,
-      and validate each file.
+      and validate each file. Each Chrome run also writes --stats-json:
+      every counter track must end at that run's final stat value
+      (vts.live_shadow_pages at shadow_allocs - shadow_frees). A JSONL
+      run carrying counter_sample events (the retired trace-ring
+      counter sampler) fails the reader as an unknown event.
 
   check_trace_json.py --self-test
       Run the invariant checks against mutations of crafted traces.
@@ -37,8 +41,8 @@ from collections import Counter
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ptm_schema import (FORMATS, SAMPLES, SYSTEMS,  # noqa: E402
-                        read_chrome_trace, read_file, read_trace,
-                        rejections, report, run_json)
+                        read_chrome_trace, read_file, read_stats,
+                        read_trace, rejections, report, run_json)
 
 REQUIRE = {"slice": ("B", "transaction slices"),
            "flow": ("s", "conflict flow events"),
@@ -93,16 +97,42 @@ def check_chrome(doc, where, require=()):
     return errors
 
 
+def check_counters(doc, stats, where):
+    """Each "C" track's last point equals the run's final stat."""
+    last = {e["name"]: e["args"]["value"]
+            for e in doc["traceEvents"] if e["ph"] == "C"}
+    groups = stats["groups"]
+
+    def total(path):
+        group, stat = path.split(".", 1)
+        return groups.get(group, {}).get(stat, {}).get("value")
+
+    errors = [] if last else [f"{where}: no counter tracks"]
+    for name, value in sorted(last.items()):
+        want = total(name)
+        if name == "vts.live_shadow_pages":
+            net = total("vts.shadow_allocs") - total("vts.shadow_frees")
+            if want != net:
+                errors.append(f"{where}: {name} is {want}, not "
+                              f"shadow_allocs - shadow_frees = {net}")
+        if want is None:
+            errors.append(f"{where}: track {name} has no stat")
+        elif value != want:
+            errors.append(f"{where}: {name} ends at {value}, the stat "
+                          f"total is {want}")
+    return errors
+
+
 def read_checked(text, where, require=()):
-    """Reader-shaped: (None, structure and invariant errors)."""
+    """Reader-shaped: (document, structure and invariant errors)."""
     if '"traceEvents"' in text.split("\n", 1)[0]:
         doc, errors = read_chrome_trace(text, where)
-        return None, errors or check_chrome(doc, where, require)
+        return doc, errors or check_chrome(doc, where, require)
     data, errors = read_trace(text, where)
     if require:
         errors.append(f"{where}: --require-* flags apply to chrome "
                       "format only")
-    return None, errors or check_jsonl(data, where)
+    return data, errors or check_jsonl(data, where)
 
 
 def drive(ptm_sim):
@@ -117,11 +147,16 @@ def drive(ptm_sim):
         for name, args in runs:
             for fmt in ("jsonl", "chrome"):
                 out = os.path.join(tmp, f"{name}.{fmt}")
+                stats = os.path.join(tmp, f"{name}.stats.json")
                 label = f"{name}/{fmt}"
-                _, errs = run_json([ptm_sim, *args, "--scale", "0",
-                                    "--threads", "2", "--trace", out,
-                                    "--trace-format", fmt],
-                                   read_checked, label, out=out)
+                cmd = [ptm_sim, *args, "--scale", "0", "--threads", "2",
+                       "--trace", out, "--trace-format", fmt]
+                if fmt == "chrome":
+                    cmd += ["--stats-json", stats]
+                doc, errs = run_json(cmd, read_checked, label, out=out)
+                if fmt == "chrome" and doc is not None:
+                    st, serrs = read_file(stats, read_stats, label)
+                    errs += serrs or check_counters(doc, st, label)
                 print(f"{label:16s} "
                       f"{'ok' if not errs else f'{len(errs)} error(s)'}")
                 failures += errs
@@ -135,7 +170,26 @@ def self_test():
     def chrome(doc):
         return read_checked(json.dumps(doc), "chrome", REQUIRE)[1]
 
-    return report(rejections(jsonl, SAMPLES["trace"], [
+    def counters(doc):
+        stats = {"groups": {"tx": {"commits": {"value": 3}}, "vts": {
+            "shadow_allocs": {"value": 5}, "shadow_frees": {"value": 2},
+            "live_shadow_pages": {"value": 3}}}}
+        return check_counters(doc, stats, "counters")
+
+    tracks = {"traceEvents": [
+        {"ph": "C", "name": name, "ts": ts, "pid": 1,
+         "args": {"value": value}}
+        for name, ts, value in (("tx.commits", 5, 2),
+                                ("tx.commits", 9, 3),
+                                ("vts.live_shadow_pages", 9, 3))]}
+
+    return report(rejections(counters, tracks, [
+        (["traceEvents", 1, "args", "value"], 2, "tx.commits ends at 2"),
+        (["traceEvents", 2, "args", "value"], 4,
+         "vts.live_shadow_pages ends at 4"),
+        (["traceEvents", 2, "name"], "tx.bogus", "tx.bogus has no stat"),
+        (["traceEvents"], [], "no counter tracks"),
+    ]) + rejections(jsonl, SAMPLES["trace"], [
         ([4, "t"], 4, "tick 4 goes backwards on core 0"),
     ]) + rejections(chrome, SAMPLES["chrome"], [
         (["traceEvents", 4, "ts"], 1, "ts 1 < previous 6"),

@@ -48,14 +48,14 @@ TRACE_EVENTS = frozenset({
     "tav_evict", "walk_start", "walk_end", "shadow_alloc",
     "shadow_free", "sel_flip", "page_fault", "swap_out", "swap_in",
     "overflow_spill", "line_evict", "writeback", "ctx_switch",
-    "watchpoint", "counter_sample", "chaos_inject", "watchdog_trip",
-    "starvation_grant", "wal_append", "wal_flush", "crash_cut",
+    "watchpoint", "chaos_inject", "watchdog_trip", "starvation_grant",
+    "wal_append", "wal_flush", "crash_cut",
 })
 
 # TraceCat names that reach the trace ring.
 TRACE_CATEGORIES = frozenset({
-    "tx", "conflict", "meta", "page", "cache", "os", "watch", "sample",
-    "chaos", "persist",
+    "tx", "conflict", "meta", "page", "cache", "os", "watch", "chaos",
+    "persist",
 })
 
 # AbortReason in enum order: a tx_abort event's "a" field indexes it.
@@ -169,8 +169,7 @@ STAT_KINDS = {
 }
 
 TRACE_HEADER = {"git": str, "captures": int}
-TRACE_CAPTURE = {"label": str, "recorded": int, "dropped": int,
-                 "series": [str]}
+TRACE_CAPTURE = {"label": str, "recorded": int, "dropped": int}
 TRACE_EVENT = {
     "type": str, "t": int, "ev": TRACE_EVENTS, "cat": TRACE_CATEGORIES,
     **{f: Opt(int) for f in ("core", "th", "tx", "tx2", "a", "b", "c")},
@@ -208,8 +207,7 @@ POSTMORTEM = {
 # Bench rows are flat objects of scalars; their fields vary by bench.
 BENCH_ROWS = [dict]
 BENCH = {"bench": str, "git": str, "rows": BENCH_ROWS}
-BENCHSUITE = {"label": str, "git": str, "smoke": bool, "benches": dict,
-              "wall_seconds": Opt(dict)}
+BENCHSUITE = {"label": str, "git": str, "smoke": bool, "benches": dict}
 
 # --- Validators ---------------------------------------------------------
 
@@ -629,7 +627,7 @@ SAMPLES = {
     "trace": [
         {"schema": "ptm-trace-v1", "git": "v1", "captures": 1},
         {"type": "capture", "label": "fft/Sel-PTM", "recorded": 3,
-         "dropped": 0, "series": ["tx.commits"]},
+         "dropped": 0},
         {"type": "ev", "t": 5, "ev": "tx_begin", "cat": "tx", "core": 0,
          "tx": 1, "c": 0},
         {"type": "ev", "t": 7, "ev": "conflict_edge", "cat": "conflict",
@@ -783,11 +781,11 @@ MUTATIONS = {
         ([0, "captures"], 2, "header says 2 captures"),
         ([0, "git"], DELETE, "missing 'git'"),
         ([2], "tx_begin", "not a JSON object"),
-        ([1, "series"], [1], "series[0] has type int"),
         ([1, "recorded"], DELETE, "missing 'recorded'"),
         ([1, "recorded"], 2, "more than its recorded=2"),
         ([1, "type"], "bogus", "unknown line type"),
         ([2, "ev"], "tx_wasted", "unknown ev"),
+        ([2, "ev"], "counter_sample", "unknown ev"),
         ([2, "cat"], "observer", "unknown cat"),
         ([2, "t"], -1, "negative tick"),
         ([2, "t"], DELETE, "missing 't'"),
@@ -843,7 +841,6 @@ MUTATIONS = {
     "benchsuite": [
         (["schema"], "ptm-bench-v1", "expected 'ptm-benchsuite-v1'"),
         (["smoke"], "yes", "smoke has type str"),
-        (["wall_seconds"], [], "wall_seconds has type list"),
         (["benches", "bench_fig4"], {}, "bench_fig4 has type dict"),
         (["benches", "bench_fig4"], [], "bench_fig4: no rows"),
     ],

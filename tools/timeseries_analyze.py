@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Analyze a ptm-timeseries-v1 JSONL stream.
 
-Reads the interval stream written by --timeseries (or --live-stats)
+Reads the interval stream written by --timeseries FILE
 and reports, per run in the file:
 
   * a per-interval table: commit/abort deltas, abort rate, committed
