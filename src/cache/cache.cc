@@ -97,17 +97,24 @@ L1Filter::setIndex(Addr block_addr) const
 }
 
 L1Filter::Entry *
-L1Filter::find(Addr block_addr)
+L1Filter::peek(Addr block_addr)
 {
     unsigned set = setIndex(block_addr);
     for (unsigned w = 0; w < assoc_; ++w) {
         Entry &e = entries_[size_t(set) * assoc_ + w];
-        if (e.valid && e.addr == block_addr) {
-            e.lastUse = ++use_clock_;
+        if (e.valid && e.addr == block_addr)
             return &e;
-        }
     }
     return nullptr;
+}
+
+L1Filter::Entry *
+L1Filter::find(Addr block_addr)
+{
+    Entry *e = peek(block_addr);
+    if (e)
+        e->lastUse = ++use_clock_;
+    return e;
 }
 
 L1Filter::Entry &

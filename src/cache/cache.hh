@@ -206,6 +206,19 @@ class CacheArray
      */
     CacheLine &victim(Addr block_addr);
 
+    /** Index of @p line in set/way order (set * assoc + way). */
+    std::size_t
+    slotOf(const CacheLine &line) const
+    {
+        return std::size_t(&line - lines_.data());
+    }
+
+    /** The line at slot @p i (see slotOf). */
+    CacheLine &slot(std::size_t i) { return lines_[i]; }
+
+    /** Total number of line slots. */
+    std::size_t numLines() const { return lines_.size(); }
+
     /** Mark a line most-recently-used. */
     void
     touch(CacheLine &line)
@@ -256,13 +269,19 @@ class L1Filter
         TxId txId = invalidTxId;
         std::uint16_t txReadWords = 0;
         std::uint16_t txWriteWords = 0;
+        /** Slot of the mirrored L2 line (CacheArray::slotOf). */
+        std::uint32_t l2Slot = 0;
         std::uint64_t lastUse = 0;
     };
 
     L1Filter(std::uint64_t bytes, unsigned assoc);
 
-    /** Find the entry for @p block_addr, or nullptr. */
+    /** Find the entry for @p block_addr and mark it most-recently-used,
+     *  or nullptr. */
     Entry *find(Addr block_addr);
+
+    /** Find the entry for @p block_addr without touching LRU state. */
+    Entry *peek(Addr block_addr);
 
     /** Install (or refresh) an entry for @p block_addr. */
     Entry &insert(Addr block_addr);

@@ -261,7 +261,7 @@ Core::resumeCoro(ThreadCtx &t, std::uint64_t value)
         return;
     }
 
-    if (params_.fastForwardOps > 0 && t.curTx == invalidTxId) {
+    if (params_.fastForwardOps > 0) {
         fastForward(t, value);
         return;
     }
@@ -290,6 +290,10 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
 
     ++ffBatches;
     profExec(t);
+    // Compute cycles go where profExec just put the core's execution.
+    const bool in_tx = t.curTx != invalidTxId;
+    const ProfBucket exec_bucket =
+        in_tx ? CycleProfiler::txPot : ProfBucket::NonTx;
 
     Tick adv = 0; // virtual cycles accumulated past start
     unsigned done = 0;
@@ -313,7 +317,7 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
         // bucket the one-event path charges them to.
         const Tick at = start + adv;
         Tick len;
-        ProfBucket b = ProfBucket::NonTx;
+        ProfBucket b = exec_bucket;
         if (op->kind == OpKind::Compute) {
             ++computeOps;
             ++ffOps;
@@ -334,13 +338,20 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
             ++memOps;
             ++t.memOps;
             ++ffOps;
+            if (in_tx) {
+                ++txMemOps;
+                if (op->kind != OpKind::Load)
+                    noteTxStore(t, *op);
+            }
             Access acc = makeAccess(t, *op, *pa);
             auto hit = mem_.trySync(acc, at);
             if (!hit) {
-                // Needs the bus: issue at the virtual time so the bus
-                // reservation and grant processing see natural timing.
-                // (trySync is side-effect-free on a miss; the re-probe
-                // inside issueAccess misses identically.)
+                // Needs the bus, or a committed-data writeback that
+                // must carry its own tick: issue at the virtual time
+                // so the bus reservation, grant processing and
+                // writeback see natural timing. (A refused trySync
+                // has no side effect; the re-probe inside issueAccess
+                // at that tick decides identically.)
                 leave(site_mem_, [this, &t, acc] { issueAccess(t, acc); });
                 return;
             }
@@ -368,6 +379,21 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
             return;
         }
         prof_->span(id_, b, at, v);
+    }
+}
+
+void
+Core::noteTxStore(ThreadCtx &t, const MemYield &op)
+{
+    os_.noteTxWrite(t.proc, op.vaddr);
+    if (wal_) {
+        // The redo log records absolute committed values; a CAS's
+        // committed value is resolution-dependent, and no
+        // durability-eligible workload issues one transactionally
+        // (validateParams rejects the lock-based modes).
+        panic_if(op.kind == OpKind::Cas, "durable logging cannot "
+                                         "capture a transactional CAS");
+        wal_->noteStore(t.curTx, op.vaddr, std::uint32_t(op.value));
     }
 }
 
@@ -403,23 +429,10 @@ Core::runOp(ThreadCtx &t, const MemYield &op)
     if (t.curTx != invalidTxId)
         ++txMemOps;
 
-    bool is_write = op.kind == OpKind::Store;
-    bool is_cas = op.kind == OpKind::Cas;
-    XlatResult xr =
-        os_.translate(id_, t.proc, op.vaddr, is_write || is_cas);
-    if ((is_write || is_cas) && t.curTx != invalidTxId) {
-        os_.noteTxWrite(t.proc, op.vaddr);
-        if (wal_) {
-            // The redo log records absolute committed values; a CAS's
-            // committed value is resolution-dependent, and no
-            // durability-eligible workload issues one transactionally
-            // (validateParams rejects the lock-based modes).
-            panic_if(is_cas, "durable logging cannot capture a "
-                             "transactional CAS");
-            wal_->noteStore(t.curTx, op.vaddr,
-                            std::uint32_t(op.value));
-        }
-    }
+    XlatResult xr = os_.translate(id_, t.proc, op.vaddr,
+                                  op.kind != OpKind::Load);
+    if (t.curTx != invalidTxId && op.kind != OpKind::Load)
+        noteTxStore(t, op);
 
     Access acc = makeAccess(t, op, xr.paddr);
     if (xr.latency == 0) {

@@ -91,6 +91,10 @@ class Core
     /** Model one yielded operation. */
     void runOp(ThreadCtx &t, const MemYield &op);
 
+    /** Capture a translated store or CAS of @p t's open transaction
+     *  for Table 1's pg-x-wr and the redo log. */
+    void noteTxStore(ThreadCtx &t, const MemYield &op);
+
     /** The access @p op of @p t makes to home address @p paddr. */
     Access makeAccess(const ThreadCtx &t, const MemYield &op,
                       Addr paddr) const;
@@ -108,10 +112,11 @@ class Core
 
     /**
      * Direct-execution fast-forward (DESIGN.md §6c): retire up to
-     * fastForwardOps non-transactional ops of @p t at the current tick,
-     * each at its virtual issue tick, while no other event can
-     * interleave. TLB misses, cache misses and batch exits go back to
-     * the one-event path at their virtual issue time.
+     * fastForwardOps ops of @p t, in or out of a transaction, at the
+     * current tick, each at its virtual issue tick, while no other
+     * event can interleave. TLB misses, cache misses, committed-data
+     * writebacks and batch exits go back to the one-event path at
+     * their virtual issue time.
      */
     void fastForward(ThreadCtx &t, std::uint64_t value);
 

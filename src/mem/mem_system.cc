@@ -32,6 +32,7 @@ MemSystem::MemSystem(const SystemParams &params, EventQueue &eq,
         l2_.push_back(std::make_unique<CacheArray>(params.l2Bytes,
                                                    params.l2Assoc));
     }
+    footprintWords_ = (l2_.front()->numLines() + 63) / 64;
 }
 
 void
@@ -131,6 +132,9 @@ MemSystem::trySync(const Access &acc, Tick at)
     const std::uint16_t mask = accessMask(acc.paddr);
     const bool write = acc.isWrite || acc.isCas;
     CoreId c = acc.core;
+    // A batched op issued ahead of the clock must not run a writeback
+    // of committed data: it records and posts at the current tick.
+    const bool ahead = at != eq_.curTick();
 
     // L1 filter: a hit means the mirrored L2 line can satisfy the
     // access with no state changes, or (word mode) with only new
@@ -159,17 +163,20 @@ MemSystem::trySync(const Access &acc, Tick at)
             ok = e->txId == invalidTxId && (!write || e->writable);
         }
         if (ok || extend) {
-            CacheLine *line = l2_[c]->find(block);
-            panic_if(!line, "L1 hit without inclusive L2 line");
-            std::uint32_t v = applyOp(acc, *line, at);
+            CacheLine &line = l2_[c]->slot(e->l2Slot);
+            panic_if(!line.valid() || line.addr != block,
+                     "L1 hit without inclusive L2 line");
+            if (ahead && persistsWord(acc, line))
+                return std::nullopt;
+            std::uint32_t v = applyOp(acc, line, at);
             if (extend) {
-                setMarks(acc, *line);
-                if (TxMark *m = line->findMark(acc.tx)) {
+                setMarks(acc, line);
+                if (TxMark *m = line.findMark(acc.tx)) {
                     e->txReadWords = m->readWords;
                     e->txWriteWords = m->writeWords;
                 }
             }
-            l2_[c]->touch(*line);
+            l2_[c]->touch(line);
             ++l1Hits;
             return std::make_pair(params_.l1Latency,
                                   AccessResult{v, false});
@@ -197,8 +204,12 @@ MemSystem::trySync(const Access &acc, Tick at)
             // the writeback buffer (a local action — no coherence
             // transaction needed), then proceed with the store. (Word
             // modes persist per word in noteWordWrite instead.)
+            if (ahead)
+                return std::nullopt;
             lat += writebackCommitted(*line) + params_.l2Latency;
         }
+        if (ahead && persistsWord(acc, *line))
+            return std::nullopt;
     }
 
     std::uint32_t v = applyOp(acc, *line, at);
@@ -476,7 +487,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
 
     // Merge migrated marks (word-granularity data movement).
     for (const auto &m : migrated) {
-        noteTxCore(m.tx, c);
+        noteFootprint(m.tx, c, *target);
         TxMark &mine = target->mark(m.tx);
         mine.readWords |= m.readWords;
         mine.writeWords |= m.writeWords;
@@ -484,13 +495,13 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     for (const auto &fm : fill_foreign) {
         // Overflowed speculative words of other live transactions came
         // with the fill: the line must carry their marks.
-        noteTxCore(fm.tx, c);
+        noteFootprint(fm.tx, c, *target);
         TxMark &mine = target->mark(fm.tx);
         mine.readWords |= fm.readWords;
         mine.writeWords |= fm.writeWords;
     }
     if (fill_spec_words && acc.tx != invalidTxId) {
-        noteTxCore(acc.tx, c);
+        noteFootprint(acc.tx, c, *target);
         // The fill contains the requester's own overflowed speculative
         // words: restore the write marking (the line is speculative,
         // not a committed copy).
@@ -668,7 +679,7 @@ MemSystem::noteWordWrite(const Access &acc, CacheLine &line)
         line.dirtyWords |= bit;
         return;
     }
-    if (wordMode() && (line.dirtyWords & bit)) {
+    if (persistsWord(acc, line)) {
         // A speculative store is about to overwrite a committed word
         // whose only up-to-date copy is this line: persist it first.
         // Batch all of the line's dirty committed words into the one
@@ -685,16 +696,51 @@ MemSystem::noteWordWrite(const Access &acc, CacheLine &line)
 }
 
 void
-MemSystem::noteTxCore(TxId tx, CoreId c)
+MemSystem::noteFootprint(TxId tx, CoreId c, const CacheLine &line)
 {
-    tx_cores_[tx] |= std::uint64_t(1) << c;
+    TxFootprint &fp = footprints_[tx];
+    const std::uint64_t bit = std::uint64_t(1) << c;
+    const std::size_t base =
+        std::size_t(std::popcount(fp.cores & (bit - 1))) * footprintWords_;
+    if (!(fp.cores & bit)) {
+        fp.cores |= bit;
+        fp.bits.insert(fp.bits.begin() + std::ptrdiff_t(base),
+                       footprintWords_, 0);
+    }
+    const std::size_t s = l2_[c]->slotOf(line);
+    fp.bits[base + s / 64] |= std::uint64_t(1) << (s % 64);
 }
 
-std::uint64_t
-MemSystem::txCoreMask(TxId tx) const
+MemSystem::TxFootprint
+MemSystem::takeFootprint(TxId tx)
 {
-    const std::uint64_t *m = tx_cores_.find(tx);
-    return m ? *m : 0;
+    TxFootprint fp;
+    if (TxFootprint *f = footprints_.find(tx)) {
+        fp = std::move(*f);
+        footprints_.erase(tx);
+    }
+    return fp;
+}
+
+template <typename F>
+void
+MemSystem::forEachMarkedLine(const TxFootprint &fp, TxId tx, F &&fn)
+{
+    std::size_t base = 0;
+    for (std::uint64_t cm = fp.cores; cm; cm &= cm - 1) {
+        const CoreId c = CoreId(std::countr_zero(cm));
+        for (std::size_t w = 0; w < footprintWords_; ++w) {
+            for (std::uint64_t b = fp.bits[base + w]; b; b &= b - 1) {
+                CacheLine &l =
+                    l2_[c]->slot(w * 64 + unsigned(std::countr_zero(b)));
+                if (!l.valid())
+                    continue;
+                if (TxMark *m = l.findMark(tx))
+                    fn(c, l, *m);
+            }
+        }
+        base += footprintWords_;
+    }
 }
 
 void
@@ -702,7 +748,7 @@ MemSystem::setMarks(const Access &acc, CacheLine &line)
 {
     if (acc.tx == invalidTxId)
         return;
-    noteTxCore(acc.tx, acc.core);
+    noteFootprint(acc.tx, acc.core, line);
     std::uint16_t mask = accessMask(acc.paddr);
     TxMark &m = line.mark(acc.tx);
     if (acc.isWrite || acc.isCas)
@@ -730,6 +776,7 @@ MemSystem::fillL1(CoreId c, const CacheLine &line, TxId tx)
     }
 
     L1Filter::Entry &e = l1_[c]->insert(line.addr);
+    e.l2Slot = std::uint32_t(l2_[c]->slotOf(line));
     e.writable = moesiWritable(line.state) && !foreign_any;
     e.txId = tx;
     e.txReadWords = 0;
@@ -760,56 +807,43 @@ MemSystem::l1Downgrade(CoreId c, Addr block)
 void
 MemSystem::commitClearTx(TxId tx)
 {
-    for (std::uint64_t m = txCoreMask(tx); m; m &= m - 1) {
-        CoreId c = CoreId(std::countr_zero(m));
-        l2_[c]->forEachValid([&](CacheLine &l) {
-            if (TxMark *m = l.findMark(tx)) {
-                // The speculative words become committed: their only
-                // up-to-date copy is this line now.
-                l.dirtyWords |= m->writeWords;
-                l.removeMark(tx);
-            }
-        });
-        l1_[c]->forEachValid([&](L1Filter::Entry &e) {
-            if (e.txId == tx) {
-                e.txId = invalidTxId;
-                e.txReadWords = 0;
-                e.txWriteWords = 0;
-            }
-        });
-    }
-    tx_cores_.erase(tx);
+    forEachMarkedLine(takeFootprint(tx), tx,
+                      [&](CoreId c, CacheLine &l, TxMark &m) {
+        // The speculative words become committed: their only
+        // up-to-date copy is this line now.
+        l.dirtyWords |= m.writeWords;
+        l.removeMark(tx);
+        L1Filter::Entry *e = l1_[c]->peek(l.addr);
+        if (e && e->txId == tx) {
+            e->txId = invalidTxId;
+            e->txReadWords = 0;
+            e->txWriteWords = 0;
+        }
+    });
 }
 
 void
 MemSystem::abortInvalidate(TxId tx)
 {
     const bool block_mode = !wordMode();
-    for (std::uint64_t m = txCoreMask(tx); m; m &= m - 1) {
-        CoreId c = CoreId(std::countr_zero(m));
-        l2_[c]->forEachValid([&](CacheLine &l) {
-            TxMark *m = l.findMark(tx);
-            if (!m)
+    forEachMarkedLine(takeFootprint(tx), tx,
+                      [&](CoreId c, CacheLine &l, TxMark &m) {
+        if (m.writeWords) {
+            if (block_mode) {
+                l1Invalidate(c, l.addr);
+                dirClear(c, l.addr);
+                l.invalidate();
                 return;
-            if (m->writeWords) {
-                if (block_mode) {
-                    l1Invalidate(c, l.addr);
-                    dirClear(c, l.addr);
-                    l.invalidate();
-                    return;
-                }
-                restoreWords(l, *m);
-                // The restored words match committed memory again.
-                l.dirtyWords &= std::uint16_t(~m->writeWords);
             }
-            l.removeMark(tx);
-        });
-        l1_[c]->forEachValid([&](L1Filter::Entry &e) {
-            if (e.txId == tx)
-                e.valid = false;
-        });
-    }
-    tx_cores_.erase(tx);
+            restoreWords(l, m);
+            // The restored words match committed memory again.
+            l.dirtyWords &= std::uint16_t(~m.writeWords);
+        }
+        l.removeMark(tx);
+        L1Filter::Entry *e = l1_[c]->peek(l.addr);
+        if (e && e->txId == tx)
+            e->valid = false;
+    });
 }
 
 void
@@ -835,21 +869,24 @@ MemSystem::restoreWords(CacheLine &line, const TxMark &mark)
 Tick
 MemSystem::flushTxLines(TxId tx)
 {
+    // Walk a copy and drop the entry afterwards: an eviction may abort
+    // tx itself (wd:cache multi-writer), and the re-entered
+    // abortInvalidate must find the footprint to restore the lines
+    // not yet flushed, which this walk then skips.
+    const TxFootprint *fp = footprints_.find(tx);
+    if (!fp)
+        return 0;
+    const TxFootprint walk = *fp;
     Tick lat = 0;
     in_tx_flush_ = true;
-    for (std::uint64_t m = txCoreMask(tx); m; m &= m - 1) {
-        CoreId c = CoreId(std::countr_zero(m));
-        l2_[c]->forEachValid([&](CacheLine &l) {
-            if (!l.findMark(tx))
-                return;
-            lat += evictLine(c, l);
-            l1Invalidate(c, l.addr);
-            dirClear(c, l.addr);
-            l.invalidate();
-        });
-    }
+    forEachMarkedLine(walk, tx, [&](CoreId c, CacheLine &l, TxMark &) {
+        lat += evictLine(c, l);
+        l1Invalidate(c, l.addr);
+        dirClear(c, l.addr);
+        l.invalidate();
+    });
     in_tx_flush_ = false;
-    tx_cores_.erase(tx);
+    footprints_.erase(tx);
     return lat;
 }
 

@@ -95,9 +95,12 @@ class MemSystem
     /**
      * Attempt to complete @p acc, issued at tick @p at (a batched op's
      * virtual issue tick may lie ahead of the clock), without a bus
-     * transaction.
+     * transaction. A hit that would write committed data back (records
+     * and posts stamped with the current tick) is refused when @p at
+     * lies ahead; the caller replays it at its own tick.
      * @return (latency, result) if it hit locally, std::nullopt if the
-     *         access needs the asynchronous path.
+     *         access needs the asynchronous path. A nullopt return
+     *         leaves nothing a replay at @p at could observe.
      */
     std::optional<std::pair<Tick, AccessResult>>
     trySync(const Access &acc, Tick at);
@@ -237,6 +240,16 @@ class MemSystem
      */
     void noteWordWrite(const Access &acc, CacheLine &line);
 
+    /** True if @p acc is a transactional store that noteWordWrite
+     *  must precede with a committed-word writeback to @p line. */
+    bool
+    persistsWord(const Access &acc, const CacheLine &line) const
+    {
+        return wordMode() && acc.tx != invalidTxId &&
+               (acc.isWrite || acc.isCas) &&
+               (line.dirtyWords & (1u << wordIdx(acc.paddr)));
+    }
+
     /** Set the requester's transactional marks on a line + L1 mirror. */
     void setMarks(const Access &acc, CacheLine &line);
 
@@ -274,23 +287,42 @@ class MemSystem
     void dirClear(CoreId c, Addr block);
     /// @}
 
-    /** @name Per-transaction mark filter
+    /** @name Per-transaction footprint
      *
-     * Conservative mask of cores whose caches may hold marks (or L1
-     * tx entries) of a transaction. Marks enter a core's cache only on
-     * that core's own accesses (setMarks, migrated/fill-foreign mark
-     * merges in processGrant), so the bit is set there; the commit,
-     * abort, and tx-flush clear paths then scan only the masked cores'
-     * caches instead of every core's — the visited lines (and hence
-     * every simulated result) are identical, the full-machine sweep
-     * cost is not. Never cleared while the transaction lives except by
-     * the clear paths themselves, which remove every mark they cover.
+     * For every (transaction, core) pair, a bitmap over the core's L2
+     * line slots: bit s is set when the transaction's mark is created
+     * on slot s (setMarks, and the migrated / fill-foreign / fill-spec
+     * mark merges in processGrant — the only sites that add marks).
+     * The commit, abort and tx-flush paths visit only the set bits,
+     * cores ascending and slots low to high, which is the set/way
+     * order of a full cache walk: the lines they act on, and the order
+     * of every record and directory update they make, are those of the
+     * full walk. A set bit may be stale (the line was evicted or the
+     * slot reused), so each visit re-checks the line's mark. Bits are
+     * never cleared while the transaction lives, except by the clear
+     * paths themselves, which drop the whole footprint. L1 tx entries
+     * mirror marked L2 lines, so the same visit clears them.
      */
     /// @{
-    /** Record that core @p c's caches may hold marks of @p tx. */
-    void noteTxCore(TxId tx, CoreId c);
-    /** Conservative mask of cores holding marks of @p tx. */
-    std::uint64_t txCoreMask(TxId tx) const;
+    /** Bitmaps of one transaction, one per core it marked lines on. */
+    struct TxFootprint
+    {
+        /** Cores with a bitmap, ascending in @c bits. */
+        std::uint64_t cores = 0;
+        /** footprintWords_ words per core in @c cores. */
+        std::vector<std::uint64_t> bits;
+    };
+
+    /** Record that @p tx marked @p line in core @p c's L2. */
+    void noteFootprint(TxId tx, CoreId c, const CacheLine &line);
+
+    /** Remove and return the footprint of @p tx (empty if none). */
+    TxFootprint takeFootprint(TxId tx);
+
+    /** Apply @p fn(core, line, mark) to every line of @p fp that
+     *  still carries a mark of @p tx, in full-walk order. */
+    template <typename F>
+    void forEachMarkedLine(const TxFootprint &fp, TxId tx, F &&fn);
     /// @}
 
     const SystemParams params_;
@@ -309,8 +341,10 @@ class MemSystem
     /** Sharer-filter directory, one partition per interconnect bank. */
     std::vector<FlatMap<Addr, std::uint64_t>> dir_;
 
-    /** Per-transaction mark filter (see noteTxCore). */
-    FlatMap<TxId, std::uint64_t> tx_cores_;
+    /** Per-transaction footprints (see noteFootprint). */
+    FlatMap<TxId, TxFootprint> footprints_;
+    /** Bitmap words per (transaction, core): one bit per L2 slot. */
+    std::size_t footprintWords_;
 
     /** True while flushTxLines runs (abort-cause attribution). */
     bool in_tx_flush_ = false;

@@ -286,12 +286,12 @@ struct SystemParams
 
     /**
      * Host-side direct-execution fast-forward: retire up to this many
-     * non-transactional memory/compute ops per event-loop dispatch
-     * when the core has no open transaction and the next pending event
-     * is far enough away that the batch cannot be observed out of
-     * order (conservative lookahead). Always on: every output is
-     * bit-exact against 0, the one-event-per-op reference of the tests;
-     * only the host event count and the ff_* counters change.
+     * memory/compute ops, in or out of a transaction, per event-loop
+     * dispatch while the next pending event is far enough away that
+     * the batch cannot be observed out of order (conservative
+     * lookahead). Always on: every output is bit-exact against 0, the
+     * one-event-per-op reference of the tests; only the host event
+     * count and the ff_* counters change.
      */
     unsigned fastForwardOps = 32;
 

@@ -157,7 +157,10 @@ CycleProfiler::doSpan(unsigned core, std::uint8_t b, Tick from, Tick to)
         l.stack.push_back(b);
         return;
     }
-    l.buckets[b] += to - from;
+    if (b == kPending)
+        l.pending += to - from;
+    else
+        l.buckets[b] += to - from;
     l.last = to;
 }
 

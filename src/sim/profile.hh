@@ -236,10 +236,15 @@ class CycleProfiler : public TraceObserver
             doPop(core);
     }
 
+    /** span() bucket naming the pending pot: in-transaction
+     *  execution, retired by resolveTx() (what txWork() enters). */
+    static constexpr ProfBucket txPot = ProfBucket::NumBuckets;
+
     /**
      * push(b) at tick @p from and pop() at @p to, for ops a batch
      * retires ahead of the clock. With @p to omitted the span stays
-     * open for the caller's pop() at the op's completion.
+     * open for the caller's pop() at the op's completion. @p b may be
+     * txPot.
      */
     void
     span(unsigned core, ProfBucket b, Tick from, Tick to = maxTick)
@@ -310,7 +315,7 @@ class CycleProfiler : public TraceObserver
 
   private:
     /** Internal sentinel phase: the unresolved in-transaction pot. */
-    static constexpr std::uint8_t kPending = std::uint8_t(profBuckets);
+    static constexpr std::uint8_t kPending = std::uint8_t(txPot);
 
     struct Lane
     {

@@ -107,7 +107,6 @@ OsKernel::translate(CoreId core, ProcId proc, Addr vaddr, bool write)
     (void)write;
     XlatResult r;
     PageNum vpage = pageOf(vaddr);
-    touched_pages_.insert(pageKey(proc, vaddr));
 
     PageNum frame = tlbs_[core]->lookup(proc, vpage);
     if (frame != invalidPage) {
@@ -127,7 +126,10 @@ OsKernel::translate(CoreId core, ProcId proc, Addr vaddr, bool write)
         r.faulted = true;
     }
 
+    // The TLB's only fill site: every page a TLB hit names is already
+    // in the touched set.
     tlbs_[core]->insert(proc, vpage, m.frame);
+    touched_pages_.insert(pageKey(proc, vaddr));
     r.paddr = pageBase(m.frame) + pageOffset(vaddr);
     return r;
 }
@@ -138,7 +140,6 @@ OsKernel::translateFast(CoreId core, ProcId proc, Addr vaddr)
     PageNum vpage = pageOf(vaddr);
     if (!tlbs_[core]->contains(proc, vpage))
         return std::nullopt;
-    touched_pages_.insert(pageKey(proc, vaddr));
     PageNum frame = tlbs_[core]->lookup(proc, vpage);
     return pageBase(frame) + pageOffset(vaddr);
 }

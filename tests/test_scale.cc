@@ -2,24 +2,30 @@
  * @file
  * Wide-machine scaling: banked interconnect interleaving, the
  * direct-execution fast-forward invariants (simulated results and
- * every observer's view), configuration validation, and a 64-core
+ * every observer's view, in and out of transactions), footprint-only
+ * commit/abort/flush cleanup, configuration validation, and a 64-core
  * audited end-to-end smoke.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "mem/mem_system.hh"
 #include "mem/timing.hh"
 #include "ptm/vts.hh"
 #include "sim/config.hh"
 #include "sim_test_util.hh"
+#include "workloads/workload.hh"
 
 namespace ptm
 {
@@ -156,13 +162,25 @@ TEST(ValidateParams, RejectsBadBankCounts)
 
 // ------------------------------------------------------ fast-forward
 
+/** Sum of per-core counter @p stat ("ff_ops", ...) over @p cores. */
+std::uint64_t
+coreSum(const StatSnapshot &s, const char *stat, unsigned cores)
+{
+    std::uint64_t n = 0;
+    for (unsigned c = 0; c < cores; ++c)
+        n += s.counter("core" + std::to_string(c) + "." + stat);
+    return n;
+}
+
 /**
  * The fast-forward contract: simulated results (cycles, commits,
  * aborts, memory ops, cache traffic) are bit-identical to the
  * one-event-per-op path (fastForwardOps = 0); only host event counts
- * shrink. This is the entry/exit invariant test — a batch entered
- * with an open transaction or acting past a pending snoop's tick
- * would perturb these totals.
+ * shrink. This is the entry/exit invariant test — a batch acting past
+ * a pending snoop's tick would perturb these totals. On kv, whose ops
+ * are almost all transactional, most transactional ops must retire
+ * in batches and the event count must at least halve, so losing the
+ * transactional batches fails here.
  */
 TEST(FastForward, SimulatedResultsUnchangedEventsFewer)
 {
@@ -184,14 +202,17 @@ TEST(FastForward, SimulatedResultsUnchangedEventsFewer)
                           b.snapshot.counter(stat))
                     << wl << " " << stat;
             }
-        std::uint64_t ff_ops = 0;
-        for (unsigned c = 0; c < ff.numCores; ++c)
-            ff_ops += b.snapshot.counter(
-                "core" + std::to_string(c) + ".ff_ops");
+        std::uint64_t ff_ops = coreSum(b.snapshot, "ff_ops", ff.numCores);
         EXPECT_GT(ff_ops, 0u) << wl;
         EXPECT_LE(b.snapshot.value("events.executed"),
                   a.snapshot.value("events.executed"))
             << wl;
+        if (std::string(wl) == "kv") {
+            EXPECT_GT(2 * ff_ops,
+                      coreSum(b.snapshot, "tx_mem_ops", ff.numCores));
+            EXPECT_LE(b.snapshot.value("events.executed"),
+                      0.5 * a.snapshot.value("events.executed"));
+        }
     }
 }
 
@@ -217,12 +238,12 @@ TEST(FastForward, ComposesWithOsNoiseAndQuanta)
               b.snapshot.counter("sys.mem_ops"));
 }
 
-/** A run with the cycle profiler, the whole trace ring and the time
- *  series on, batching up to @p ff_ops ops (0 = one event per op). */
+/** A run of @p p with the cycle profiler, the whole trace ring and
+ *  the time series on, batching up to @p ff_ops ops (0 = one event
+ *  per op). */
 ExperimentResult
-observedRun(const char *wl, TmKind kind, unsigned ff_ops)
+observedRun(const char *wl, SystemParams p, unsigned ff_ops)
 {
-    SystemParams p = quietParams(kind);
     p.fastForwardOps = ff_ops;
     p.profile.enabled = true;
     p.trace.path = "unused"; // non-empty wires the ring; nothing writes
@@ -231,6 +252,15 @@ observedRun(const char *wl, TmKind kind, unsigned ff_ops)
     ExperimentResult r = runWorkload(wl, p, 0, 4);
     EXPECT_TRUE(r.verified) << wl;
     return r;
+}
+
+/** The bytes of the file at @p path (empty when it cannot be read). */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 /** One line per time-series interval, minus the host-side counters
@@ -270,26 +300,52 @@ fields(const TraceEvent &e)
 /**
  * Batching is invisible to every observer: with the profiler, the
  * trace ring (all categories) and the time series on, a batched run
- * yields the same cycle accounting, trace records and time-series
- * deltas as the one-event-per-op reference — and the batches really
- * run under those observers.
+ * yields the same cycle accounting, trace records, time-series deltas
+ * and durable log bytes as the one-event-per-op reference — and the
+ * batches really run under those observers. kv covers every system
+ * (its transactions batch too), word-granularity detection and the
+ * write-ahead log.
  */
 TEST(FastForward, ObserversSeeTheSameRun)
 {
-    const std::pair<const char *, TmKind> runs[] = {
-        {"fft", TmKind::SelectPtm},
-        {"kv", TmKind::SelectPtm},
-        {"radix", TmKind::Locks},
+    struct Run
+    {
+        const char *wl;
+        SystemParams p;
+        std::string label;
     };
-    for (const auto &[wl, kind] : runs) {
-        SCOPED_TRACE(std::string(wl) + "/" + tmKindName(kind));
-        ExperimentResult a = observedRun(wl, kind, 0);
-        ExperimentResult b = observedRun(wl, kind, 32);
-        std::uint64_t ff_ops = 0;
-        for (unsigned c = 0; c < 4; ++c)
-            ff_ops += b.snapshot.counter("core" + std::to_string(c) +
-                                         ".ff_ops");
-        EXPECT_GT(ff_ops, 0u);
+    std::vector<Run> runs = {
+        {"fft", quietParams(TmKind::SelectPtm), "sel-ptm"},
+        {"radix", quietParams(TmKind::Locks), "locks"},
+    };
+    for (TmKind kind : {TmKind::Serial, TmKind::Locks, TmKind::CopyPtm,
+                        TmKind::SelectPtm, TmKind::Vtm, TmKind::VcVtm})
+        runs.push_back({"kv", quietParams(kind), tmKindName(kind)});
+    // Small caches keep committed words dirty under transactional
+    // stores, so word-mode persists happen mid-batch.
+    SystemParams wd = tinyCacheParams(TmKind::SelectPtm);
+    wd.granularity = Granularity::WordCache;
+    wd.trace.bufferEvents = std::size_t(1) << 18; // every spill kept
+    runs.push_back({"kv", wd, "sel-ptm wd:cache small caches"});
+    SystemParams wal = quietParams(TmKind::SelectPtm);
+    wal.persist.policy = Durability::Wal;
+    runs.push_back({"kv", wal, "sel-ptm wal"});
+
+    for (Run &run : runs) {
+        SCOPED_TRACE(std::string(run.wl) + "/" + run.label);
+        const std::string dump = testing::TempDir() + "/ff_observers.wal";
+        if (run.p.persist.enabled())
+            run.p.persist.walPath = dump;
+        ExperimentResult a = observedRun(run.wl, run.p, 0);
+        const std::string ref_log = fileBytes(dump);
+        ExperimentResult b = observedRun(run.wl, run.p, 32);
+        if (run.p.persist.enabled()) {
+            EXPECT_FALSE(ref_log.empty());
+            EXPECT_EQ(ref_log, fileBytes(dump));
+            std::remove(dump.c_str());
+        }
+        const unsigned cores = run.p.tmKind == TmKind::Serial ? 1 : 4;
+        EXPECT_GT(coreSum(b.snapshot, "ff_ops", cores), 0u);
         EXPECT_EQ(a.cycles, b.cycles);
 
         ASSERT_TRUE(a.profile.enabled && b.profile.enabled);
@@ -364,6 +420,247 @@ TEST(FastForward, WatchpointHitsMidBatchKeepTheirTicks)
                                    std::greater_equal<Tick>()) ==
                 ref.end());
     EXPECT_EQ(got, ref);
+}
+
+/**
+ * The same inside a transaction: stores to a watched word between
+ * short compute ops of a TxStep keep their ticks. The first of them
+ * overwrites dirty committed data, whose writeback records and posts
+ * at the current tick, so it is refused mid-batch and replays at its
+ * own tick — in block mode (the whole-line writeback, with its
+ * Writeback record) and in word mode (the per-word persist).
+ */
+TEST(FastForward, TxStoresAndCommittedWritebacksKeepTheirTicks)
+{
+    constexpr Addr kWord = 0x40000;
+    struct Seen
+    {
+        std::vector<std::tuple<Tick, TraceEventType, std::uint64_t>>
+            recs;
+        Tick cycles = 0;
+        std::uint64_t writebacks = 0;
+        std::uint64_t ffOps = 0;
+    };
+    auto runOnce = [](Granularity g, unsigned ff_ops) {
+        SystemParams p = quietParams(TmKind::SelectPtm);
+        p.numCores = 1;
+        p.granularity = g;
+        p.fastForwardOps = ff_ops;
+        p.trace.path = "unused";
+        p.trace.categories =
+            traceCatMask(TraceCat::Watch) | traceCatMask(TraceCat::Cache);
+        System sys(p);
+        ProcId proc = sys.createProcess();
+        sys.readWord32(proc, kWord);
+        sys.tracer().setWatchAddr(
+            sys.os().translate(0, proc, kWord, false).paddr);
+        std::vector<Step> steps;
+        // Leave the watched word dirty and committed in the L2.
+        steps.push_back(plain([](MemCtx m) -> TxCoro {
+            co_await m.store(kWord, 100);
+        }));
+        steps.push_back(tx([](MemCtx m) -> TxCoro {
+            for (unsigned i = 0; i < 9; ++i) {
+                co_await m.compute(3);
+                co_await m.store(kWord, i);
+            }
+        }));
+        sys.addThread(proc, std::move(steps));
+        Seen s;
+        s.cycles = sys.run();
+        EXPECT_EQ(sys.readWord32(proc, kWord), 8u);
+        for (const TraceEvent &e : sys.tracer().snapshot())
+            s.recs.emplace_back(e.tick, e.type, e.a0);
+        StatSnapshot snap = sys.snapshot();
+        s.writebacks = snap.counter("mem.writebacks");
+        s.ffOps = snap.counter("core0.ff_ops");
+        return s;
+    };
+    for (Granularity g : {Granularity::Block, Granularity::WordCache}) {
+        SCOPED_TRACE(granularityName(g));
+        Seen ref = runOnce(g, 0);
+        Seen got = runOnce(g, 32);
+        EXPECT_EQ(ref.ffOps, 0u);
+        EXPECT_GE(got.ffOps, 8u); // the tx's later stores hit in-batch
+        EXPECT_GE(ref.writebacks, 1u);
+        EXPECT_EQ(got.writebacks, ref.writebacks);
+        EXPECT_EQ(got.cycles, ref.cycles);
+        auto watches = std::count_if(
+            ref.recs.begin(), ref.recs.end(), [](const auto &r) {
+                return std::get<1>(r) == TraceEventType::Watchpoint;
+            });
+        EXPECT_EQ(watches, 10); // the plain store and nine tx stores
+        if (g == Granularity::Block) {
+            EXPECT_TRUE(std::any_of(
+                ref.recs.begin(), ref.recs.end(), [](const auto &r) {
+                    return std::get<1>(r) == TraceEventType::Writeback;
+                }));
+        }
+        EXPECT_EQ(got.recs, ref.recs);
+    }
+}
+
+// ------------------------------------------- footprint-only cleanup
+
+/**
+ * L2 marks and L1 entries anywhere in the machine that still name
+ * @p tx: the full-cache walk the footprint cleanup replaced.
+ */
+unsigned
+leftoverState(System &sys, TxId tx)
+{
+    unsigned n = 0;
+    for (CoreId c = 0; c < sys.params().numCores; ++c) {
+        sys.mem().l2(c).forEachValid([&](CacheLine &l) {
+            n += l.findMark(tx) != nullptr;
+        });
+        sys.mem().l1(c).forEachValid([&](L1Filter::Entry &e) {
+            n += e.txId == tx;
+        });
+    }
+    return n;
+}
+
+/** Counts of clean-up sites checked, and of leftovers found. */
+struct CleanupChecks
+{
+    std::uint64_t commits = 0;
+    std::uint64_t aborts = 0;
+    std::uint64_t flushes = 0;
+    std::uint64_t leftovers = 0;
+    /** Aborts evictions made while a flush ran (mem.ctxsw_flush_aborts). */
+    std::uint64_t flushAborts = 0;
+};
+
+/**
+ * Walks the machine after every tx flush: a chaos TxFlush records its
+ * ChaosInject once the flush is done; a flush-on-context-switch
+ * preemption records its CtxSwitch just before flushing, so the walk
+ * runs in a same-tick event after it (the preempted thread cannot run
+ * again before the context-switch latency).
+ */
+class FlushChecker : public TraceObserver
+{
+  public:
+    FlushChecker(System &sys, CleanupChecks &out) : sys_(sys), out_(out)
+    {}
+
+    void
+    observe(const TraceEvent &e) override
+    {
+        if (e.type == TraceEventType::ChaosInject) {
+            if (e.a0 == std::uint64_t(ChaosFault::TxFlush))
+                check(e.tx);
+            return;
+        }
+        if (e.a0 != 1 || !sys_.params().flushOnContextSwitch)
+            return; // not a preemption, or no flush follows it
+        TxId tx = sys_.thread(e.thread).curTx;
+        if (tx == invalidTxId)
+            return;
+        sys_.eq().scheduleIn(0, EventPriority::Stats, [this, tx] {
+            if (sys_.txmgr().isLive(tx))
+                check(tx);
+        });
+    }
+
+  private:
+    void
+    check(TxId tx)
+    {
+        ++out_.flushes;
+        out_.leftovers += leftoverState(sys_, tx);
+    }
+
+    System &sys_;
+    CleanupChecks &out_;
+};
+
+/** Run kv on @p p, walking the machine after every commit, abort and
+ *  tx flush for state of the finished (or flushed) transaction. */
+CleanupChecks
+checkedKvRun(SystemParams p)
+{
+    WorkloadConfig wcfg;
+    wcfg.mode = syncModeFor(p.tmKind);
+    if (wcfg.mode == SyncMode::Serial)
+        p.numCores = 1;
+    auto wl = makeWorkload("kv", wcfg, {{"scale", "0"}});
+    System sys(p);
+    wl->build(sys);
+
+    CleanupChecks out;
+    TxManager &tm = sys.txmgr();
+    tm.onLogicalCommit = [&, hook = tm.onLogicalCommit](TxId tx) {
+        hook(tx);
+        ++out.commits;
+        out.leftovers += leftoverState(sys, tx);
+    };
+    tm.onLogicalAbort = [&, hook = tm.onLogicalAbort](TxId tx) {
+        hook(tx);
+        ++out.aborts;
+        out.leftovers += leftoverState(sys, tx);
+    };
+    FlushChecker flushes(sys, out);
+    sys.tracer().subscribe(&flushes, {TraceEventType::ChaosInject,
+                                      TraceEventType::CtxSwitch});
+    sys.run();
+    out.flushAborts = sys.snapshot().counter("mem.ctxsw_flush_aborts");
+    EXPECT_TRUE(wl->verify(sys));
+    return out;
+}
+
+/**
+ * Commit, abort and tx-flush clean up through the transaction's
+ * footprint, not a cache walk; a walk after each finds nothing left.
+ * Small caches make lines evict and slots get reused under live
+ * footprints.
+ */
+TEST(FootprintCleanup, LeavesNoMarkOrL1EntryBehind)
+{
+    for (TmKind kind : {TmKind::Serial, TmKind::Locks, TmKind::CopyPtm,
+                        TmKind::SelectPtm, TmKind::Vtm, TmKind::VcVtm}) {
+        SCOPED_TRACE(tmKindName(kind));
+        CleanupChecks c = checkedKvRun(tinyCacheParams(kind));
+        EXPECT_EQ(c.leftovers, 0u);
+        if (syncModeFor(kind) == SyncMode::Tx) {
+            EXPECT_GT(c.commits, 0u);
+            EXPECT_GT(c.aborts, 0u);
+        }
+    }
+}
+
+TEST(FootprintCleanup, FlushesLeaveNothingBehind)
+{
+    SystemParams chaos = tinyCacheParams(TmKind::SelectPtm);
+    chaos.chaos.enabled = true;
+    chaos.chaos.plan = std::uint32_t(ChaosFault::TxFlush);
+    chaos.chaos.interval = 3000;
+    SystemParams chaos_wd = chaos;
+    chaos_wd.granularity = Granularity::WordCache;
+    // Daemon preemptions switch threads out mid-transaction.
+    SystemParams vtm_switch = tinyCacheParams(TmKind::Vtm);
+    vtm_switch.flushOnContextSwitch = true;
+    vtm_switch.daemonInterval = 3000;
+    SystemParams wd_switch = vtm_switch;
+    wd_switch.tmKind = TmKind::SelectPtm;
+    wd_switch.granularity = Granularity::WordCache;
+    const std::pair<const char *, SystemParams> runs[] = {
+        {"chaos flush", chaos},
+        {"chaos flush wd:cache", chaos_wd},
+        {"vtm flush-on-switch", vtm_switch},
+        {"wd:cache flush-on-switch", wd_switch},
+    };
+    for (const auto &[label, p] : runs) {
+        SCOPED_TRACE(label);
+        CleanupChecks c = checkedKvRun(p);
+        EXPECT_GT(c.flushes, 0u);
+        EXPECT_GT(c.commits, 0u);
+        EXPECT_EQ(c.leftovers, 0u);
+        if (p.granularity == Granularity::WordCache) {
+            EXPECT_GT(c.flushAborts, 0u); // multi-writer evictions
+        }
+    }
 }
 
 // ----------------------------------------------- wide-machine smoke

@@ -37,6 +37,10 @@ DEFAULT_CONFIGS = [
     # too.
     ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
      "--cores", "16", "--mem-banks", "4"],
+    # Transactional fast-forward batches, the redo log's capture order
+    # and footprint-only commit/abort cleanup.
+    ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
+     "--durability", "wal"],
 ]
 
 
