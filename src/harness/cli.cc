@@ -246,15 +246,6 @@ addProfileOptions(OptionTable &opts, ProfileParams &dest)
                   dest.enabled = true;
                   dest.host = true;
               });
-    opts.option("host-profile-interval", "N",
-                "measure host time of every N-th event (default 32)",
-                [&dest](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
-                        return false;
-                    dest.hostSampleInterval = unsigned(n);
-                    return true;
-                });
 }
 
 void
@@ -308,15 +299,6 @@ addRobustnessOptions(OptionTable &opts, SystemParams &prm)
                         return false;
                     prm.chaos.enabled = true;
                     prm.chaos.interval = Tick(n);
-                    return true;
-                });
-    opts.option("chaos-squeeze", "N",
-                "SPT/TAV cache capacity during a squeeze (default 4)",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
-                        return false;
-                    prm.chaos.squeezeEntries = unsigned(n);
                     return true;
                 });
     opts.option("chaos-cleanup-delay", "TICKS",

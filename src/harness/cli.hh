@@ -129,10 +129,9 @@ class OptionTable
  *
  *  - tracing: --trace, --trace-format, --trace-categories,
  *    --trace-buffer-events, --watch-addr;
- *  - profiling: --profile, --host-profile (implies --profile),
- *    --host-profile-interval;
+ *  - profiling: --profile, --host-profile (implies --profile);
  *  - robustness: fault injection (--chaos, --chaos-seed, --chaos-plan,
- *    --chaos-interval, --chaos-squeeze, --chaos-cleanup-delay; the
+ *    --chaos-interval, --chaos-cleanup-delay; the
  *    value-taking chaos options imply --chaos), invariant auditing
  *    (--audit, --audit-interval) and contention knobs (--backoff,
  *    --watchdog, --retry-budget);

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <memory>
 
 namespace ptm
 {
@@ -41,7 +43,7 @@ void
 JsonWriter::indent()
 {
     os_ << '\n';
-    for (std::size_t i = 0; i < have_value_.size(); ++i)
+    for (std::size_t i = 0; i < levels_.size(); ++i)
         os_ << "  ";
 }
 
@@ -52,12 +54,16 @@ JsonWriter::separate()
         pending_key_ = false;
         return;
     }
-    if (!have_value_.empty()) {
-        if (have_value_.back())
-            os_ << ',';
-        have_value_.back() = true;
+    if (levels_.empty())
+        return;
+    Level &l = levels_.back();
+    if (l.haveValue)
+        os_ << ',';
+    l.haveValue = true;
+    if (!compact_)
         indent();
-    }
+    else if (l.lines)
+        os_ << '\n';
 }
 
 void
@@ -65,33 +71,36 @@ JsonWriter::beginObject()
 {
     separate();
     os_ << '{';
-    have_value_.push_back(false);
+    levels_.push_back({});
 }
 
 void
 JsonWriter::endObject()
 {
-    bool had = have_value_.back();
-    have_value_.pop_back();
-    if (had)
+    bool had = levels_.back().haveValue;
+    levels_.pop_back();
+    if (had && !compact_)
         indent();
     os_ << '}';
-    if (have_value_.empty())
+    if (levels_.empty())
         os_ << '\n';
 }
 
 void
-JsonWriter::beginArray()
+JsonWriter::beginArray(bool lines)
 {
     separate();
     os_ << '[';
-    have_value_.push_back(false);
+    levels_.push_back({false, lines});
 }
 
 void
 JsonWriter::endArray()
 {
-    have_value_.pop_back();
+    bool lines = levels_.back().lines;
+    levels_.pop_back();
+    if (compact_ && lines)
+        os_ << '\n';
     os_ << ']';
 }
 
@@ -100,7 +109,7 @@ JsonWriter::key(const std::string &k)
 {
     separate();
     jsonEscape(os_, k);
-    os_ << ": ";
+    os_ << (compact_ ? ":" : ": ");
     pending_key_ = true;
 }
 
@@ -155,6 +164,51 @@ JsonWriter::null()
 {
     separate();
     os_ << "null";
+}
+
+bool
+writeOutput(const std::string &path,
+            const std::function<void(std::ostream &)> &emit,
+            std::string *err)
+{
+    if (path == "-") {
+        emit(std::cout);
+        return bool(std::cout);
+    }
+    std::ofstream f(path);
+    if (!f) {
+        if (err)
+            *err = "cannot open " + path + " for writing";
+        return false;
+    }
+    emit(f);
+    f.flush();
+    if (!f) {
+        if (err)
+            *err = "write to " + path + " failed";
+        return false;
+    }
+    return true;
+}
+
+std::ostream *
+streamSink(const std::string &path)
+{
+    if (path.empty())
+        return nullptr;
+    if (path == "stderr")
+        return &std::cerr;
+    // One stream per file for the process lifetime: bench sweeps run
+    // many Systems against one --timeseries file, and each run's
+    // header record delimits its stream within the file.
+    static std::map<std::string, std::unique_ptr<std::ofstream>> open;
+    auto it = open.find(path);
+    if (it == open.end()) {
+        auto f = std::make_unique<std::ofstream>(path,
+                                                 std::ios::trunc);
+        it = open.emplace(path, std::move(f)).first;
+    }
+    return it->second.get();
 }
 
 const char *
@@ -309,13 +363,17 @@ emitProfile(JsonWriter &w, const ProfSnapshot &prof,
     w.endObject();
 }
 
-/** One top-K list as [{"page":N|-1,"count":N,"err":N}, ...]. */
+} // namespace
+
 void
 emitHeatList(JsonWriter &w, const char *keyname,
-             const std::vector<SpaceSavingTopK::Entry> &entries)
+             const std::vector<SpaceSavingTopK::Entry> &entries,
+             std::size_t max)
 {
     w.beginArray();
     for (const auto &e : entries) {
+        if (max-- == 0)
+            break;
         w.beginObject();
         if (e.key == invalidPage || e.key == invalidAddr)
             w.member(keyname, std::int64_t(-1));
@@ -327,6 +385,9 @@ emitHeatList(JsonWriter &w, const char *keyname,
     }
     w.endArray();
 }
+
+namespace
+{
 
 void
 emitHotPages(JsonWriter &w, const HeatmapSnapshot &heat)
@@ -480,88 +541,9 @@ writeRunJson(const std::string &path, const RunManifest &manifest,
              const HeatmapSnapshot *heat,
              const ForensicsSnapshot *forensics)
 {
-    if (path == "-") {
-        emitRunJson(std::cout, manifest, snap, prof, host, heat,
-                    forensics);
-        return bool(std::cout);
-    }
-    std::ofstream f(path);
-    if (!f) {
-        if (err)
-            *err = "cannot open " + path + " for writing";
-        return false;
-    }
-    emitRunJson(f, manifest, snap, prof, host, heat, forensics);
-    f.flush();
-    if (!f) {
-        if (err)
-            *err = "write to " + path + " failed";
-        return false;
-    }
-    return true;
-}
-
-BenchRecorder &
-BenchRecorder::beginRow()
-{
-    rows_.emplace_back();
-    return *this;
-}
-
-BenchRecorder &
-BenchRecorder::field(const std::string &k, const std::string &v)
-{
-    Field f;
-    f.key = k;
-    f.kind = Field::Kind::Str;
-    f.s = v;
-    rows_.back().push_back(std::move(f));
-    return *this;
-}
-
-BenchRecorder &
-BenchRecorder::field(const std::string &k, const char *v)
-{
-    return field(k, std::string(v));
-}
-
-BenchRecorder &
-BenchRecorder::field(const std::string &k, double v)
-{
-    Field f;
-    f.key = k;
-    f.kind = Field::Kind::Num;
-    f.d = v;
-    rows_.back().push_back(std::move(f));
-    return *this;
-}
-
-BenchRecorder &
-BenchRecorder::field(const std::string &k, std::uint64_t v)
-{
-    Field f;
-    f.key = k;
-    f.kind = Field::Kind::UInt;
-    f.u = v;
-    rows_.back().push_back(std::move(f));
-    return *this;
-}
-
-BenchRecorder &
-BenchRecorder::field(const std::string &k, unsigned v)
-{
-    return field(k, std::uint64_t(v));
-}
-
-BenchRecorder &
-BenchRecorder::field(const std::string &k, bool v)
-{
-    Field f;
-    f.key = k;
-    f.kind = Field::Kind::Bool;
-    f.b = v;
-    rows_.back().push_back(std::move(f));
-    return *this;
+    return writeOutput(path, [&](std::ostream &os) {
+        emitRunJson(os, manifest, snap, prof, host, heat, forensics);
+    }, err);
 }
 
 bool
@@ -570,7 +552,7 @@ BenchRecorder::writeJson(const std::string &path) const
     if (path.empty())
         return true;
 
-    auto emit = [this](std::ostream &os) {
+    return writeOutput(path, [this](std::ostream &os) {
         JsonWriter w(os);
         w.beginObject();
         w.member("schema", "ptm-bench-v1");
@@ -580,30 +562,73 @@ BenchRecorder::writeJson(const std::string &path) const
         w.beginArray();
         for (const auto &row : rows_) {
             w.beginObject();
-            for (const auto &f : row) {
-                switch (f.kind) {
-                  case Field::Kind::Str: w.member(f.key, f.s); break;
-                  case Field::Kind::Num: w.member(f.key, f.d); break;
-                  case Field::Kind::UInt: w.member(f.key, f.u); break;
-                  case Field::Kind::Bool: w.member(f.key, f.b); break;
-                }
-            }
+            for (const auto &[k, v] : row)
+                std::visit([&](const auto &x) { w.member(k, x); }, v);
             w.endObject();
         }
         w.endArray();
         w.endObject();
-    };
+    });
+}
 
-    if (path == "-") {
-        emit(std::cout);
-        return bool(std::cout);
+void
+emitTimeseriesHeader(std::ostream &os, const std::string &system,
+                     std::uint64_t seed, unsigned cores, Tick interval)
+{
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginObject();
+    w.member("schema", "ptm-timeseries-v1");
+    w.member("type", "header");
+    w.member("system", system);
+    w.member("seed", seed);
+    w.member("cores", cores);
+    w.member("interval", std::uint64_t(interval));
+    w.endObject();
+}
+
+void
+emitTimeseriesInterval(std::ostream &os, const TimeseriesCapture &ts,
+                       const TimeseriesInterval &iv,
+                       const std::vector<SpaceSavingTopK::Entry> *hot)
+{
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginObject();
+    w.member("type", "interval");
+    w.member("n", iv.n);
+    w.member("t0", std::uint64_t(iv.t0));
+    w.member("t1", std::uint64_t(iv.t1));
+    w.member("final", iv.final_);
+    w.member("wall_seconds", iv.wallSeconds);
+    w.member("events", iv.events);
+
+    // Host-throughput gauges for this interval.
+    double ticks = double(iv.t1 - iv.t0);
+    double secs = iv.wallSeconds;
+    w.member("events_per_sec", secs > 0 ? double(iv.events) / secs : 0.0);
+    w.member("ticks_per_wall_sec", secs > 0 ? ticks / secs : 0.0);
+    w.member("events_per_tick",
+             ticks > 0 ? double(iv.events) / ticks : 0.0);
+
+    w.key("d");
+    w.beginObject();
+    for (const auto &c : iv.counters)
+        w.member(ts.counterNames[c.ref], c.delta);
+    w.endObject();
+    w.key("dist");
+    w.beginObject();
+    for (const auto &d : iv.dists) {
+        w.key(ts.distNames[d.ref]);
+        w.beginObject();
+        w.member("samples", d.samples);
+        w.member("sum", d.sum);
+        w.endObject();
     }
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    emit(f);
-    f.flush();
-    return bool(f);
+    w.endObject();
+    if (hot) {
+        w.key("hot_pages");
+        emitHeatList(w, "page", *hot, 8);
+    }
+    w.endObject();
 }
 
 } // namespace ptm

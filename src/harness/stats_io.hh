@@ -10,7 +10,9 @@
  *  - JsonWriter: a small streaming JSON writer (escaping, commas,
  *    indentation) usable by any front end;
  *  - BenchRecorder: row-oriented "ptm-bench-v1" result files for the
- *    bench_* binaries' --json flag (BENCH_*.json trajectories).
+ *    bench_* binaries' --json flag (BENCH_*.json trajectories);
+ *  - the ptm-timeseries-v1 records the System streams, and the file
+ *    and stream sinks every ptm-* document is written to.
  *
  * Schema ptm-stats-v1 (one run):
  *
@@ -37,9 +39,12 @@
 #ifndef PTM_HARNESS_STATS_IO_HH
 #define PTM_HARNESS_STATS_IO_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "ptm/heatmap.hh"
@@ -47,22 +52,43 @@
 #include "sim/flightrec.hh"
 #include "sim/profile.hh"
 #include "sim/stats.hh"
+#include "sim/timeseries.hh"
 #include "sim/types.hh"
 
 namespace ptm
 {
 
-/** Streaming JSON writer: handles escaping, commas and indentation. */
+/**
+ * Streaming JSON writer: handles escaping, commas and indentation.
+ * The one JSON formatter of the simulator: every ptm-* document and
+ * stream is written through it.
+ *
+ * Pretty (the default) indents two spaces per level; Compact writes
+ * a document on one line with no whitespace, the JSONL records of the
+ * trace and time-series streams. In either style a top-level object
+ * ends its line, so one writer can emit a whole JSONL stream.
+ * Integral numbers below 1e15 print as integers, others as "%.9g";
+ * non-finite numbers print as null.
+ */
 class JsonWriter
 {
   public:
-    explicit JsonWriter(std::ostream &os) : os_(os) {}
+    enum class Style { Pretty, Compact };
+
+    explicit JsonWriter(std::ostream &os, Style style = Style::Pretty)
+        : os_(os), compact_(style == Style::Compact)
+    {}
 
     /** @name Structure */
     /// @{
     void beginObject();
     void endObject();
-    void beginArray();
+    /**
+     * @param lines  Compact style: put each element, and the closing
+     *               bracket, on a line of its own (the Chrome trace's
+     *               traceEvents layout). Pretty style ignores it.
+     */
+    void beginArray(bool lines = false);
     void endArray();
     /** Next member's key (inside an object). */
     void key(const std::string &k);
@@ -91,17 +117,43 @@ class JsonWriter
     }
 
   private:
+    /** One open object or array. */
+    struct Level
+    {
+        bool haveValue = false; //!< a value was already emitted
+        bool lines = false;     //!< compact array, one element per line
+    };
+
     void separate();
     void indent();
 
     std::ostream &os_;
-    /** Nesting stack: true = a value was already emitted at the level. */
-    std::vector<bool> have_value_;
+    bool compact_;
+    std::vector<Level> levels_;
     bool pending_key_ = false;
 };
 
 /** Write @p s JSON-escaped (with quotes) to @p os. */
 void jsonEscape(std::ostream &os, const std::string &s);
+
+/**
+ * Write one document to @p path ("-" = stdout) by calling @p emit on
+ * the open stream.
+ * @return true on success; on failure @p err (if non-null) explains.
+ */
+bool writeOutput(const std::string &path,
+                 const std::function<void(std::ostream &)> &emit,
+                 std::string *err = nullptr);
+
+/**
+ * Resolve a stream sink for @p path: nullptr when empty, std::cerr
+ * for "stderr", otherwise a process-lifetime file stream. The first
+ * open of a file truncates it; subsequent opens within the process
+ * (bench sweeps running many Systems) append, so one file carries
+ * every run's stream back to back. The time-series and post-mortem
+ * streams write through it.
+ */
+std::ostream *streamSink(const std::string &path);
 
 /** Identification of one simulator run for the JSON manifest. */
 struct RunManifest
@@ -204,6 +256,33 @@ bool writeRunJson(const std::string &path, const RunManifest &manifest,
                   const ForensicsSnapshot *forensics = nullptr);
 
 /**
+ * One top-K list as [{"<keyname>":N|-1,"count":N,"err":N}, ...] of at
+ * most @p max entries (-1 is the unattributed sentinel): the
+ * "hot_pages" lists of the stats document and the time series.
+ */
+void emitHeatList(JsonWriter &w, const char *keyname,
+                  const std::vector<SpaceSavingTopK::Entry> &entries,
+                  std::size_t max = SIZE_MAX);
+
+/**
+ * Emit the ptm-timeseries-v1 header record of one run (see
+ * sim/timeseries.hh for the schema).
+ */
+void emitTimeseriesHeader(std::ostream &os, const std::string &system,
+                          std::uint64_t seed, unsigned cores,
+                          Tick interval);
+
+/**
+ * Emit one ptm-timeseries-v1 interval record; @p ts names its deltas.
+ * When @p hot is non-null its first 8 entries (the heatmap's hottest
+ * conflict pages) are added as "hot_pages".
+ */
+void emitTimeseriesInterval(
+    std::ostream &os, const TimeseriesCapture &ts,
+    const TimeseriesInterval &iv,
+    const std::vector<SpaceSavingTopK::Entry> *hot = nullptr);
+
+/**
  * Row-oriented results of one bench binary, written as ptm-bench-v1:
  *
  *     { "schema": "ptm-bench-v1", "bench": "...", "git": "...",
@@ -216,16 +295,39 @@ class BenchRecorder
     {}
 
     /** Start a new result row. */
-    BenchRecorder &beginRow();
+    BenchRecorder &
+    beginRow()
+    {
+        rows_.emplace_back();
+        return *this;
+    }
 
     /** @name Add a field to the current row */
     /// @{
-    BenchRecorder &field(const std::string &k, const std::string &v);
-    BenchRecorder &field(const std::string &k, const char *v);
-    BenchRecorder &field(const std::string &k, double v);
-    BenchRecorder &field(const std::string &k, std::uint64_t v);
-    BenchRecorder &field(const std::string &k, unsigned v);
-    BenchRecorder &field(const std::string &k, bool v);
+    BenchRecorder &field(const std::string &k, const std::string &v)
+    {
+        return add(k, v);
+    }
+    BenchRecorder &field(const std::string &k, const char *v)
+    {
+        return add(k, std::string(v));
+    }
+    BenchRecorder &field(const std::string &k, double v)
+    {
+        return add(k, v);
+    }
+    BenchRecorder &field(const std::string &k, std::uint64_t v)
+    {
+        return add(k, v);
+    }
+    BenchRecorder &field(const std::string &k, unsigned v)
+    {
+        return add(k, std::uint64_t(v));
+    }
+    BenchRecorder &field(const std::string &k, bool v)
+    {
+        return add(k, v);
+    }
     /// @}
 
     /**
@@ -236,19 +338,17 @@ class BenchRecorder
     bool writeJson(const std::string &path) const;
 
   private:
-    struct Field
+    using Value = std::variant<std::string, double, std::uint64_t, bool>;
+
+    BenchRecorder &
+    add(const std::string &k, Value v)
     {
-        enum class Kind { Str, Num, UInt, Bool };
-        std::string key;
-        Kind kind = Kind::Str;
-        std::string s;
-        double d = 0;
-        std::uint64_t u = 0;
-        bool b = false;
-    };
+        rows_.back().emplace_back(k, std::move(v));
+        return *this;
+    }
 
     std::string bench_;
-    std::vector<std::vector<Field>> rows_;
+    std::vector<std::vector<std::pair<std::string, Value>>> rows_;
 };
 
 } // namespace ptm

@@ -10,6 +10,7 @@
 
 #include "harness/cli.hh"
 #include "harness/forensics_io.hh"
+#include "harness/stats_io.hh"
 #include "sim/logging.hh"
 #include "vtm/vtm.hh"
 
@@ -79,7 +80,7 @@ System::System(const SystemParams &params)
             vtm->setProfiler(&profiler_);
     }
     if (params_.profile.host)
-        eq_.enableHostProfile(params_.profile.hostSampleInterval);
+        eq_.enableHostProfile();
 
     std::vector<Core *> core_ptrs;
     for (unsigned c = 0; c < params_.numCores; ++c) {
@@ -143,7 +144,7 @@ System::System(const SystemParams &params)
                 const std::string &path =
                     params_.forensics.postmortemPath;
                 if (!path.empty()) {
-                    if (std::ostream *os = timeseriesSink(path)) {
+                    if (std::ostream *os = streamSink(path)) {
                         emitPostmortemJson(*os, *flightrec_, r);
                         os->flush();
                     }
@@ -285,12 +286,12 @@ System::wireHooks()
 {
     txmgr_.onLogicalCommit = [this](TxId tx) {
         mem_.commitClearTx(tx);
-        if (auditor_.attached() && params_.audit.atBoundaries)
+        if (auditor_.attached())
             auditor_.checkAll("commit", eq_.curTick());
     };
     txmgr_.onLogicalAbort = [this](TxId tx) {
         mem_.abortInvalidate(tx);
-        if (auditor_.attached() && params_.audit.atBoundaries)
+        if (auditor_.attached())
             auditor_.checkAll("abort", eq_.curTick());
     };
     os_.onThreadExit = [this](ThreadCtx *t) {
@@ -372,16 +373,29 @@ System::startTimeseries()
         return;
     timeseries_ = std::make_unique<TimeseriesSampler>(
         params_.timeseries, registry_, eq_);
-    timeseries_->setRunInfo(tmKindArg(params_.tmKind), params_.seed,
-                            params_.numCores);
-    if (heatmap_)
-        timeseries_->setHotPages(
-            [this] { return heatmap_->hotPagesJson(8); });
     // Baselines before the first event executes: interval delta sums
     // then reconcile exactly with the end-of-run totals.
     timeseries_->start();
+    timeseries_sink_ = streamSink(params_.timeseries.path);
+    if (timeseries_sink_)
+        emitTimeseriesHeader(*timeseries_sink_, tmKindArg(params_.tmKind),
+                             params_.seed, params_.numCores,
+                             params_.timeseries.interval);
     addPeriodic(params_.timeseries.interval,
-                [this] { timeseries_->sample(); });
+                [this] { streamInterval(timeseries_->sample()); });
+}
+
+void
+System::streamInterval(const TimeseriesInterval &iv)
+{
+    if (!timeseries_sink_)
+        return;
+    std::vector<SpaceSavingTopK::Entry> hot;
+    if (heatmap_)
+        hot = heatmap_->conflictPages().top();
+    emitTimeseriesInterval(*timeseries_sink_, timeseries_->capture(), iv,
+                           heatmap_ ? &hot : nullptr);
+    timeseries_sink_->flush();
 }
 
 TxId
@@ -424,8 +438,8 @@ System::injectChaos()
         if (!vts_)
             return;
         if (!squeezed_) {
-            vts_->sptCache.setCapacity(params_.chaos.squeezeEntries);
-            vts_->tavCache.setCapacity(params_.chaos.squeezeEntries);
+            vts_->sptCache.setCapacity(chaosSqueezeEntries);
+            vts_->tavCache.setCapacity(chaosSqueezeEntries);
         } else {
             vts_->sptCache.setCapacity(params_.sptCacheEntries);
             vts_->tavCache.setCapacity(params_.tavCacheEntries);
@@ -512,7 +526,7 @@ System::run()
     // Flush the final (partial) time-series interval after the last
     // event, before any front end snapshots the registry.
     if (timeseries_)
-        timeseries_->finish();
+        streamInterval(timeseries_->finish());
     // Report workload completion time: the queue may drain later
     // (timer events, background cleanup walks).
     return os_.lastExitTick() ? os_.lastExitTick() : eq_.curTick();
@@ -523,12 +537,6 @@ System::readWord32(ProcId proc, Addr vaddr)
 {
     XlatResult xr = os_.translate(0, proc, vaddr, false);
     return mem_.debugReadWord32(xr.paddr);
-}
-
-void
-System::dumpStats(std::ostream &out) const
-{
-    registry_.dump(out);
 }
 
 } // namespace ptm

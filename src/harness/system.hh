@@ -102,9 +102,6 @@ class System
     /** A by-value capture of every registered statistic. */
     StatSnapshot snapshot() const { return StatSnapshot(registry_); }
 
-    /** Print a "group.stat value" dump of the whole registry. */
-    void dumpStats(std::ostream &os) const;
-
     /**
      * The observer path every component records into. Its trace ring
      * is inactive unless params.trace.path was set; front ends capture
@@ -219,6 +216,8 @@ class System
     void addPeriodic(Tick interval, std::function<void()> body);
     void schedulePeriodic(std::size_t i);
     void startTimeseries();
+    /** Write @p iv to the --timeseries stream, if one is open. */
+    void streamInterval(const TimeseriesInterval &iv);
     void injectChaos();
     /** Deterministic live-transaction victim pick (sorted ids). */
     TxId pickLiveTx();
@@ -240,6 +239,7 @@ class System
     std::unique_ptr<ContentionHeatmap> heatmap_;
     std::unique_ptr<FlightRecorder> flightrec_;
     std::unique_ptr<TimeseriesSampler> timeseries_;
+    std::ostream *timeseries_sink_ = nullptr;
     std::vector<PeriodicTask> periodic_;
     std::unique_ptr<TmBackend> backend_;
     Vts *vts_ = nullptr; //!< non-owning view of backend_ when PTM

@@ -6,10 +6,7 @@
 #include "harness/trace_io.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <sstream>
 
 #include "harness/stats_io.hh"
 
@@ -28,82 +25,105 @@ captureTrace(const Tracer &t, std::string label, TimeseriesCapture ts)
     return c;
 }
 
-namespace
-{
-
-/** Format a double compactly; JSON has no NaN/Inf, map those to 0. */
-std::string
-num(double v)
-{
-    if (!(v == v) || v > 1e308 || v < -1e308)
-        return "0";
-    std::ostringstream ss;
-    ss.precision(15);
-    ss << v;
-    return ss.str();
-}
-
-void
-emitEventLine(std::ostream &os, const TraceEvent &e)
-{
-    os << "{\"type\":\"ev\",\"t\":" << e.tick << ",\"ev\":\""
-       << traceEventTypeName(e.type) << "\",\"cat\":\""
-       << traceCatName(traceEventCat(e.type)) << "\"";
-    if (e.core != traceNoId)
-        os << ",\"core\":" << e.core;
-    if (e.thread != traceNoId)
-        os << ",\"th\":" << e.thread;
-    if (e.tx != invalidTxId)
-        os << ",\"tx\":" << e.tx;
-    if (e.tx2 != invalidTxId)
-        os << ",\"tx2\":" << e.tx2;
-    if (e.a0)
-        os << ",\"a\":" << e.a0;
-    if (e.a1)
-        os << ",\"b\":" << e.a1;
-    if (e.v != 0.0)
-        os << ",\"v\":" << num(e.v);
-    if (e.a2)
-        os << ",\"c\":" << e.a2;
-    os << "}\n";
-}
-
-} // namespace
-
 void
 emitTraceJsonl(std::ostream &os, const std::vector<TraceCapture> &caps)
 {
-    os << "{\"schema\":\"ptm-trace-v1\",\"git\":";
-    jsonEscape(os, gitDescribe());
-    os << ",\"captures\":" << caps.size() << "}\n";
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginObject();
+    w.member("schema", "ptm-trace-v1");
+    w.member("git", gitDescribe());
+    w.member("captures", caps.size());
+    w.endObject();
     for (const auto &c : caps) {
-        os << "{\"type\":\"capture\",\"label\":";
-        jsonEscape(os, c.label);
-        os << ",\"recorded\":" << c.recorded << ",\"dropped\":"
-           << c.dropped << "}\n";
-        for (const auto &e : c.events)
-            emitEventLine(os, e);
+        w.beginObject();
+        w.member("type", "capture");
+        w.member("label", c.label);
+        w.member("recorded", c.recorded);
+        w.member("dropped", c.dropped);
+        w.endObject();
+        // Event lines omit fields holding their default value.
+        for (const TraceEvent &e : c.events) {
+            w.beginObject();
+            w.member("type", "ev");
+            w.member("t", std::uint64_t(e.tick));
+            w.member("ev", traceEventTypeName(e.type));
+            w.member("cat", traceCatName(traceEventCat(e.type)));
+            if (e.core != traceNoId)
+                w.member("core", e.core);
+            if (e.thread != traceNoId)
+                w.member("th", e.thread);
+            if (e.tx != invalidTxId)
+                w.member("tx", e.tx);
+            if (e.tx2 != invalidTxId)
+                w.member("tx2", e.tx2);
+            if (e.a0)
+                w.member("a", e.a0);
+            if (e.a1)
+                w.member("b", e.a1);
+            if (e.v != 0.0)
+                w.member("v", e.v);
+            if (e.a2)
+                w.member("c", e.a2);
+            w.endObject();
+        }
     }
 }
 
 namespace
 {
 
-/** One Chrome trace-event record, pre-rendered except for ts order. */
+/**
+ * One Chrome trace-event record, written once the records are sorted.
+ * Members print in declaration order; unset ones are omitted, and
+ * metadata ("M") records carry no ts.
+ */
 struct ChromeRec
 {
-    double ts = 0;
-    int order = 0; //!< tie-break: B(0) before instants(1) before E(2)
-    std::string json;
+    Tick ts = 0;
+    int order = 1; //!< tie-break: B(0) before instants(1) before E(2)
+    const char *ph = "";
+    const char *bp = nullptr; //!< flow-finish binding point
+    const char *s = nullptr;  //!< instant scope
+    const char *cat = nullptr;
+    std::string name = {};
+    std::uint64_t id = 0; //!< flow id (flows count from 1)
+    unsigned pid = 0;
+    std::uint64_t tid = 0;
+    /** "args": the string member (when named), then the numbers. */
+    const char *strKey = nullptr;
+    std::string str = {};
+    std::vector<std::pair<const char *, std::uint64_t>> args = {};
 };
 
-/** "pid":N,"tid":N fragment. */
-std::string
-ptid(unsigned pid, std::uint64_t tid)
+void
+emitRec(JsonWriter &w, const ChromeRec &r)
 {
-    std::ostringstream ss;
-    ss << "\"pid\":" << pid << ",\"tid\":" << tid;
-    return ss.str();
+    w.beginObject();
+    w.member("ph", r.ph);
+    if (r.bp)
+        w.member("bp", r.bp);
+    if (r.s)
+        w.member("s", r.s);
+    if (r.cat)
+        w.member("cat", r.cat);
+    if (!r.name.empty())
+        w.member("name", r.name);
+    if (r.id)
+        w.member("id", r.id);
+    if (*r.ph != 'M')
+        w.member("ts", std::uint64_t(r.ts));
+    w.member("pid", r.pid);
+    w.member("tid", r.tid);
+    if (r.strKey || !r.args.empty()) {
+        w.key("args");
+        w.beginObject();
+        if (r.strKey)
+            w.member(r.strKey, r.str);
+        for (const auto &[k, v] : r.args)
+            w.member(k, v);
+        w.endObject();
+    }
+    w.endObject();
 }
 
 /** Track id of an event without a thread: park it on a core lane. */
@@ -142,13 +162,13 @@ emitCounterTracks(std::vector<ChromeRec> &recs, unsigned pid,
     };
     struct Track
     {
-        std::string name;
+        const char *name;
         std::size_t ref;
         bool live; //!< value = shadow_allocs - ref (shadow_frees)
     };
     std::vector<Track> tracks;
-    for (std::string path : counterTracks) {
-        bool live = path == "vts.live_shadow_pages";
+    for (const char *path : counterTracks) {
+        bool live = std::string(path) == "vts.live_shadow_pages";
         std::size_t i = index(live ? "vts.shadow_frees" : path);
         if (i < names.size())
             tracks.push_back({path, i, live});
@@ -162,15 +182,8 @@ emitCounterTracks(std::vector<ChromeRec> &recs, unsigned pid,
         for (const Track &t : tracks) {
             std::uint64_t v =
                 t.live ? sum[allocs] - sum[t.ref] : sum[t.ref];
-            ChromeRec r;
-            r.ts = double(iv.t1);
-            r.order = 1;
-            std::ostringstream ss;
-            ss << "{\"ph\":\"C\",\"name\":\"" << t.name
-               << "\",\"ts\":" << num(double(iv.t1)) << ","
-               << ptid(pid, 0) << ",\"args\":{\"value\":" << v << "}}";
-            r.json = ss.str();
-            recs.push_back(std::move(r));
+            recs.push_back({.ts = iv.t1, .ph = "C", .name = t.name,
+                            .pid = pid, .args = {{"value", v}}});
         }
     }
 }
@@ -180,17 +193,8 @@ emitChromeCapture(std::vector<ChromeRec> &recs, unsigned pid,
                   const TraceCapture &c, std::uint64_t &next_flow)
 {
     // Process metadata: one "process" per capture, named by its label.
-    {
-        ChromeRec r;
-        r.ts = 0;
-        std::ostringstream ss;
-        ss << "{\"ph\":\"M\",\"name\":\"process_name\"," << ptid(pid, 0)
-           << ",\"args\":{\"name\":";
-        jsonEscape(ss, c.label);
-        ss << "}}";
-        r.json = ss.str();
-        recs.push_back(std::move(r));
-    }
+    recs.push_back({.order = 0, .ph = "M", .name = "process_name",
+                    .pid = pid, .strKey = "name", .str = c.label});
 
     // Transaction duration slices: pair TxBegin/TxRestart with the
     // TxCommit/TxAbort that closes the attempt. Attempts of one thread
@@ -206,29 +210,15 @@ emitChromeCapture(std::vector<ChromeRec> &recs, unsigned pid,
 
     auto slice = [&](TxId tx, const Open &o, Tick end,
                      const std::string &outcome, std::uint64_t cause) {
-        ChromeRec b;
-        b.ts = double(o.tick);
-        b.order = 0;
-        std::ostringstream sb;
-        sb << "{\"ph\":\"B\",\"cat\":\"tx\",\"name\":\"tx " << tx
-           << "\",\"ts\":" << num(double(o.tick)) << ","
-           << ptid(pid, o.tid) << ",\"args\":{\"attempt\":" << o.attempt
-           << "}}";
-        b.json = sb.str();
-        recs.push_back(std::move(b));
-
-        ChromeRec e;
-        e.ts = double(end);
-        e.order = 2;
-        std::ostringstream se;
-        se << "{\"ph\":\"E\",\"cat\":\"tx\",\"ts\":" << num(double(end))
-           << "," << ptid(pid, o.tid) << ",\"args\":{\"outcome\":\""
-           << outcome << "\"";
+        recs.push_back({.ts = o.tick, .order = 0, .ph = "B", .cat = "tx",
+                        .name = "tx " + std::to_string(tx), .pid = pid,
+                        .tid = o.tid, .args = {{"attempt", o.attempt}}});
+        ChromeRec end_rec{.ts = end, .order = 2, .ph = "E", .cat = "tx",
+                          .pid = pid, .tid = o.tid, .strKey = "outcome",
+                          .str = outcome};
         if (outcome == "abort")
-            se << ",\"cause\":" << cause;
-        se << "}}";
-        e.json = se.str();
-        recs.push_back(std::move(e));
+            end_rec.args = {{"cause", cause}};
+        recs.push_back(std::move(end_rec));
     };
 
     for (const auto &e : c.events) {
@@ -265,46 +255,25 @@ emitChromeCapture(std::vector<ChromeRec> &recs, unsigned pid,
           }
           case TraceEventType::ConflictEdge: {
             std::uint64_t id = next_flow++;
-            ChromeRec s;
-            s.ts = double(e.tick);
-            s.order = 1;
-            std::ostringstream ss;
-            ss << "{\"ph\":\"s\",\"cat\":\"conflict\",\"name\":"
-               << "\"conflict\",\"id\":" << id << ",\"ts\":"
-               << num(double(e.tick)) << "," << ptid(pid, laneOf(e))
-               << ",\"args\":{\"winner\":" << e.tx << ",\"loser\":"
-               << e.tx2 << ",\"block\":" << e.a0 << "}}";
-            s.json = ss.str();
-            recs.push_back(std::move(s));
-
-            ChromeRec f;
-            f.ts = double(e.tick);
-            f.order = 1;
-            std::ostringstream sf;
-            sf << "{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"conflict\","
-               << "\"name\":\"conflict\",\"id\":" << id << ",\"ts\":"
-               << num(double(e.tick)) << "," << ptid(pid, e.a1)
-               << "}";
-            f.json = sf.str();
-            recs.push_back(std::move(f));
+            recs.push_back({.ts = e.tick, .ph = "s", .cat = "conflict",
+                            .name = "conflict", .id = id, .pid = pid,
+                            .tid = laneOf(e),
+                            .args = {{"winner", e.tx},
+                                     {"loser", e.tx2},
+                                     {"block", e.a0}}});
+            recs.push_back({.ts = e.tick, .ph = "f", .bp = "e",
+                            .cat = "conflict", .name = "conflict",
+                            .id = id, .pid = pid, .tid = e.a1});
             break;
           }
-          default: {
+          default:
             // Everything else becomes a thread-scoped instant event.
-            ChromeRec r;
-            r.ts = double(e.tick);
-            r.order = 1;
-            std::ostringstream ss;
-            ss << "{\"ph\":\"i\",\"s\":\"t\",\"cat\":\""
-               << traceCatName(traceEventCat(e.type)) << "\","
-               << "\"name\":\"" << traceEventTypeName(e.type)
-               << "\",\"ts\":" << num(double(e.tick)) << ","
-               << ptid(pid, laneOf(e)) << ",\"args\":{\"a\":" << e.a0
-               << ",\"b\":" << e.a1 << "}}";
-            r.json = ss.str();
-            recs.push_back(std::move(r));
+            recs.push_back({.ts = e.tick, .ph = "i", .s = "t",
+                            .cat = traceCatName(traceEventCat(e.type)),
+                            .name = traceEventTypeName(e.type),
+                            .pid = pid, .tid = laneOf(e),
+                            .args = {{"a", e.a0}, {"b", e.a1}}});
             break;
-          }
         }
     }
 
@@ -337,46 +306,32 @@ emitTraceChrome(std::ostream &os, const std::vector<TraceCapture> &caps)
                          return a.order < b.order;
                      });
 
-    os << "{\"traceEvents\":[";
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "\n" << recs[i].json;
-    }
-    os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":"
-       << "\"ptm-trace-chrome\",\"git\":";
-    jsonEscape(os, gitDescribe());
-    os << "}}\n";
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginObject();
+    w.key("traceEvents");
+    w.beginArray(true);
+    for (const ChromeRec &r : recs)
+        emitRec(w, r);
+    w.endArray();
+    w.member("displayTimeUnit", "ms");
+    w.key("otherData");
+    w.beginObject();
+    w.member("schema", "ptm-trace-chrome");
+    w.member("git", gitDescribe());
+    w.endObject();
+    w.endObject();
 }
 
 bool
 writeTrace(const std::string &path, TraceFormat fmt,
            const std::vector<TraceCapture> &caps, std::string *err)
 {
-    auto emit = [&](std::ostream &os) {
+    return writeOutput(path, [&](std::ostream &os) {
         if (fmt == TraceFormat::Chrome)
             emitTraceChrome(os, caps);
         else
             emitTraceJsonl(os, caps);
-    };
-    if (path == "-") {
-        emit(std::cout);
-        return bool(std::cout);
-    }
-    std::ofstream f(path);
-    if (!f) {
-        if (err)
-            *err = "cannot open " + path;
-        return false;
-    }
-    emit(f);
-    f.flush();
-    if (!f) {
-        if (err)
-            *err = "write error on " + path;
-        return false;
-    }
-    return true;
+    }, err);
 }
 
 } // namespace ptm

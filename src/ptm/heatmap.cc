@@ -152,29 +152,4 @@ ContentionHeatmap::snapshot() const
     return s;
 }
 
-std::string
-ContentionHeatmap::hotPagesJson(unsigned n) const
-{
-    std::vector<SpaceSavingTopK::Entry> pages = conflictPages_.top();
-    if (pages.size() > n)
-        pages.resize(n);
-    std::string out = "[";
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-        if (i)
-            out += ",";
-        if (pages[i].key == invalidPage)
-            out += strprintf("{\"page\":-1,\"count\":%llu,\"err\":%llu}",
-                             (unsigned long long)pages[i].count,
-                             (unsigned long long)pages[i].error);
-        else
-            out += strprintf("{\"page\":%llu,\"count\":%llu,"
-                             "\"err\":%llu}",
-                             (unsigned long long)pages[i].key,
-                             (unsigned long long)pages[i].count,
-                             (unsigned long long)pages[i].error);
-    }
-    out += "]";
-    return out;
-}
-
 } // namespace ptm

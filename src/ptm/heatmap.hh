@@ -135,14 +135,6 @@ class ContentionHeatmap : public TraceObserver
 
     HeatmapSnapshot snapshot() const;
 
-    /**
-     * The @p n hottest conflict pages as a compact JSON array
-     * fragment, e.g. `[{"page":12,"count":34,"err":0}]` — the
-     * per-interval "hot_pages" series of the time-series sampler
-     * (invalidPage renders as page -1: unattributed).
-     */
-    std::string hotPagesJson(unsigned n) const;
-
     /** @name Per-metric summaries (tests / analysis) */
     /// @{
     const SpaceSavingTopK &conflictPages() const { return conflictPages_; }

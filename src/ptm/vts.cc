@@ -347,13 +347,23 @@ Vts::effSelection(const SptEntry &e, unsigned i) const
     return sel;
 }
 
+bool
+Vts::backedUp(const SptEntry &e, unsigned i) const
+{
+    for (const TavNode *t = e.tavHead; t; t = t->nextOnPage) {
+        if (t->write.test(i) &&
+            txmgr_.stateOf(t->tx) != TxState::Committing)
+            return true;
+    }
+    return false;
+}
+
 Addr
 Vts::committedUnitAddr(const SptEntry &e, unsigned i) const
 {
-    PageNum p = (select_ && e.hasShadow() && effSelection(e, i))
-                    ? e.shadow
-                    : e.home;
-    return gran_.unitAddr(p, i);
+    bool shadow = e.hasShadow() &&
+                  (select_ ? effSelection(e, i) : backedUp(e, i));
+    return gran_.unitAddr(shadow ? e.shadow : e.home, i);
 }
 
 Addr
@@ -667,16 +677,21 @@ Vts::writebackBlock(Addr block_addr, const std::uint8_t *data,
     Tick lat = 0;
 
     if (!e || !select_ || !e->hasShadow()) {
-        // Committed data lives in the home page.
+        // Committed data lives in the home page. Under Copy-PTM a unit
+        // backed up by a writer that has not committed also keeps its
+        // committed copy in the shadow, which that writer's abort
+        // restores: update both, or the restore would undo this write.
         unsigned block_off = unsigned(pageOffset(block_addr));
         for (unsigned w = 0; w < wordsPerBlock; ++w) {
             if (!(word_mask & (1u << w)))
                 continue;
             std::uint32_t v;
             std::memcpy(&v, data + w * wordBytes, wordBytes);
-            phys_.writeWord32(pageBase(page) + block_off +
-                                  Addr(w) * wordBytes,
-                              v);
+            Addr off = block_off + Addr(w) * wordBytes;
+            phys_.writeWord32(pageBase(page) + off, v);
+            if (e && e->hasShadow() &&
+                backedUp(*e, gran_.wordBit(pageBase(page) + off)))
+                phys_.writeWord32(pageBase(e->shadow) + off, v);
         }
         dram_.write(now); // posted write
         return 0;
@@ -730,7 +745,7 @@ Vts::readCommittedWord32(Addr word_addr)
 {
     PageNum page = pageOf(word_addr);
     const SptEntry *e = findEntry(page);
-    if (!e || !select_ || !e->hasShadow())
+    if (!e || !e->hasShadow())
         return phys_.readWord32(word_addr);
     unsigned bit = gran_.wordBit(word_addr);
     Addr loc = committedUnitAddr(*e, bit);

@@ -384,6 +384,14 @@ class Vts : public TmBackend
      */
     bool effSelection(const SptEntry &e, unsigned i) const;
 
+    /**
+     * Copy-PTM: true while unit @p i is backed up in the shadow page
+     * by a writer that is not Committing, so its committed copy lives
+     * there until the writer's walk (same TAV-list walk as
+     * effSelection).
+     */
+    bool backedUp(const SptEntry &e, unsigned i) const;
+
     /** Physical address of the *committed* unit covering bit @p i. */
     Addr committedUnitAddr(const SptEntry &e, unsigned i) const;
     /** Physical address of the *speculative* unit covering bit @p i. */

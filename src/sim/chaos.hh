@@ -94,9 +94,10 @@ struct ChaosParams
     Tick interval = 50000;
     /** Extra ticks a delayed cleanup walk sits before starting. */
     Tick cleanupDelay = 2000;
-    /** SPT/TAV cache capacity while squeezed. */
-    unsigned squeezeEntries = 4;
 };
+
+/** SPT/TAV cache capacity while squeezed. */
+constexpr unsigned chaosSqueezeEntries = 4;
 
 /**
  * The decision engine: a seeded PRNG plus the plan. All randomness in

@@ -156,10 +156,11 @@ struct AuditParams
 {
     /** Master switch; the auditor is never built while false. */
     bool enabled = false;
-    /** Ticks between periodic full audits (0 = boundaries only). */
+    /**
+     * Ticks between periodic full audits (0 = boundaries only); every
+     * logical commit/abort boundary is audited too.
+     */
     Tick interval = 100000;
-    /** Also audit at every logical commit/abort boundary. */
-    bool atBoundaries = true;
 };
 
 /** Contention-robustness knobs (tx/tx_manager, cpu/core). */

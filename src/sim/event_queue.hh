@@ -428,10 +428,10 @@ class EventQueue
     /**
      * Turn on wall-clock profiling of the run loop: per-site event
      * counts, with the host time of every @p sample_interval-th event
-     * measured so the overhead stays small.
+     * measured so the overhead stays small (every 32nd by default).
      */
     void
-    enableHostProfile(unsigned sample_interval)
+    enableHostProfile(unsigned sample_interval = 32)
     {
         host_profile_ = true;
         host_interval_ = sample_interval ? sample_interval : 1;

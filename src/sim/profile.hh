@@ -118,10 +118,11 @@ struct ProfileParams
 {
     /** Enable simulated-cycle accounting. */
     bool enabled = false;
-    /** Enable host-side event-loop profiling (--host-profile). */
+    /**
+     * Enable host-side event-loop profiling (--host-profile); the host
+     * time of every 32nd executed event is measured.
+     */
     bool host = false;
-    /** Measure host time of every Nth executed event. */
-    unsigned hostSampleInterval = 32;
 };
 
 /** By-value capture of a CycleProfiler for results/serialization. */

@@ -220,22 +220,6 @@ StatGroup::find(const std::string &stat_name) const
     return it == index_.end() ? nullptr : &stats_[it->second];
 }
 
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &s : stats_) {
-        os << name_ << "." << s.name << " ";
-        if (s.kind == StatKind::Counter)
-            os << s.counter->value();
-        else if (s.kind == StatKind::Distribution)
-            os << s.distribution->mean() << " (n="
-               << s.distribution->samples() << ")";
-        else
-            os << s.numeric();
-        os << "\n";
-    }
-}
-
 std::uint64_t
 StatGroup::counterValue(const std::string &stat_name) const
 {
@@ -261,13 +245,6 @@ StatRegistry::find(const std::string &name) const
 {
     auto it = index_.find(name);
     return it == index_.end() ? nullptr : groups_[it->second].get();
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &g : groups_)
-        g->dump(os);
 }
 
 std::uint64_t

@@ -6,9 +6,9 @@
  * TimeWeighted, Distribution) and register them, under stable names,
  * with the StatGroup that describes the component. All groups of one
  * simulated system live in its StatRegistry, which the harness can
- * enumerate formatter-agnostically: the plain-text dump, the JSON
- * emitter (harness/stats_io) and the report tables all render from the
- * same registration.
+ * enumerate formatter-agnostically: the JSON emitter
+ * (harness/stats_io), the time-series sampler and the report tables
+ * all render from the same registration.
  *
  * Because the registry only *references* component-owned objects, a
  * StatSnapshot captures every registered value by copy so results can
@@ -26,7 +26,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -255,9 +254,6 @@ class StatGroup
     /** Find a registered statistic; nullptr if absent. */
     const StatRef *find(const std::string &stat_name) const;
 
-    /** Dump all registered statistics as "group.stat value" lines. */
-    void dump(std::ostream &os) const;
-
     /** Look up a registered counter's value; 0 if absent. */
     std::uint64_t counterValue(const std::string &stat_name) const;
 
@@ -291,9 +287,6 @@ class StatRegistry
     {
         return groups_;
     }
-
-    /** Dump every group as "group.stat value" lines. */
-    void dump(std::ostream &os) const;
 
     /** Value of "group.stat" counter; 0 if absent. */
     std::uint64_t counterValue(const std::string &path) const;

@@ -5,12 +5,6 @@
 
 #include "sim/timeseries.hh"
 
-#include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <memory>
-
 #include "sim/event_queue.hh"
 
 namespace ptm
@@ -26,84 +20,13 @@ TimeseriesCapture::delta(const TimeseriesInterval &iv,
     return 0;
 }
 
-std::ostream *
-timeseriesSink(const std::string &path)
-{
-    if (path.empty())
-        return nullptr;
-    if (path == "stderr")
-        return &std::cerr;
-    // One stream per file for the process lifetime: bench sweeps run
-    // many Systems against one --timeseries file, and each run's
-    // header record delimits its stream within the file.
-    static std::map<std::string, std::unique_ptr<std::ofstream>> open;
-    auto it = open.find(path);
-    if (it == open.end()) {
-        auto f = std::make_unique<std::ofstream>(path,
-                                                 std::ios::trunc);
-        it = open.emplace(path, std::move(f)).first;
-    }
-    return it->second.get();
-}
-
-namespace
-{
-
-/** Append @p v as a JSON number ("%.9g", integers undecorated). */
-void
-appendNum(std::string &out, double v)
-{
-    char buf[64];
-    if (v == static_cast<std::uint64_t>(v) && v >= 0 && v < 1e15)
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      (unsigned long long)v);
-    else
-        std::snprintf(buf, sizeof(buf), "%.9g", v);
-    out += buf;
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-    out += buf;
-}
-
-/** Append @p s quoted; stat paths and kind labels need no escaping,
- *  but keep the writer safe for arbitrary strings anyway. */
-void
-appendStr(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    out += '"';
-}
-
-} // namespace
-
 TimeseriesSampler::TimeseriesSampler(const TimeseriesParams &params,
                                      const StatRegistry &reg,
                                      const EventQueue &eq)
-    : params_(params), reg_(reg), eq_(eq),
-      sink_(timeseriesSink(params.path))
+    : params_(params), reg_(reg), eq_(eq)
 {
     capture_.enabled = params_.capture;
     capture_.interval = params_.interval;
-}
-
-void
-TimeseriesSampler::setRunInfo(std::string system, std::uint64_t seed,
-                              unsigned cores)
-{
-    system_ = std::move(system);
-    seed_ = seed;
-    cores_ = cores;
 }
 
 void
@@ -136,29 +59,11 @@ TimeseriesSampler::start()
     last_tick_ = eq_.curTick();
     last_events_ = eq_.executedEvents();
     last_wall_ = std::chrono::steady_clock::now();
-    started_ = true;
-
-    if (sink_) {
-        std::string line = "{\"schema\":\"ptm-timeseries-v1\","
-                           "\"type\":\"header\",\"system\":";
-        appendStr(line, system_);
-        line += ",\"seed\":";
-        appendU64(line, seed_);
-        line += ",\"cores\":";
-        appendU64(line, cores_);
-        line += ",\"interval\":";
-        appendU64(line, params_.interval);
-        line += "}";
-        *sink_ << line << '\n' << std::flush;
-    }
 }
 
-void
+TimeseriesInterval
 TimeseriesSampler::takeSample(bool final_flush)
 {
-    if (!started_)
-        return;
-
     TimeseriesInterval iv;
     iv.n = next_n_++;
     iv.t0 = last_tick_;
@@ -193,68 +98,9 @@ TimeseriesSampler::takeSample(bool final_flush)
     last_events_ = events;
     last_wall_ = now;
 
-    if (sink_)
-        emitInterval(iv);
     if (params_.capture)
-        capture_.intervals.push_back(std::move(iv));
-}
-
-void
-TimeseriesSampler::emitInterval(const TimeseriesInterval &iv)
-{
-    std::string line = "{\"type\":\"interval\",\"n\":";
-    appendU64(line, iv.n);
-    line += ",\"t0\":";
-    appendU64(line, iv.t0);
-    line += ",\"t1\":";
-    appendU64(line, iv.t1);
-    line += ",\"final\":";
-    line += iv.final_ ? "true" : "false";
-    line += ",\"wall_seconds\":";
-    appendNum(line, iv.wallSeconds);
-    line += ",\"events\":";
-    appendU64(line, iv.events);
-
-    // Host-throughput gauges for this interval.
-    double ticks = double(iv.t1 - iv.t0);
-    double eps = iv.wallSeconds > 0 ? double(iv.events) / iv.wallSeconds
-                                    : 0.0;
-    double tps = iv.wallSeconds > 0 ? ticks / iv.wallSeconds : 0.0;
-    double ept = ticks > 0 ? double(iv.events) / ticks : 0.0;
-    line += ",\"events_per_sec\":";
-    appendNum(line, eps);
-    line += ",\"ticks_per_wall_sec\":";
-    appendNum(line, tps);
-    line += ",\"events_per_tick\":";
-    appendNum(line, ept);
-
-    line += ",\"d\":{";
-    for (std::size_t i = 0; i < iv.counters.size(); ++i) {
-        if (i)
-            line += ',';
-        appendStr(line, capture_.counterNames[iv.counters[i].ref]);
-        line += ':';
-        appendU64(line, iv.counters[i].delta);
-    }
-    line += "},\"dist\":{";
-    for (std::size_t i = 0; i < iv.dists.size(); ++i) {
-        if (i)
-            line += ',';
-        appendStr(line, capture_.distNames[iv.dists[i].ref]);
-        line += ":{\"samples\":";
-        appendU64(line, iv.dists[i].samples);
-        line += ",\"sum\":";
-        appendNum(line, iv.dists[i].sum);
-        line += '}';
-    }
-    line += '}';
-
-    if (hot_pages_) {
-        line += ",\"hot_pages\":";
-        line += hot_pages_();
-    }
-    line += '}';
-    *sink_ << line << '\n' << std::flush;
+        capture_.intervals.push_back(iv);
+    return iv;
 }
 
 } // namespace ptm

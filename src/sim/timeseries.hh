@@ -10,12 +10,14 @@
  * tick). Scalars / averages are skipped — deltas of non-monotonic
  * values are meaningless.
  *
- * Records stream as "ptm-timeseries-v1" JSONL (one object per line)
- * so a long run is monitorable while in flight (`--timeseries -`
- * streams to stderr, `--timeseries FILE` to a file), and/or are kept
- * in memory for post-processing (bench_kv's steady-state throughput,
- * and the counter tracks of every Chrome trace). The sampler is the
- * one periodic reader of the stats registry.
+ * The sampler only samples: sample() and finish() return each interval
+ * record, and the System streams it as "ptm-timeseries-v1" JSONL (one
+ * object per line, written by harness/stats_io) so a long run is
+ * monitorable while in flight (`--timeseries -` streams to stderr,
+ * `--timeseries FILE` to a file). Intervals are also kept in memory
+ * when capture is on, for post-processing (bench_kv's steady-state
+ * throughput, and the counter tracks of every Chrome trace). The
+ * sampler is the one periodic reader of the stats registry.
  *
  * Schema ptm-timeseries-v1 (one line each):
  *
@@ -43,8 +45,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -101,72 +101,41 @@ struct TimeseriesCapture
                         const std::string &path) const;
 };
 
-/**
- * Resolve a stream sink for @p path: nullptr when empty, std::cerr
- * for "stderr", otherwise a process-lifetime file stream. The first
- * open of a file truncates it; subsequent opens within the process
- * (bench sweeps running many Systems) append, so one file carries
- * every run's stream back to back.
- */
-std::ostream *timeseriesSink(const std::string &path);
-
 class TimeseriesSampler
 {
   public:
     /**
-     * @param params  period / sink / capture configuration
+     * @param params  period / capture configuration
      * @param reg     registry to walk (Counter + Distribution refs)
      * @param eq      event queue (tick clock and event-count gauges)
      */
     TimeseriesSampler(const TimeseriesParams &params,
                       const StatRegistry &reg, const EventQueue &eq);
 
-    /** Header-record context (System wiring; all optional). */
-    void setRunInfo(std::string system, std::uint64_t seed,
-                    unsigned cores);
-
     /**
-     * Provider of the per-interval "hot_pages" JSON array fragment
-     * (ContentionHeatmap::hotPagesJson); unset = field omitted.
-     */
-    void setHotPages(std::function<std::string()> fn)
-    {
-        hot_pages_ = std::move(fn);
-    }
-
-    /**
-     * Take the baselines and emit the header record. Call before the
-     * first event executes so delta sums reconcile with final totals.
+     * Take the baselines. Call before the first event executes so
+     * delta sums reconcile with final totals.
      */
     void start();
 
     /** Sample one interval (the periodic Stats-priority event body). */
-    void sample() { takeSample(false); }
+    TimeseriesInterval sample() { return takeSample(false); }
 
     /**
-     * Flush the final partial interval (final:true). Call after the
+     * Sample the final partial interval (final:true). Call after the
      * last event executed, before the registry is snapshotted.
      */
-    void finish() { takeSample(true); }
+    TimeseriesInterval finish() { return takeSample(true); }
 
     /** The capture (valid any time; grows as intervals complete). */
     const TimeseriesCapture &capture() const { return capture_; }
 
-    Tick interval() const { return params_.interval; }
-
   private:
-    void takeSample(bool final_flush);
-    void emitInterval(const TimeseriesInterval &iv);
+    TimeseriesInterval takeSample(bool final_flush);
 
     TimeseriesParams params_;
     const StatRegistry &reg_;
     const EventQueue &eq_;
-    std::ostream *sink_ = nullptr;
-
-    std::string system_;
-    std::uint64_t seed_ = 0;
-    unsigned cores_ = 0;
-    std::function<std::string()> hot_pages_;
 
     /** Registry walk results, frozen at start(). */
     std::vector<const Counter *> counters_;
@@ -179,7 +148,6 @@ class TimeseriesSampler
     Tick last_tick_ = 0;
     std::uint64_t last_events_ = 0;
     std::chrono::steady_clock::time_point last_wall_;
-    bool started_ = false;
 
     TimeseriesCapture capture_;
 };

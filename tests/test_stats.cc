@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -234,6 +235,49 @@ TEST(JsonWriterTest, EscapesStrings)
     std::ostringstream os;
     jsonEscape(os, "a\"b\\c\nd\te\x01");
     EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+}
+
+TEST(JsonWriterTest, CompactModeBytes)
+{
+    // One line, no whitespace; a top-level object ends its line, so
+    // consecutive documents form a JSONL stream. A "lines" array puts
+    // each element and its closing bracket on a line of their own.
+    std::ostringstream os;
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginObject();
+    w.member("s", "x\"y");
+    w.member("n", std::uint64_t(12));
+    w.member("neg", -3);
+    w.member("d", 0.25);
+    w.member("whole", 7.0);
+    w.member("nan", std::nan(""));
+    w.member("b", false);
+    w.key("o");
+    w.beginObject();
+    w.endObject();
+    w.key("a");
+    w.beginArray();
+    w.value(1u);
+    w.null();
+    w.endArray();
+    w.endObject();
+    w.beginObject();
+    w.key("l");
+    w.beginArray(true);
+    w.beginObject();
+    w.member("k", 1);
+    w.endObject();
+    w.value("v");
+    w.endArray();
+    w.key("e");
+    w.beginArray(true);
+    w.endArray();
+    w.endObject();
+    EXPECT_EQ(os.str(),
+              "{\"s\":\"x\\\"y\",\"n\":12,\"neg\":-3,\"d\":0.25,"
+              "\"whole\":7,\"nan\":null,\"b\":false,\"o\":{},"
+              "\"a\":[1,null]}\n"
+              "{\"l\":[\n{\"k\":1},\n\"v\"\n],\"e\":[\n]}\n");
 }
 
 /** Emit a populated registry and check the exact text written. */

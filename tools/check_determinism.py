@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Determinism gate: two identical ptm_sim runs must agree exactly.
+"""Determinism gate: two runs of one configuration must agree exactly.
 
-Runs ``ptm_sim --stats-json`` twice with the same configuration and
-seed, then diffs the two ptm-stats-v1 documents field by field. Every
-simulated quantity — cycles, commits, aborts, cache counters, walk
-distributions — must be bit-identical; only host-side fields (wall
-time, git revision) are ignored. Any other divergence means the
-simulator's behavior depends on host state (iteration order, pointer
-values, allocation reuse) and fails the gate.
+Runs each configuration twice and diffs every output stream it writes:
+the ptm-stats-v1 document, the trace (ptm-trace-v1 JSONL, or the
+Chrome export when the configuration asks for it), the
+ptm-timeseries-v1 stream and any ptm-postmortem-v1 documents. Each
+stream is read through its tools/ptm_schema.py reader. Every simulated
+quantity must be bit-identical; only host fields are dropped first:
+the manifest's HOST_MANIFEST_FIELDS, the trace's and the Chrome
+export's git revision, and the time series' HOST_INTERVAL_FIELDS. Any
+other divergence means the simulator's behavior depends on host state
+(iteration order, pointer values, allocation reuse) and fails the
+gate.
+
+With --against OTHER_PTM_SIM the matrix runs once on each of the two
+binaries instead of twice on one: the same gate then says that a
+change left every output of the other build untouched.
 
 Usage:
-    check_determinism.py <ptm_sim> [extra args...]
+    check_determinism.py <ptm_sim> [--against <other ptm_sim>]
+                         [extra args...]
 
 With no extra args a default matrix of configurations is exercised.
 """
@@ -21,7 +30,9 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from ptm_schema import HOST_MANIFEST_FIELDS, read_stats, run_json  # noqa: E402
+from ptm_schema import (HOST_INTERVAL_FIELDS, HOST_MANIFEST_FIELDS,  # noqa: E402
+                        read_chrome_trace, read_file, read_postmortem,
+                        read_stats, read_timeseries, read_trace, run_json)
 
 DEFAULT_CONFIGS = [
     ["--workload", "fft", "--system", "sel-ptm", "--gran", "wd:cache",
@@ -34,24 +45,78 @@ DEFAULT_CONFIGS = [
     ["--workload", "water", "--system", "vtm", "--scale", "0",
      "--swap"],
     # Wide machine: the banked interconnect must stay deterministic
-    # too.
+    # too. Its trace is the Chrome export.
     ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
-     "--cores", "16", "--mem-banks", "4"],
+     "--cores", "16", "--mem-banks", "4", "--trace-format", "chrome"],
     # Transactional fast-forward batches, the redo log's capture order
     # and footprint-only commit/abort cleanup.
     ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
      "--durability", "wal"],
+    # Every observer on, with post-mortems: the heatmap's hot_pages in
+    # the stats and the time series, the profile, the auditor, and the
+    # flight recorder's abort-threshold captures.
+    ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
+     "--threads", "4", "--heatmap", "--profile", "--audit",
+     "--postmortem-on-abort", "4"],
 ]
 
 
-def run_once(sim, args, out):
-    cmd = [sim, *args, "--stats-json", str(out)]
-    doc, errors = run_json(cmd, read_stats, " ".join(cmd), out=out)
-    if errors:
-        raise SystemExit("FAIL: " + "\n".join(errors))
+def scrub_stats(doc):
     for field in HOST_MANIFEST_FIELDS:
         doc["manifest"].pop(field)
     return doc
+
+
+def scrub_trace(doc):
+    doc["header"].pop("git")
+    return doc
+
+
+def scrub_chrome(doc):
+    doc["otherData"].pop("git")
+    return doc
+
+
+def scrub_timeseries(runs):
+    for _, intervals in runs:
+        for iv in intervals:
+            for field in HOST_INTERVAL_FIELDS:
+                iv.pop(field)
+    return runs
+
+
+def run_once(sim, args, tmp, tag):
+    """Run one configuration; return {stream: scrubbed data}."""
+    chrome = "--trace-format" in args and \
+        args[args.index("--trace-format") + 1] == "chrome"
+    out = {s: Path(tmp) / f"{tag}.{s}"
+           for s in ("stats", "trace", "timeseries", "postmortem")}
+    cmd = [sim, *args, "--stats-json", str(out["stats"]),
+           "--trace", str(out["trace"]),
+           "--timeseries", str(out["timeseries"]),
+           "--timeseries-interval", "20000",
+           "--postmortem", str(out["postmortem"])]
+    where = " ".join(cmd)
+    read, scrub = (read_chrome_trace, scrub_chrome) if chrome \
+        else (read_trace, scrub_trace)
+    streams = {
+        "stats": (*run_json(cmd, read_stats, where, out=out["stats"]),
+                  scrub_stats),
+        "trace": (*read_file(out["trace"], read), scrub),
+        "timeseries": (*read_file(out["timeseries"], read_timeseries),
+                       scrub_timeseries),
+    }
+    # Post-mortems exist only where a trigger fired.
+    if out["postmortem"].exists():
+        streams["postmortem"] = (*read_file(out["postmortem"],
+                                            read_postmortem), list)
+    result = {}
+    for name, (data, errors, scrub) in streams.items():
+        if errors:
+            raise SystemExit(f"FAIL: {name} of {where}:\n" +
+                             "\n".join(errors[:20]))
+        result[name] = scrub(data)
+    return result
 
 
 def diff_paths(a, b, prefix=""):
@@ -66,7 +131,7 @@ def diff_paths(a, b, prefix=""):
                 yield f"{p}: present in only one run"
             else:
                 yield from diff_paths(a[k], b[k], p)
-    elif isinstance(a, list):
+    elif isinstance(a, (list, tuple)):
         if len(a) != len(b):
             yield f"{prefix}: length {len(a)} vs {len(b)}"
             return
@@ -77,31 +142,46 @@ def diff_paths(a, b, prefix=""):
 
 
 def main():
-    if len(sys.argv) < 2:
+    argv = sys.argv[1:]
+    other = None
+    if "--against" in argv:
+        i = argv.index("--against")
+        if i + 1 >= len(argv):
+            raise SystemExit("--against needs a ptm_sim path")
+        other = argv[i + 1]
+        del argv[i:i + 2]
+    if not argv:
         raise SystemExit(__doc__)
-    sim = sys.argv[1]
-    extra = sys.argv[2:]
+    sim, extra = argv[0], argv[1:]
     configs = [extra] if extra else DEFAULT_CONFIGS
+    sim_b = other or sim
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, cfg in enumerate(configs):
-            a = run_once(sim, cfg, Path(tmp) / f"{i}_a.json")
-            b = run_once(sim, cfg, Path(tmp) / f"{i}_b.json")
-            diffs = list(diff_paths(a, b))
+            a = run_once(sim, cfg, tmp, f"{i}_a")
+            b = run_once(sim_b, cfg, tmp, f"{i}_b")
             label = " ".join(cfg)
-            if diffs:
-                failures += 1
-                print(f"FAIL [{label}]: {len(diffs)} divergent "
-                      "field(s):")
-                for d in diffs[:20]:
-                    print(f"  {d}")
-            else:
-                print(f"OK   [{label}]")
+            bad = 0
+            for name in sorted(set(a) | set(b)):
+                diffs = list(diff_paths(a[name], b[name])) \
+                    if name in a and name in b \
+                    else ["written by only one run"]
+                if diffs:
+                    bad += 1
+                    print(f"FAIL [{label}] {name}: {len(diffs)} "
+                          "divergent field(s):")
+                    for d in diffs[:20]:
+                        print(f"  {d}")
+            if not bad:
+                print(f"OK   [{label}] {', '.join(sorted(a))}")
+            failures += bad
     if failures:
-        raise SystemExit(f"{failures} configuration(s) diverged "
-                         "between identical runs")
-    print(f"determinism: {len(configs)} configuration(s), repeat runs "
+        raise SystemExit(f"{failures} stream(s) diverged between "
+                         + ("the two binaries" if other
+                            else "identical runs"))
+    what = f"against {other}" if other else "repeat runs"
+    print(f"determinism: {len(configs)} configuration(s), {what} "
           "bit-identical")
 
 

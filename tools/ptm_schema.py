@@ -98,6 +98,9 @@ SUPERVISOR_GROUPS = {"serial": (), "locks": (), "copy-ptm": ("vts",),
 # ones two runs of one configuration may disagree on.
 HOST_MANIFEST_FIELDS = ("wall_seconds", "git", "events_per_sec",
                         "sim_events_per_sec", "sim_ticks_per_wall_sec")
+# The time-series interval fields that measure the host.
+HOST_INTERVAL_FIELDS = ("wall_seconds", "events_per_sec",
+                        "ticks_per_wall_sec")
 
 # --- Field tables -------------------------------------------------------
 #
