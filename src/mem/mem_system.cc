@@ -277,7 +277,8 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     //    unchanged. Then collect in-cache conflicts from every sharer
     //    (including our own line: a context-switched transaction's
     //    marks may live there).
-    std::vector<std::pair<CoreId, CacheLine *>> sharer_lines;
+    auto &sharer_lines = grant_sharers_;
+    sharer_lines.clear();
     {
         std::uint64_t snoop_set = dirSharers(block);
         snoopsFiltered += params_.numCores -
@@ -290,7 +291,8 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
                 dirClear(o, block); // self-heal a stale sharer bit
         }
     }
-    std::vector<TxId> confl;
+    std::vector<TxId> &confl = grant_conflicts_;
+    confl.clear();
     for (auto &[o, l] : sharer_lines) {
         (void)o;
         lineConflicts(acc, mask, *l, confl);
@@ -380,7 +382,8 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     CoreId src_core = 0;
     bool any_other_copy = false;
     std::uint16_t migrated_dirty = 0;
-    std::vector<TxMark> migrated;
+    std::vector<TxMark> &migrated = grant_migrated_;
+    migrated.clear();
     for (auto &[o, l] : sharer_lines) {
         if (o == c)
             continue;
@@ -425,7 +428,8 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
 
     Tick data_ready = grant_tick + params_.busLatency;
     std::uint16_t fill_spec_words = 0;
-    std::vector<TxMark> fill_foreign;
+    std::vector<TxMark> &fill_foreign = grant_fill_foreign_;
+    fill_foreign.clear();
     if (!src && !own) {
         // Serviced by memory: the fetch is initiated in parallel with
         // conflict resolution (section 4.4).
@@ -590,7 +594,8 @@ MemSystem::evictLine(CoreId c, CacheLine &victim)
             std::uint64_t(WatchKind::Evict),
             double(victim.readWord32(byteOff(tracer_->watchAddr()))));
     std::uint16_t spec_words = 0;
-    std::vector<TxMark> live;
+    std::vector<TxMark> &live = evict_live_;
+    live.clear();
     for (const auto &m : victim.marks)
         if (txmgr_.isLive(m.tx))
             live.push_back(m);
@@ -912,8 +917,15 @@ MemSystem::debugReadWord32(Addr paddr, TxId tx)
 {
     (void)tx;
     Addr block = blockAlign(paddr);
+    // Only cores with a sharer bit can hold the block (a missing bit
+    // is impossible, section 6b of DESIGN.md). Ascending core order
+    // keeps the rule of the full scan: the first copy wins, a later
+    // dirty copy replaces it. Stale bits are left alone: a debug read
+    // changes no simulated state, and the directory feeds the
+    // snoops_filtered statistic.
     const CacheLine *best = nullptr;
-    for (CoreId c = 0; c < params_.numCores; ++c) {
+    for (std::uint64_t sh = dirSharers(block); sh; sh &= sh - 1) {
+        CoreId c = CoreId(std::countr_zero(sh));
         if (const CacheLine *l = l2_[c]->find(block)) {
             if (!best || l->dirty())
                 best = l;

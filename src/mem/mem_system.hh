@@ -346,6 +346,21 @@ class MemSystem
     /** Bitmap words per (transaction, core): one bit per L2 slot. */
     std::size_t footprintWords_;
 
+    /**
+     * @name Per-miss scratch
+     *
+     * Reused across calls so a miss allocates nothing. Neither
+     * processGrant nor evictLine issues a bus request synchronously,
+     * so neither re-enters itself while its lists are live.
+     */
+    /// @{
+    std::vector<std::pair<CoreId, CacheLine *>> grant_sharers_;
+    std::vector<TxId> grant_conflicts_;
+    std::vector<TxMark> grant_migrated_;
+    std::vector<TxMark> grant_fill_foreign_;
+    std::vector<TxMark> evict_live_;
+    /// @}
+
     /** True while flushTxLines runs (abort-cause attribution). */
     bool in_tx_flush_ = false;
 

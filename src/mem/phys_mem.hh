@@ -73,6 +73,19 @@ class PhysMem
         std::memcpy(f.data() + pageOffset(a), &v, sizeof(v));
     }
 
+    /** Bytes of frame @p p, or nullptr while it is unbacked (an
+     *  unbacked frame reads as zero). */
+    const std::uint8_t *
+    frameData(PageNum p) const
+    {
+        const Frame *f = find(p);
+        return f ? f->data() : nullptr;
+    }
+
+    /** Bytes of frame @p p, backing it (zero-filled) first if needed.
+     *  The pointer stays valid until the frame is released. */
+    std::uint8_t *backFrame(PageNum p) { return get(p).data(); }
+
     /** Copy a 4-byte word between two physical addresses. */
     void
     copyWord32(Addr dst, Addr src)

@@ -59,17 +59,29 @@ class PageGran
                 fn(blk * wordsPerBlock + w);
     }
 
-    /** True if @p vec has any bit set for the given access. */
+    /**
+     * The bits of @p vec covering the 16 words of the block at
+     * @p block_addr, word w in bit w: each word's own bit in word
+     * mode, the block's bit repeated in block mode.
+     */
+    std::uint16_t
+    blockWords(const BitVec &vec, Addr block_addr) const
+    {
+        unsigned blk = blockInPage(block_addr);
+        if (per_word_)
+            return vec.bits16(blk * wordsPerBlock);
+        return vec.test(blk) ? std::uint16_t(0xffff) : std::uint16_t(0);
+    }
+
+    /** True if @p vec has any bit set for the given access (in block
+     *  mode: the block's bit, whatever @p word_mask says). */
     bool
     anySet(const BitVec &vec, Addr block_addr,
            std::uint16_t word_mask) const
     {
-        bool hit = false;
-        forBits(block_addr, word_mask, [&](unsigned i) {
-            if (vec.test(i))
-                hit = true;
-        });
-        return hit;
+        if (!per_word_)
+            return vec.test(blockInPage(block_addr));
+        return (blockWords(vec, block_addr) & word_mask) != 0;
     }
 
     /** Set every bit of the access in @p vec. */

@@ -6,6 +6,8 @@
 #include "ptm/vts.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -330,50 +332,37 @@ Vts::checkAccess(const BlockAccess &acc)
     return r;
 }
 
-bool
-Vts::effSelection(const SptEntry &e, unsigned i) const
+Vts::BlockView
+Vts::viewBlock(const SptEntry &e, Addr block_addr, TxId requester) const
 {
-    bool sel = e.selection.test(i);
-    // A Committing transaction's lazy walk will toggle the selection
-    // bit of every unit it wrote; until the walk reaches this page,
-    // writebacks and speculative deposits must already target the
-    // post-toggle locations, or a newer committed value written back
-    // in the window would be stranded in the stale location.
+    BlockView v;
+    v.effSel = gran_.blockWords(e.selection, block_addr);
+    // Only word modes share a block between writers; the summary bit
+    // gates the foreign-writer search as the paper's XOR rule does.
+    std::uint16_t open = gran_.perWord()
+                             ? gran_.blockWords(e.writeSummary, block_addr)
+                             : std::uint16_t(0);
     for (const TavNode *t = e.tavHead; t; t = t->nextOnPage) {
-        if (t->write.test(i) &&
-            txmgr_.stateOf(t->tx) == TxState::Committing)
-            sel = !sel;
+        std::uint16_t w = gran_.blockWords(t->write, block_addr);
+        if (!w)
+            continue;
+        TxState st = txmgr_.stateOf(t->tx);
+        if (st == TxState::Committing)
+            v.effSel ^= w;
+        else
+            v.backedUp |= w;
+        if (t->tx == requester) {
+            v.mine |= w;
+        } else if (st == TxState::Running) {
+            // The first live writer in list order claims each word.
+            for (std::uint16_t m = w & open; m; m &= m - 1)
+                v.writer[std::countr_zero(m)] = t->tx;
+            v.foreign |= w & open;
+            open &= std::uint16_t(~w);
+        }
     }
-    return sel;
-}
-
-bool
-Vts::backedUp(const SptEntry &e, unsigned i) const
-{
-    for (const TavNode *t = e.tavHead; t; t = t->nextOnPage) {
-        if (t->write.test(i) &&
-            txmgr_.stateOf(t->tx) != TxState::Committing)
-            return true;
-    }
-    return false;
-}
-
-Addr
-Vts::committedUnitAddr(const SptEntry &e, unsigned i) const
-{
-    bool shadow = e.hasShadow() &&
-                  (select_ ? effSelection(e, i) : backedUp(e, i));
-    return gran_.unitAddr(shadow ? e.shadow : e.home, i);
-}
-
-Addr
-Vts::specUnitAddr(const SptEntry &e, unsigned i) const
-{
-    panic_if(!e.hasShadow(), "speculative location without shadow page");
-    PageNum p = (select_ && effSelection(e, i)) ? e.home : e.shadow;
-    if (!select_)
-        p = e.home; // Copy-PTM: speculative data always in the home page
-    return gran_.unitAddr(p, i);
+    v.foreign &= std::uint16_t(~v.mine);
+    return v;
 }
 
 Tick
@@ -397,79 +386,55 @@ Vts::fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
     if (!anyOverflow())
         extra += sptLookupCost(page, requester);
 
-    TavNode *mine0 =
-        requester != invalidTxId ? e->findTav(requester) : nullptr;
     if (!select_ || !e->hasShadow()) {
         // Copy-PTM fetches from the home page; for the writer this is
         // the speculative version, for everyone else the committed one
         // (conflicting cases were resolved before the fill).
         phys_.readBlock(block_addr, dst);
-        if (mine0) {
-            for (unsigned w = 0; w < wordsPerBlock; ++w) {
-                unsigned bit = gran_.wordBit(block_addr +
-                                             Addr(w) * wordBytes);
-                if (mine0->write.test(bit))
-                    spec_words |= std::uint16_t(1u << w);
-            }
-        }
+        if (const TavNode *mine = requester != invalidTxId
+                                      ? e->findTav(requester)
+                                      : nullptr)
+            spec_words = gran_.blockWords(mine->write, block_addr);
         return extra;
     }
 
     // Select-PTM: per unit, XOR of write-summary and selection decides
     // the page; equivalently, the requester reads its own speculative
-    // units and committed units otherwise (section 4.4.1).
-    TavNode *mine = mine0;
+    // units and committed units otherwise (section 4.4.1). Another
+    // live transaction's overflowed speculative word (word modes) also
+    // comes from the speculative location, and the line then carries
+    // the writer's mark so conflicts keep firing on the cached copy.
+    BlockView v = viewBlock(*e, block_addr, requester);
+    spec_words = v.mine;
+    for (std::uint16_t m = v.foreign; m; m &= m - 1) {
+        unsigned w = unsigned(std::countr_zero(m));
+        std::uint16_t bit = std::uint16_t(1u << w);
+        auto fm = std::find_if(foreign.begin(), foreign.end(),
+                               [&](const TxMark &f) {
+                                   return f.tx == v.writer[w];
+                               });
+        if (fm != foreign.end())
+            fm->writeWords |= bit;
+        else
+            foreign.push_back(TxMark{v.writer[w], 0, bit});
+    }
+    std::uint16_t from_shadow = v.effSel ^ (v.mine | v.foreign);
+    const std::uint8_t *home_f = phys_.frameData(e->home);
+    const std::uint8_t *shadow_f = phys_.frameData(e->shadow);
     unsigned block_off = unsigned(pageOffset(block_addr));
     for (unsigned w = 0; w < wordsPerBlock; ++w) {
         Addr word_addr = block_addr + Addr(w) * wordBytes;
-        unsigned bit = gran_.wordBit(word_addr);
-        Addr loc;
-        TxId writer = invalidTxId;
-        if (gran_.perWord() && (!mine || !mine->write.test(bit))) {
-            // Another live transaction's overflowed speculative word?
-            // The paper's XOR rule fetches the speculative location
-            // whenever the write-summary bit is set; the line then
-            // carries the writer's mark so conflicts keep firing on
-            // the cached copy (word-granularity sharing).
-            if (e->writeSummary.test(bit)) {
-                for (TavNode *t = e->tavHead; t; t = t->nextOnPage) {
-                    if (t->tx != requester && t->write.test(bit) &&
-                        txmgr_.isLive(t->tx)) {
-                        writer = t->tx;
-                        break;
-                    }
-                }
-            }
-        }
-        if (mine && mine->write.test(bit)) {
-            loc = specUnitAddr(*e, bit);
-            spec_words |= std::uint16_t(1u << w);
-        } else if (writer != invalidTxId) {
-            loc = specUnitAddr(*e, bit);
-            bool found = false;
-            for (auto &fm : foreign) {
-                if (fm.tx == writer) {
-                    fm.writeWords |= std::uint16_t(1u << w);
-                    found = true;
-                }
-            }
-            if (!found)
-                foreign.push_back(
-                    TxMark{writer, 0, std::uint16_t(1u << w)});
-        } else {
-            loc = committedUnitAddr(*e, bit);
-        }
-        // Unit addresses are page-relative at the same offset; pick
-        // the word within the chosen page.
-        Addr src = pageBase(pageOf(loc)) + block_off +
-                   Addr(w) * wordBytes;
-        std::uint32_t v = phys_.readWord32(src);
+        const std::uint8_t *f =
+            (from_shadow & (1u << w)) ? shadow_f : home_f;
+        std::uint32_t val = 0;
+        if (f)
+            std::memcpy(&val, f + block_off + w * wordBytes, wordBytes);
         if (tracer_->watchingWord(word_addr))
             tracer_->record(TraceEventType::Watchpoint, traceNoId,
                             traceNoId, requester, invalidTxId,
-                            word_addr,
-                            std::uint64_t(WatchKind::Fill), double(v));
-        std::memcpy(dst + w * wordBytes, &v, wordBytes);
+                            word_addr, std::uint64_t(WatchKind::Fill),
+                            double(val));
+        std::memcpy(dst + w * wordBytes, &val, wordBytes);
     }
     return extra;
 }
@@ -640,15 +605,22 @@ Vts::evictTxBlock(Addr block_addr, TxId tx, bool dirty_spec,
         std::uint16_t store_words =
             (select_ && !gran_.perWord()) ? std::uint16_t(0xffff)
                                           : write_words;
+        // Select-PTM's speculative location is the page not holding
+        // the committed copy.
+        std::uint16_t to_shadow =
+            select_ ? std::uint16_t(~viewBlock(e, block_addr, tx).effSel &
+                                    store_words)
+                    : std::uint16_t(0);
+        std::uint16_t to_home = store_words & ~to_shadow;
+        std::uint8_t *home_f = to_home ? phys_.backFrame(e.home) : nullptr;
+        std::uint8_t *shadow_f =
+            to_shadow ? phys_.backFrame(e.shadow) : nullptr;
         unsigned block_off = unsigned(pageOffset(block_addr));
         for (unsigned w = 0; w < wordsPerBlock; ++w) {
             if (!(store_words & (1u << w)))
                 continue;
             Addr word_addr = block_addr + Addr(w) * wordBytes;
-            unsigned bit = gran_.wordBit(word_addr);
-            Addr loc = specUnitAddr(e, bit);
-            Addr dst = pageBase(pageOf(loc)) + block_off +
-                       Addr(w) * wordBytes;
+            std::uint8_t *f = (to_shadow & (1u << w)) ? shadow_f : home_f;
             std::uint32_t v;
             std::memcpy(&v, data + w * wordBytes, wordBytes);
             if (tracer_->watchingWord(word_addr))
@@ -656,7 +628,7 @@ Vts::evictTxBlock(Addr block_addr, TxId tx, bool dirty_spec,
                                 traceNoId, tx, invalidTxId, word_addr,
                                 std::uint64_t(WatchKind::SpecDeposit),
                                 double(v));
-            phys_.writeWord32(dst, v);
+            std::memcpy(f + block_off + w * wordBytes, &v, wordBytes);
         }
         // Posted block-sized memory write for the speculative data.
         dram_.write(now + lat);
@@ -675,49 +647,63 @@ Vts::writebackBlock(Addr block_addr, const std::uint8_t *data,
     SptEntry *e = findEntry(page);
     Tick now = eq_.curTick();
     Tick lat = 0;
+    unsigned block_off = unsigned(pageOffset(block_addr));
 
     if (!e || !select_ || !e->hasShadow()) {
         // Committed data lives in the home page. Under Copy-PTM a unit
         // backed up by a writer that has not committed also keeps its
         // committed copy in the shadow, which that writer's abort
         // restores: update both, or the restore would undo this write.
-        unsigned block_off = unsigned(pageOffset(block_addr));
+        std::uint16_t backed =
+            e && e->hasShadow()
+                ? std::uint16_t(
+                      viewBlock(*e, block_addr, invalidTxId).backedUp &
+                      word_mask)
+                : std::uint16_t(0);
+        std::uint8_t *home_f = word_mask ? phys_.backFrame(page) : nullptr;
+        std::uint8_t *shadow_f =
+            backed ? phys_.backFrame(e->shadow) : nullptr;
         for (unsigned w = 0; w < wordsPerBlock; ++w) {
             if (!(word_mask & (1u << w)))
                 continue;
-            std::uint32_t v;
-            std::memcpy(&v, data + w * wordBytes, wordBytes);
-            Addr off = block_off + Addr(w) * wordBytes;
-            phys_.writeWord32(pageBase(page) + off, v);
-            if (e && e->hasShadow() &&
-                backedUp(*e, gran_.wordBit(pageBase(page) + off)))
-                phys_.writeWord32(pageBase(e->shadow) + off, v);
+            unsigned off = block_off + w * unsigned(wordBytes);
+            std::memcpy(home_f + off, data + w * wordBytes, wordBytes);
+            if (backed & (1u << w))
+                std::memcpy(shadow_f + off, data + w * wordBytes,
+                            wordBytes);
         }
         dram_.write(now); // posted write
         return 0;
     }
 
     lat += sptLookupCost(page);
-    bool lazy = params_.shadowFree == ShadowFreePolicy::LazyMigrate;
-    bool toggled = false;
-    unsigned block_off = unsigned(pageOffset(block_addr));
+    std::uint16_t in_shadow =
+        viewBlock(*e, block_addr, invalidTxId).effSel & word_mask;
+    // Lazy shadow freeing: force the committed writeback of a shadow
+    // unit nobody has overflowed to the home page and clear its
+    // selection bit (3.5.2). In block mode the block's one bit covers
+    // every word: the migration counts once and all words go home.
+    std::uint16_t migrate = 0;
+    if (params_.shadowFree == ShadowFreePolicy::LazyMigrate)
+        migrate = in_shadow &
+                  std::uint16_t(~gran_.blockWords(e->writeSummary,
+                                                  block_addr));
+    if (migrate) {
+        gran_.forBits(block_addr, migrate, [&](unsigned i) {
+            e->selection.clear(i);
+            ++lazyMigrations;
+        });
+        in_shadow &= std::uint16_t(~migrate);
+    }
+    std::uint16_t to_home = word_mask & std::uint16_t(~in_shadow);
+    std::uint8_t *home_f = to_home ? phys_.backFrame(e->home) : nullptr;
+    std::uint8_t *shadow_f =
+        in_shadow ? phys_.backFrame(e->shadow) : nullptr;
     for (unsigned w = 0; w < wordsPerBlock; ++w) {
         if (!(word_mask & (1u << w)))
             continue;
         Addr word_addr = block_addr + Addr(w) * wordBytes;
-        unsigned bit = gran_.wordBit(word_addr);
-        Addr loc;
-        if (lazy && effSelection(*e, bit) &&
-            !e->writeSummary.test(bit)) {
-            // Lazy shadow freeing: force the committed writeback to
-            // the home page and toggle the selection bit (3.5.2).
-            loc = gran_.unitAddr(e->home, bit);
-            e->selection.clear(bit);
-            toggled = true;
-            ++lazyMigrations;
-        } else {
-            loc = committedUnitAddr(*e, bit);
-        }
+        std::uint8_t *f = (in_shadow & (1u << w)) ? shadow_f : home_f;
         std::uint32_t v;
         std::memcpy(&v, data + w * wordBytes, wordBytes);
         if (tracer_->watchingWord(word_addr))
@@ -725,11 +711,9 @@ Vts::writebackBlock(Addr block_addr, const std::uint8_t *data,
                             traceNoId, invalidTxId, invalidTxId,
                             word_addr, std::uint64_t(WatchKind::Cwb),
                             double(v));
-        phys_.writeWord32(pageBase(pageOf(loc)) + block_off +
-                              Addr(w) * wordBytes,
-                          v);
+        std::memcpy(f + block_off + w * wordBytes, &v, wordBytes);
     }
-    if (toggled) {
+    if (migrate) {
         tracer_->record(TraceEventType::SelFlip, traceNoId, traceNoId,
                         invalidTxId, invalidTxId, page);
         bool evd = false;
@@ -747,10 +731,11 @@ Vts::readCommittedWord32(Addr word_addr)
     const SptEntry *e = findEntry(page);
     if (!e || !e->hasShadow())
         return phys_.readWord32(word_addr);
-    unsigned bit = gran_.wordBit(word_addr);
-    Addr loc = committedUnitAddr(*e, bit);
-    return phys_.readWord32(pageBase(pageOf(loc)) +
-                            pageOffset(word_addr));
+    BlockView v = viewBlock(*e, blockAlign(word_addr), invalidTxId);
+    std::uint16_t in_shadow = select_ ? v.effSel : v.backedUp;
+    unsigned w = wordInPage(word_addr) % wordsPerBlock;
+    PageNum p = (in_shadow >> w) & 1 ? e->shadow : e->home;
+    return phys_.readWord32(pageBase(p) + pageOffset(word_addr));
 }
 
 void

@@ -378,24 +378,41 @@ class Vts : public TmBackend
     void maybeFreeShadow(SptEntry &e);
 
     /**
-     * Selection bit of unit @p i with the pending toggles of
-     * Committing transactions' lazy walks applied (see the commit-walk
-     * race note in committedUnitAddr's implementation).
+     * Where each word of one block lives, from a single walk of the
+     * page's TAV list. Bit w of every mask is word w of the block (in
+     * block mode all 16 bits repeat the block's unit bit).
      */
-    bool effSelection(const SptEntry &e, unsigned i) const;
+    struct BlockView
+    {
+        /**
+         * Selection bits with the pending toggles of Committing
+         * transactions' lazy walks applied. Until a walk reaches the
+         * page, writebacks and speculative deposits must already
+         * target the post-toggle locations, or a newer committed value
+         * written back in the window would be stranded in the stale
+         * location.
+         */
+        std::uint16_t effSel = 0;
+        /** Words the requester wrote speculatively. */
+        std::uint16_t mine = 0;
+        /**
+         * Copy-PTM: words backed up in the shadow page by a writer
+         * that is not Committing, so their committed copy lives there
+         * until that writer's walk.
+         */
+        std::uint16_t backedUp = 0;
+        /**
+         * Word modes: words outside @c mine with a live foreign
+         * writer; @c writer holds the first one in TAV list order.
+         */
+        std::uint16_t foreign = 0;
+        TxId writer[wordsPerBlock] = {};
+    };
 
-    /**
-     * Copy-PTM: true while unit @p i is backed up in the shadow page
-     * by a writer that is not Committing, so its committed copy lives
-     * there until the writer's walk (same TAV-list walk as
-     * effSelection).
-     */
-    bool backedUp(const SptEntry &e, unsigned i) const;
-
-    /** Physical address of the *committed* unit covering bit @p i. */
-    Addr committedUnitAddr(const SptEntry &e, unsigned i) const;
-    /** Physical address of the *speculative* unit covering bit @p i. */
-    Addr specUnitAddr(const SptEntry &e, unsigned i) const;
+    /** Resolve the block at @p block_addr of page @p e for
+     *  @p requester (invalidTxId: no requester). */
+    BlockView viewBlock(const SptEntry &e, Addr block_addr,
+                        TxId requester) const;
 
     /** Recompute a page's summary vectors and live-dirty gauge. */
     void refreshPage(SptEntry &e);

@@ -41,6 +41,18 @@ class BitVec
         return (words_[i >> 6] >> (i & 63)) & 1;
     }
 
+    /**
+     * The 16 bits starting at bit @p i, which must be a multiple of
+     * 16: bit i + k of the vector is bit k of the result.
+     */
+    std::uint16_t
+    bits16(unsigned i) const
+    {
+        panic_if(i % 16 || i + 16 > nbits_,
+                 "BitVec 16-bit group at %u out of range %u", i, nbits_);
+        return std::uint16_t(words_[i >> 6] >> (i & 63));
+    }
+
     void
     set(unsigned i)
     {

@@ -20,8 +20,8 @@ namespace
 class MoesiTest : public ::testing::Test
 {
   protected:
-    MoesiTest()
-        : params(makeParams()), mem(params, eq, phys, txmgr)
+    explicit MoesiTest(unsigned cores = 4)
+        : params(makeParams(cores)), mem(params, eq, phys, txmgr)
     {
         // Wire the flash commit/abort hooks exactly as System does.
         txmgr.onLogicalCommit = [this](TxId t) {
@@ -33,10 +33,10 @@ class MoesiTest : public ::testing::Test
     }
 
     static SystemParams
-    makeParams()
+    makeParams(unsigned cores)
     {
         SystemParams p;
-        p.numCores = 4;
+        p.numCores = cores;
         return p;
     }
 
@@ -245,6 +245,43 @@ TEST_F(MoesiTest, OlderRequesterWinsConflict)
     EXPECT_EQ(txmgr.requestCommit(older), CommitResult::Done);
     eq.run();
     EXPECT_EQ(go(2, false, A).value, 1u);
+}
+
+/** The same harness on a 16-core machine. */
+class MoesiWideTest : public MoesiTest
+{
+  protected:
+    MoesiWideTest() : MoesiTest(16) {}
+};
+
+// Debug reads probe only the directory's sharer cores, in ascending
+// order: the first copy found wins unless a later copy is dirty. The
+// copies' data is overwritten behind the protocol's back so that each
+// rule picks a value no other rule would.
+TEST_F(MoesiWideTest, DebugReadFollowsSharerBits)
+{
+    phys.writeWord32(A, 5);
+    go(14, true, A, 99);
+    ASSERT_EQ(stateOf(14, A), Moesi::M);
+    EXPECT_EQ(mem.debugReadWord32(A), 99u)
+        << "the only copy sits on a high core";
+
+    go(3, false, A);
+    ASSERT_EQ(stateOf(3, A), Moesi::S);
+    ASSERT_EQ(stateOf(14, A), Moesi::O);
+    mem.l2(3).find(A)->writeWord32(0, 7);
+    EXPECT_EQ(mem.debugReadWord32(A), 99u)
+        << "a later dirty copy replaces the first clean one";
+
+    constexpr Addr B = A + 0x1000;
+    phys.writeWord32(B, 6);
+    go(5, false, B);
+    go(12, false, B);
+    ASSERT_EQ(stateOf(5, B), Moesi::S);
+    ASSERT_EQ(stateOf(12, B), Moesi::S);
+    mem.l2(12).find(B)->writeWord32(0, 8);
+    EXPECT_EQ(mem.debugReadWord32(B), 6u)
+        << "among clean copies the lowest core wins";
 }
 
 } // namespace

@@ -36,6 +36,13 @@ TEST(PageGran, BlockModeMapsBlocks)
     EXPECT_EQ(bits, (std::vector<unsigned>{3}));
     EXPECT_EQ(g.wordBit(pageBase(5) + 3 * blockBytes + 8), 3u);
     EXPECT_EQ(g.unitBytes(), blockBytes);
+
+    // blockWords repeats the block's one bit over its 16 words.
+    BitVec v = g.makeVec();
+    v.set(63);
+    EXPECT_EQ(g.blockWords(v, pageBase(5) + 63 * blockBytes), 0xffffu);
+    EXPECT_EQ(g.blockWords(v, pageBase(5) + 62 * blockBytes), 0u);
+    EXPECT_TRUE(g.anySet(v, pageBase(5) + 63 * blockBytes, 0x0001));
 }
 
 TEST(PageGran, WordModeMapsWords)
@@ -48,6 +55,32 @@ TEST(PageGran, WordModeMapsWords)
     EXPECT_EQ(bits, (std::vector<unsigned>{48, 52}));
     EXPECT_EQ(g.wordBit(pageBase(5) + 3 * blockBytes + 8), 50u);
     EXPECT_EQ(g.unitBytes(), wordBytes);
+
+    // blockWords returns the block's own 16 bits; a page's last block
+    // is the top 16 bits of the vector's last 64-bit word.
+    const Addr last = pageBase(5) + 63 * blockBytes;
+    BitVec v = g.makeVec();
+    v.set(63 * 16 + 0);
+    v.set(63 * 16 + 15);
+    v.set(3 * 16 + 4);
+    EXPECT_EQ(g.blockWords(v, last), 0x8001u);
+    EXPECT_EQ(g.blockWords(v, pageBase(5) + 3 * blockBytes), 0x0010u);
+    EXPECT_EQ(g.blockWords(v, pageBase(5) + 2 * blockBytes), 0u);
+    EXPECT_TRUE(g.anySet(v, last, 0x8000));
+    EXPECT_FALSE(g.anySet(v, last, 0x7ffe));
+}
+
+TEST(BitVec, Bits16ReadsAlignedGroups)
+{
+    BitVec v(128);
+    v.set(48);
+    v.set(63); // the top 16 bits of the first 64-bit word
+    v.set(64);
+    v.set(70);
+    EXPECT_EQ(v.bits16(0), 0u);
+    EXPECT_EQ(v.bits16(48), 0x8001u);
+    EXPECT_EQ(v.bits16(64), 0x0041u);
+    EXPECT_EQ(v.bits16(112), 0u);
 }
 
 TEST(VtsMetaCache, HitMissDirtyEviction)
@@ -420,7 +453,9 @@ TEST_F(VtsTest, LazyMigrationDrainsSelectionAndFreesShadow)
     ASSERT_TRUE(vts->sptEntry(home)->selection.test(13));
 
     // A non-speculative writeback of the block is forced to the home
-    // page, toggling the selection bit and freeing the shadow.
+    // page, toggling the selection bit and freeing the shadow. The
+    // block's one selection bit covers all 16 words: every word goes
+    // home and the migration counts once.
     std::uint8_t data[blockBytes];
     for (unsigned w = 0; w < wordsPerBlock; ++w) {
         std::uint32_t v = 4000 + w;
@@ -429,9 +464,11 @@ TEST_F(VtsTest, LazyMigrationDrainsSelectionAndFreesShadow)
     vts->writebackBlock(blockAddr(13), data, 0xffff);
     const SptEntry *e = vts->sptEntry(home);
     EXPECT_FALSE(e->selection.test(13));
-    EXPECT_EQ(phys.readWord32(blockAddr(13)), 4000u);
+    for (unsigned w = 0; w < wordsPerBlock; ++w)
+        EXPECT_EQ(phys.readWord32(blockAddr(13) + w * 4), 4000u + w)
+            << "word " << w;
     EXPECT_FALSE(e->hasShadow());
-    EXPECT_GT(vts->lazyMigrations.value(), 0u);
+    EXPECT_EQ(vts->lazyMigrations.value(), 1u);
 }
 
 TEST_F(VtsTest, WordGranularityVectorsPerWord)
@@ -455,6 +492,96 @@ TEST_F(VtsTest, WordGranularityVectorsPerWord)
     // Word 1 committed in shadow; word 0 untouched in home.
     EXPECT_EQ(vts->readCommittedWord32(blockAddr(1) + 4), 999u);
     EXPECT_EQ(vts->readCommittedWord32(blockAddr(1) + 0), 10u);
+}
+
+// While a commit's walk has not reached the page, the committed copy
+// of a written unit is already the one the walk will select: a fill
+// reads it and a writeback updates it there.
+TEST_F(VtsTest, CommittingWriterMovesCommittedLocation)
+{
+    build(TmKind::SelectPtm);
+    phys.writeWord32(blockAddr(3), 7);
+    TxId tx = txmgr.begin(0, 0, 0);
+    evictDirty(tx, 3, 1234);
+    ASSERT_EQ(txmgr.requestCommit(tx), CommitResult::Done);
+    ASSERT_EQ(txmgr.stateOf(tx), TxState::Committing);
+    const SptEntry *e = vts->sptEntry(home);
+    ASSERT_FALSE(e->selection.test(3)) << "walk still pending";
+
+    std::uint8_t buf[blockBytes];
+    std::uint16_t spec = 0;
+    std::vector<TxMark> foreign;
+    vts->fillBlock(blockAddr(3), invalidTxId, buf, spec, foreign);
+    for (unsigned w = 0; w < wordsPerBlock; ++w) {
+        std::uint32_t v;
+        std::memcpy(&v, buf + w * 4, 4);
+        EXPECT_EQ(v, 1234u + w) << "word " << w;
+    }
+    EXPECT_EQ(spec, 0u);
+    EXPECT_EQ(vts->readCommittedWord32(blockAddr(3) + 8), 1236u);
+
+    std::uint8_t data[blockBytes];
+    for (unsigned w = 0; w < wordsPerBlock; ++w) {
+        std::uint32_t v = 500 + w;
+        std::memcpy(data + w * 4, &v, 4);
+    }
+    vts->writebackBlock(blockAddr(3), data, 0xffff);
+    EXPECT_EQ(phys.readWord32(pageBase(e->shadow) + 3 * blockBytes),
+              500u);
+    EXPECT_EQ(phys.readWord32(blockAddr(3)), 7u) << "home untouched";
+
+    eq.run();
+    ASSERT_TRUE(vts->sptEntry(home)->selection.test(3));
+    for (unsigned w = 0; w < wordsPerBlock; ++w)
+        EXPECT_EQ(vts->readCommittedWord32(blockAddr(3) + w * 4),
+                  500u + w)
+            << "word " << w;
+}
+
+// Two live writers overflowed words of one block. Each word's foreign
+// mark names the first live writer in TAV list order (the newest
+// node first), and the marks are listed by first marked word.
+TEST_F(VtsTest, WordModeForeignMarkFollowsTavListOrder)
+{
+    build(TmKind::SelectPtm, Granularity::WordCacheMem);
+    TxId a = txmgr.begin(0, 0, 0);
+    TxId b = txmgr.begin(1, 0, 1);
+    TxId c = txmgr.begin(2, 0, 2);
+    std::uint8_t data[blockBytes] = {};
+    for (unsigned w = 0; w < 3; ++w) {
+        std::uint32_t v = 100 + w;
+        std::memcpy(data + w * 4, &v, 4);
+    }
+    vts->evictTxBlock(blockAddr(1), a, true, data, 0, 0x0003);
+    for (unsigned w = 0; w < 3; ++w) {
+        std::uint32_t v = 200 + w;
+        std::memcpy(data + w * 4, &v, 4);
+    }
+    vts->evictTxBlock(blockAddr(1), b, true, data, 0, 0x0006);
+    ASSERT_EQ(vts->sptEntry(home)->tavHead->tx, b) << "newest first";
+
+    std::uint8_t buf[blockBytes];
+    std::uint16_t spec = 0;
+    std::vector<TxMark> foreign;
+    vts->fillBlock(blockAddr(1), c, buf, spec, foreign);
+    EXPECT_EQ(spec, 0u);
+    ASSERT_EQ(foreign.size(), 2u);
+    EXPECT_EQ(foreign[0].tx, a);
+    EXPECT_EQ(foreign[0].writeWords, 0x0001);
+    EXPECT_EQ(foreign[1].tx, b);
+    EXPECT_EQ(foreign[1].writeWords, 0x0006);
+    std::uint32_t v[3];
+    std::memcpy(v, buf, sizeof(v));
+    EXPECT_EQ(v[0], 100u);
+    EXPECT_EQ(v[1], 201u) << "one speculative location per word";
+    EXPECT_EQ(v[2], 202u);
+
+    // The requester's own words are never foreign.
+    vts->fillBlock(blockAddr(1), a, buf, spec, foreign);
+    EXPECT_EQ(spec, 0x0003);
+    ASSERT_EQ(foreign.size(), 1u);
+    EXPECT_EQ(foreign[0].tx, b);
+    EXPECT_EQ(foreign[0].writeWords, 0x0004);
 }
 
 } // namespace

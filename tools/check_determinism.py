@@ -58,6 +58,19 @@ DEFAULT_CONFIGS = [
     ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
      "--threads", "4", "--heatmap", "--profile", "--audit",
      "--postmortem-on-abort", "4"],
+    # The overflow path: flushing tx lines on every daemon context
+    # switch spills them to the VTS. Block-granularity lazy migrations
+    # with Fill/SpecDeposit/Cwb/Toggle/Evict watchpoint records, ...
+    ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
+     "--flush-ctxsw", "--daemon", "3000", "--lazy-migrate",
+     "--watch-addr", "4100"],
+    # ... per-word migrations and foreign-writer fills, ...
+    ["--workload", "lu", "--system", "sel-ptm", "--gran", "wd:cache+mem",
+     "--scale", "0", "--flush-ctxsw", "--daemon", "3000",
+     "--lazy-migrate"],
+    # ... and Copy-PTM backups and abort restores.
+    ["--workload", "radix", "--system", "copy-ptm", "--scale", "0",
+     "--flush-ctxsw", "--daemon", "3000"],
 ]
 
 
