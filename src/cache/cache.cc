@@ -5,6 +5,8 @@
 
 #include "cache/cache.hh"
 
+#include <type_traits>
+
 namespace ptm
 {
 
@@ -36,31 +38,29 @@ CacheArray::CacheArray(std::uint64_t bytes, unsigned assoc)
     num_sets_ = unsigned(lines / assoc);
     fatal_if((num_sets_ & (num_sets_ - 1)) != 0,
              "number of cache sets must be a power of two");
-    lines_.resize(lines);
+    // calloc hands out lazily zeroed pages, so a line costs setup time
+    // and host memory only once a run touches it. All-zero bytes are a
+    // default CacheLine (invalid, unmarked, zero data), and CacheLine
+    // is an implicit-lifetime aggregate, so the zeroed allocation
+    // creates the lines.
+    static_assert(std::is_aggregate_v<CacheLine>);
+    std::size_t space = lines * sizeof(CacheLine) + alignof(CacheLine);
+    storage_.reset(std::calloc(space, 1));
+    if (!storage_)
+        throw std::bad_alloc();
+    void *p = storage_.get();
+    lines_ = static_cast<CacheLine *>(std::align(
+        alignof(CacheLine), lines * sizeof(CacheLine), p, space));
+    tags_.resize(lines);
 }
 
-unsigned
-CacheArray::setIndex(Addr block_addr) const
+CacheArray::~CacheArray()
 {
-    return unsigned((block_addr >> blockShift) & (num_sets_ - 1));
-}
-
-CacheLine *
-CacheArray::find(Addr block_addr)
-{
-    unsigned set = setIndex(block_addr);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        CacheLine &l = lines_[size_t(set) * assoc_ + w];
-        if (l.valid() && l.addr == block_addr)
-            return &l;
-    }
-    return nullptr;
-}
-
-const CacheLine *
-CacheArray::find(Addr block_addr) const
-{
-    return const_cast<CacheArray *>(this)->find(block_addr);
+    // Spilled marks are the only resource a line owns, and only an
+    // installed slot can carry marks.
+    for (std::size_t i = 0; i < numLines(); ++i)
+        if (tags_[i])
+            lines_[i].clearTx();
 }
 
 CacheLine &
@@ -88,33 +88,6 @@ L1Filter::L1Filter(std::uint64_t bytes, unsigned assoc)
     fatal_if((num_sets_ & (num_sets_ - 1)) != 0,
              "number of L1 sets must be a power of two");
     entries_.resize(lines);
-}
-
-unsigned
-L1Filter::setIndex(Addr block_addr) const
-{
-    return unsigned((block_addr >> blockShift) & (num_sets_ - 1));
-}
-
-L1Filter::Entry *
-L1Filter::peek(Addr block_addr)
-{
-    unsigned set = setIndex(block_addr);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[size_t(set) * assoc_ + w];
-        if (e.valid && e.addr == block_addr)
-            return &e;
-    }
-    return nullptr;
-}
-
-L1Filter::Entry *
-L1Filter::find(Addr block_addr)
-{
-    Entry *e = peek(block_addr);
-    if (e)
-        e->lastUse = ++use_clock_;
-    return e;
 }
 
 L1Filter::Entry &

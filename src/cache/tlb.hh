@@ -46,25 +46,33 @@ class Tlb
     PageNum
     lookup(ProcId proc, PageNum vpage)
     {
+        PageNum ppage = lookupHit(proc, vpage);
+        if (ppage == invalidPage)
+            ++misses;
+        return ppage;
+    }
+
+    /**
+     * The hit path of lookup() alone: a hit moves the entry to the MRU
+     * head and counts, a miss returns invalidPage and changes nothing
+     * (the fast-forward path replays it through the full translate).
+     * The MRU head is checked before the index: touching it is a no-op.
+     */
+    PageNum
+    lookupHit(ProcId proc, PageNum vpage)
+    {
+        if (head_ != nil && slab_[head_].vpage == vpage &&
+            slab_[head_].proc == proc) {
+            ++hits;
+            return slab_[head_].ppage;
+        }
         if (std::uint32_t *slot = index_.find(key(proc, vpage))) {
             std::uint32_t i = *slot;
             touch(i);
             ++hits;
             return slab_[i].ppage;
         }
-        ++misses;
         return invalidPage;
-    }
-
-    /**
-     * Pure membership probe: no LRU motion, no hit/miss accounting.
-     * The fast-forward path uses this to decide whether translate()
-     * would hit before committing to its side effects.
-     */
-    bool
-    contains(ProcId proc, PageNum vpage) const
-    {
-        return index_.find(key(proc, vpage)) != nullptr;
     }
 
     /** Install a translation, evicting LRU if full. */

@@ -70,8 +70,13 @@ class TxCoro
   public:
     struct promise_type
     {
-        /** Operation the coroutine is currently suspended on. */
-        MemYield pending;
+        /**
+         * Operation the coroutine is currently suspended on: the op
+         * of the suspended OpAwaiter, which lives in the coroutine
+         * frame until the resume, so the op is handed over without a
+         * copy.
+         */
+        const MemYield *pending = nullptr;
         /** Result to deliver to the suspended co_await (load/CAS). */
         std::uint64_t result = 0;
         bool finished = false;
@@ -139,7 +144,7 @@ class TxCoro
         void
         await_suspend(std::coroutine_handle<promise_type> h) noexcept
         {
-            h.promise().pending = op;
+            h.promise().pending = &op;
             handle = h;
         }
 
@@ -192,8 +197,9 @@ class TxCoro
      * coroutine is suspended on (ignored at first resume). When the
      * program is nested in sub-coroutines, the deepest active one
      * receives the value and produces the next operation.
-     * @return pointer to the next pending operation, or nullptr if the
-     *         coroutine finished.
+     * @return pointer to the next pending operation (valid until the
+     *         next resume or destroy), or nullptr if the coroutine
+     *         finished.
      */
     const MemYield *
     resume(std::uint64_t value = 0)
@@ -204,7 +210,7 @@ class TxCoro
         leaf.resume();
         if (h_.done())
             return nullptr;
-        return &deepest().promise().pending;
+        return deepest().promise().pending;
     }
 
     /**

@@ -401,15 +401,14 @@ System::streamInterval(const TimeseriesInterval &iv)
 TxId
 System::pickLiveTx()
 {
-    // Collect and sort: unordered_map iteration order must not leak
-    // into the deterministic injection schedule.
+    // The table iterates in id order: the injection schedule is
+    // deterministic.
     std::vector<TxId> live;
-    for (const auto &[id, tx] : txmgr_.txTable())
+    for (const Transaction &tx : txmgr_.txTable())
         if (tx.state == TxState::Running)
-            live.push_back(id);
+            live.push_back(tx.id);
     if (live.empty())
         return invalidTxId;
-    std::sort(live.begin(), live.end());
     return live[chaos_.rng().below(std::uint32_t(live.size()))];
 }
 

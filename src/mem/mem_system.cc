@@ -466,7 +466,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
 
     // 7. Install / update our line.
     if (!own) {
-        target->addr = block;
+        l2_[c]->install(*target, block);
         target->marks.clear();
         target->dirtyWords = migrated_dirty;
         std::memcpy(target->data, data, blockBytes);

@@ -265,7 +265,7 @@ PtmAuditor::checkAll(const char *where, Tick now)
 
     // T-State cross-checks.
     std::uint64_t running = 0, overflowed_live = 0;
-    for (const auto &[id, tx] : txmgr_->txTable()) {
+    for (const Transaction &tx : txmgr_->txTable()) {
         if (tx.state == TxState::Running)
             ++running;
         if (tx.overflowed && (tx.state == TxState::Running ||

@@ -806,14 +806,12 @@ Vts::finishCleanupNow(TxId tx)
 void
 Vts::drainThreadCleanups(ThreadId thread)
 {
-    // Collect ids first: finishCleanupNow mutates jobs_ and
-    // pending_delayed_, and cleanupDone can cascade. Sorting keeps the
-    // drain order independent of hash-table iteration order.
+    // Collect ids (in id order) first: finishCleanupNow mutates jobs_
+    // and pending_delayed_, and cleanupDone can cascade.
     std::vector<TxId> ids;
-    for (const auto &[id, tx] : txmgr_.txTable())
+    for (const Transaction &tx : txmgr_.txTable())
         if (tx.thread == thread && tx.state == TxState::Aborting)
-            ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
+            ids.push_back(tx.id);
     for (TxId id : ids)
         finishCleanupNow(id);
 }
@@ -822,11 +820,10 @@ void
 Vts::drainAllCleanups()
 {
     std::vector<TxId> ids;
-    for (const auto &[id, tx] : txmgr_.txTable())
+    for (const Transaction &tx : txmgr_.txTable())
         if (tx.state == TxState::Committing ||
             tx.state == TxState::Aborting)
-            ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
+            ids.push_back(tx.id);
     for (TxId id : ids)
         finishCleanupNow(id);
 }

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -152,7 +153,8 @@ class EventFn
     reset()
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -161,35 +163,46 @@ class EventFn
     struct Ops
     {
         void (*invoke)(void *);
+        /** Relocate the callable; nullptr when a memcpy of @c size
+         *  bytes does (trivially copyable callables, heap cells). */
         void (*moveTo)(void *src, void *dst);
+        /** Destroy the callable; nullptr when that is a no-op. */
         void (*destroy)(void *);
+        std::size_t size;
     };
 
     template <typename F>
     static constexpr Ops inlineOps = {
         [](void *p) { (*static_cast<F *>(p))(); },
-        [](void *src, void *dst) {
-            F *s = static_cast<F *>(src);
-            ::new (dst) F(std::move(*s));
-            s->~F();
-        },
-        [](void *p) { static_cast<F *>(p)->~F(); },
+        std::is_trivially_copyable_v<F>
+            ? nullptr
+            : +[](void *src, void *dst) {
+                  F *s = static_cast<F *>(src);
+                  ::new (dst) F(std::move(*s));
+                  s->~F();
+              },
+        std::is_trivially_destructible_v<F>
+            ? nullptr
+            : +[](void *p) { static_cast<F *>(p)->~F(); },
+        sizeof(F),
     };
 
     template <typename F>
     static constexpr Ops heapOps = {
         [](void *p) { (**static_cast<F **>(p))(); },
-        [](void *src, void *dst) {
-            *static_cast<F **>(dst) = *static_cast<F **>(src);
-        },
+        nullptr,
         [](void *p) { delete *static_cast<F **>(p); },
+        sizeof(F *),
     };
 
     void
     moveFrom(EventFn &o) noexcept
     {
         if (o.ops_) {
-            o.ops_->moveTo(o.buf_, buf_);
+            if (o.ops_->moveTo)
+                o.ops_->moveTo(o.buf_, buf_);
+            else
+                std::memcpy(buf_, o.buf_, o.ops_->size);
             ops_ = o.ops_;
             o.ops_ = nullptr;
         }

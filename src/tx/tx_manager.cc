@@ -73,7 +73,7 @@ TxManager::begin(ThreadId thread, ProcId proc, Tick now, bool ordered,
         return outer->id;
     }
 
-    TxId id = next_id_++;
+    TxId id = TxId(table_.size()) + 1;
     Transaction tx;
     tx.id = id;
     tx.state = TxState::Running;
@@ -95,7 +95,7 @@ TxManager::begin(ThreadId thread, ProcId proc, Tick now, bool ordered,
     } else {
         tx.age = (next_age_++) << 40;
     }
-    table_[id] = tx;
+    table_.push_back(tx);
     active_by_thread_[thread] = id;
     ++live_count_;
     tracer_->recordAt(now, TraceEventType::TxBegin, traceNoId, thread,
@@ -355,27 +355,6 @@ TxManager::createOrderedScope()
 {
     scopes_.emplace_back();
     return std::uint32_t(scopes_.size() - 1);
-}
-
-Transaction *
-TxManager::get(TxId id)
-{
-    auto it = table_.find(id);
-    return it == table_.end() ? nullptr : &it->second;
-}
-
-const Transaction *
-TxManager::get(TxId id) const
-{
-    auto it = table_.find(id);
-    return it == table_.end() ? nullptr : &it->second;
-}
-
-TxState
-TxManager::stateOf(TxId id) const
-{
-    const Transaction *tx = get(id);
-    return tx ? tx->state : TxState::Invalid;
 }
 
 } // namespace ptm

@@ -155,11 +155,25 @@ class TxManager
     std::uint32_t createOrderedScope();
 
     /** Access a T-State entry (nullptr if unknown). */
-    Transaction *get(TxId id);
-    const Transaction *get(TxId id) const;
+    Transaction *
+    get(TxId id)
+    {
+        return id - 1 < table_.size() ? &table_[id - 1] : nullptr;
+    }
+
+    const Transaction *
+    get(TxId id) const
+    {
+        return id - 1 < table_.size() ? &table_[id - 1] : nullptr;
+    }
 
     /** Current state of @p id, Invalid if unknown. */
-    TxState stateOf(TxId id) const;
+    TxState
+    stateOf(TxId id) const
+    {
+        const Transaction *tx = get(id);
+        return tx ? tx->state : TxState::Invalid;
+    }
 
     /** True if @p id is live (Running). */
     bool
@@ -171,11 +185,11 @@ class TxManager
     /** Number of transactions currently live. */
     unsigned liveCount() const { return live_count_; }
 
-    /** The whole T-State table (auditor / chaos victim selection). */
-    const std::unordered_map<TxId, Transaction> &txTable() const
-    {
-        return table_;
-    }
+    /**
+     * The whole T-State table in id order (auditor / chaos victim
+     * selection / cleanup drains).
+     */
+    const std::deque<Transaction> &txTable() const { return table_; }
 
     /** Configure the contention-robustness knobs (System wiring). */
     void setContention(const ContentionParams &p) { contention_ = p; }
@@ -236,10 +250,11 @@ class TxManager
 
     Tracer *tracer_ = &Tracer::nil();
     std::function<Tick()> clock_;
-    std::unordered_map<TxId, Transaction> table_;
+    /** Every transaction ever begun, indexed by id - 1 (ids are
+     *  sequential from 1; a deque keeps entry pointers stable). */
+    std::deque<Transaction> table_;
     std::unordered_map<ThreadId, TxId> active_by_thread_;
     std::vector<OrderedScope> scopes_;
-    TxId next_id_ = 1;
     std::uint64_t next_age_ = 1;
     unsigned live_count_ = 0;
     ContentionParams contention_;

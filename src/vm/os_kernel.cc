@@ -134,16 +134,6 @@ OsKernel::translate(CoreId core, ProcId proc, Addr vaddr, bool write)
     return r;
 }
 
-std::optional<Addr>
-OsKernel::translateFast(CoreId core, ProcId proc, Addr vaddr)
-{
-    PageNum vpage = pageOf(vaddr);
-    if (!tlbs_[core]->contains(proc, vpage))
-        return std::nullopt;
-    PageNum frame = tlbs_[core]->lookup(proc, vpage);
-    return pageBase(frame) + pageOffset(vaddr);
-}
-
 Tick
 OsKernel::handleFault(ProcId proc, PageNum vpage, PageMapping &m)
 {

@@ -97,8 +97,14 @@ class OsKernel
      * std::nullopt on a TLB miss *without touching any state*, so the
      * deferred full translate() replays the miss identically.
      */
-    std::optional<Addr> translateFast(CoreId core, ProcId proc,
-                                      Addr vaddr);
+    std::optional<Addr>
+    translateFast(CoreId core, ProcId proc, Addr vaddr)
+    {
+        PageNum frame = tlbs_[core]->lookupHit(proc, pageOf(vaddr));
+        if (frame == invalidPage)
+            return std::nullopt;
+        return pageBase(frame) + pageOffset(vaddr);
+    }
 
     /** @name Scheduling */
     /// @{

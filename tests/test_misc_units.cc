@@ -127,6 +127,39 @@ TEST(Coro, ValuesFlowThroughAwaits)
     EXPECT_EQ(op->value, 42u);
 }
 
+TEST(Coro, PendingOpPointsIntoSubCoroutine)
+{
+    auto child = [](MemCtx m) -> TxCoro {
+        std::uint64_t v = co_await m.load(0x20);
+        co_await m.store(0x24, v + 1);
+    };
+    auto body = [child](MemCtx m) -> TxCoro {
+        co_await m.load(0x10);
+        co_await child(m);
+        co_await m.compute(5);
+    };
+    TxCoro c = body(MemCtx{});
+    const MemYield *op = c.resume(0);
+    ASSERT_EQ(op->vaddr, 0x10u);
+    // The child's ops bubble up as pointers into the child's frame ...
+    const MemYield *inner = c.resume(0);
+    ASSERT_NE(inner, op);
+    EXPECT_EQ(inner->kind, OpKind::Load);
+    EXPECT_EQ(inner->vaddr, 0x20u);
+    // ... and each one stays readable until the next resume.
+    op = c.resume(41);
+    ASSERT_EQ(op->kind, OpKind::Store);
+    EXPECT_EQ(op->vaddr, 0x24u);
+    EXPECT_EQ(op->value, 42u);
+    EXPECT_EQ(op->vaddr, 0x24u);
+    // Once the child finishes, the parent's own op is pending again.
+    op = c.resume(0);
+    ASSERT_EQ(op->kind, OpKind::Compute);
+    EXPECT_EQ(op->cycles, 5u);
+    EXPECT_EQ(c.resume(0), nullptr);
+    EXPECT_TRUE(c.done());
+}
+
 TEST(Report, AlignsColumns)
 {
     Report r({"name", "value"});

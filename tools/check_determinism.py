@@ -58,6 +58,11 @@ DEFAULT_CONFIGS = [
     ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
      "--threads", "4", "--heatmap", "--profile", "--audit",
      "--postmortem-on-abort", "4"],
+    # Sixteen word-granularity writers on a skewed key set: lines carry
+    # more marks than the two a line holds inline, so the mark lists
+    # spill to the heap.
+    ["--workload", "kv", "--system", "sel-ptm", "--gran", "wd:cache",
+     "--scale", "0", "--cores", "16", "--threads", "16"],
     # The overflow path: flushing tx lines on every daemon context
     # switch spills them to the VTS. Block-granularity lazy migrations
     # with Fill/SpecDeposit/Cwb/Toggle/Evict watchpoint records, ...
