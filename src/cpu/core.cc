@@ -82,15 +82,6 @@ Core::preempt(ThreadCtx &t, Tick next_step_delay)
     ++os_.contextSwitches;
     os_.tracer().record(TraceEventType::CtxSwitch, id_, t.id,
                         invalidTxId, invalidTxId, 1);
-    if (t.curTx != invalidTxId) {
-        // A mid-transaction thread leaves the core: retire its pending
-        // execution ticks now (optimistically, unless already doomed)
-        // so the pot stays core-local across the migration.
-        Tick retired = prof_->resolveTx(id_, !t.abortPending);
-        if (t.abortPending && retired)
-            os_.tracer().record(TraceEventType::TxWasted, id_, t.id,
-                                t.curTx, invalidTxId, retired);
-    }
     prof_->set(id_, ProfBucket::CtxSwitch);
     if (params_.flushOnContextSwitch && t.curTx != invalidTxId &&
         txmgr_.isLive(t.curTx)) {
@@ -293,7 +284,7 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
     // Compute cycles go where profExec just put the core's execution.
     const bool in_tx = t.curTx != invalidTxId;
     const ProfBucket exec_bucket =
-        in_tx ? CycleProfiler::txPot : ProfBucket::NonTx;
+        in_tx ? ProfBucket::TxExec : ProfBucket::NonTx;
 
     Tick adv = 0; // virtual cycles accumulated past start
     unsigned done = 0;
@@ -512,8 +503,6 @@ Core::tryCommit(ThreadCtx &t)
 {
     CommitResult r = txmgr_.requestCommit(t.curTx);
     if (r == CommitResult::Done) {
-        // The attempt's pending execution ticks were useful work.
-        prof_->resolveTx(id_, true);
         Tick persist_wait =
             wal_ ? wal_->commitTx(t.curTx, t.id, eq_.curTick()) : 0;
         t.commitPending = false;
@@ -537,9 +526,6 @@ Core::tryCommit(ThreadCtx &t)
     // core if other threads could use it; otherwise stall in place.
     t.state = ThreadState::WaitOrdered;
     if (os_.hasReady()) {
-        // Execution is done and only the token is missing: retire the
-        // pot as useful before the thread migrates off this core.
-        prof_->resolveTx(id_, true);
         prof_->set(id_, ProfBucket::CtxSwitch);
         t.core = nullptr;
         cur_ = nullptr;
@@ -562,13 +548,8 @@ Core::handleAbort(ThreadCtx &t)
         // redo set is dropped (re-execution captures a fresh one).
         wal_->discard(t.curTx);
 
-    // The aborted attempt's execution was wasted; collapsing the phase
-    // stack also cleans up any stall span whose pop the epoch bump
-    // just abandoned.
-    Tick wasted = prof_->resolveTx(id_, false);
-    if (wasted)
-        os_.tracer().record(TraceEventType::TxWasted, id_, t.id, t.curTx,
-                            invalidTxId, wasted);
+    // Collapsing the phase stack also cleans up any stall span whose
+    // pop the epoch bump just abandoned.
     prof_->collapse(id_, ProfBucket::TxAbort);
 
     if (!t.abortCleanupDone) {

@@ -162,17 +162,14 @@ class Core
     }
 
     /**
-     * Mark the core as executing the thread's program: in-transaction
-     * ticks accrue to the profiler's pending pot (resolved useful or
-     * wasted at commit/abort), non-transactional ticks to NonTx.
+     * Mark the core as executing the thread's program: TxExec inside
+     * a transaction, NonTx outside.
      */
     void
     profExec(const ThreadCtx &t)
     {
-        if (t.curTx != invalidTxId)
-            prof_->txWork(id_);
-        else
-            prof_->set(id_, ProfBucket::NonTx);
+        prof_->set(id_, t.curTx != invalidTxId ? ProfBucket::TxExec
+                                               : ProfBucket::NonTx);
     }
 
     const CoreId id_;

@@ -71,7 +71,7 @@ struct ExperimentResult
     /**
      * Flight-recorder capture (enabled == false only when
      * --flightrec-depth 0 removed the recorder): record/drop totals,
-     * wasted-tick reconciliation inputs, killer rankings, and any
+     * the record that lost the most ticks, killer rankings, and any
      * post-mortem reports captured on an armed run — the "forensics"
      * JSON section.
      */

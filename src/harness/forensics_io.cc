@@ -60,7 +60,6 @@ emitRecord(JsonWriter &w, const FlightRecord &rec)
     w.member("spt_misses", rec.sptMisses);
     w.member("tav_misses", rec.tavMisses);
     w.member("shadow_allocs", rec.shadowAllocs);
-    w.member("wasted_ticks", std::uint64_t(rec.wastedTicks));
     w.member("lost_ticks", std::uint64_t(rec.lostTicks));
     w.key("recent_aborts");
     w.beginArray();
@@ -90,7 +89,7 @@ emitPostmortemJson(std::ostream &os, const FlightRecorder &rec,
     w.endObject();
 
     w.member("repro", rec.repro());
-    w.member("generations", rec.params().generations);
+    w.member("generations", FlightRecorder::generations);
     w.member("chain_depth", r.chainDepth);
 
     w.key("nodes");
@@ -139,8 +138,6 @@ emitPostmortemJson(std::ostream &os, const FlightRecorder &rec,
     w.member("live", std::uint64_t(rec.liveCount()));
     w.member("retired", rec.retiredRecords.value());
     w.member("dropped_records", rec.droppedRecords.value());
-    w.member("dropped_wasted_ticks",
-             std::uint64_t(rec.droppedWasted()));
     w.endObject();
 
     w.endObject();
@@ -201,13 +198,11 @@ printPostmortem(std::ostream &os, const FlightRecorder &rec,
         std::snprintf(buf, sizeof(buf),
                       "    tx %" PRIu64 ": thread %" PRIu64
                       " attempts %u aborts %u kills %" PRIu64
-                      " lost %" PRIu64 " wasted %" PRIu64
-                      " spt-miss %" PRIu64
+                      " lost %" PRIu64 " spt-miss %" PRIu64
                       " tav-miss %" PRIu64 " shadow %" PRIu64 "%s",
                       std::uint64_t(fr.id), std::uint64_t(fr.thread),
                       fr.attempts, fr.abortCount, fr.kills,
-                      std::uint64_t(fr.lostTicks),
-                      std::uint64_t(fr.wastedTicks), fr.sptMisses,
+                      std::uint64_t(fr.lostTicks), fr.sptMisses,
                       fr.tavMisses, fr.shadowAllocs,
                       fr.committed ? " (committed)" : "");
         os << buf << "\n";

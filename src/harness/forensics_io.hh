@@ -28,16 +28,14 @@
  *                      "end_tick": N, "committed": bool,
  *                      "attempts": N, "aborts": N, "kills": N,
  *                      "spt_misses": N, "tav_misses": N,
- *                      "shadow_allocs": N, "wasted_ticks": N,
- *                      "lost_ticks": N,
+ *                      "shadow_allocs": N, "lost_ticks": N,
  *                      "recent_aborts": [ { "tick": N, "attempt": N,
  *                                           "cause": "...",
  *                                           "where": N | -1,
  *                                           "winner": N | -1 },
  *                                         ... ] }, ... ],
  *       "flightrec": { "depth": N, "live": N, "retired": N,
- *                      "dropped_records": N,
- *                      "dropped_wasted_ticks": N } }
+ *                      "dropped_records": N } }
  *
  * Edges always point from a victim's abort node to an abort of its
  * killer at a strictly earlier tick (tick 0 = terminal node), so the

@@ -440,19 +440,16 @@ emitForensics(JsonWriter &w, const ForensicsSnapshot &f)
     w.key("forensics");
     w.beginObject();
     w.member("depth", f.depth);
-    w.member("generations", f.generations);
+    w.member("generations", FlightRecorder::generations);
     w.member("armed", f.armed);
     w.member("live_records", f.liveRecords);
     w.member("retired_records", f.retiredRecords);
     w.member("dropped_records", f.droppedRecords);
-    w.member("wasted_ticks_total", std::uint64_t(f.wastedTicksTotal));
-    w.member("dropped_wasted_ticks",
-             std::uint64_t(f.droppedWastedTicks));
-    w.member("max_wasted_ticks", std::uint64_t(f.maxWastedTicks));
-    if (f.maxWastedTx == invalidTxId)
-        w.member("max_wasted_tx", std::int64_t(-1));
+    w.member("max_lost_ticks", std::uint64_t(f.maxLostTicks));
+    if (f.maxLostTx == invalidTxId)
+        w.member("max_lost_tx", std::int64_t(-1));
     else
-        w.member("max_wasted_tx", std::uint64_t(f.maxWastedTx));
+        w.member("max_lost_tx", std::uint64_t(f.maxLostTx));
     w.member("deepest_chain", f.deepestChain);
     w.member("postmortems", f.postmortems);
     w.member("dropped_reports", f.droppedReports);
@@ -462,7 +459,7 @@ emitForensics(JsonWriter &w, const ForensicsSnapshot &f)
         w.beginObject();
         w.member("tx", std::uint64_t(k.tx));
         w.member("kills", k.kills);
-        w.member("wasted_ticks", std::uint64_t(k.wastedTicks));
+        w.member("lost_ticks", std::uint64_t(k.lostTicks));
         w.endObject();
     }
     w.endArray();

@@ -225,17 +225,15 @@ const char *gitDescribe();
  *
  *     "forensics": { "depth": N, "generations": N, "armed": bool,
  *                    "live_records": N, "retired_records": N,
- *                    "dropped_records": N, "wasted_ticks_total": N,
- *                    "dropped_wasted_ticks": N, "max_wasted_ticks": N,
- *                    "max_wasted_tx": N | -1, "deepest_chain": N,
+ *                    "dropped_records": N, "max_lost_ticks": N,
+ *                    "max_lost_tx": N | -1, "deepest_chain": N,
  *                    "postmortems": N, "dropped_reports": N,
  *                    "top_killers": [ { "tx": N, "kills": N,
- *                                       "wasted_ticks": N }, ... ] }
+ *                                       "lost_ticks": N }, ... ] }
  *
- * wasted_ticks_total covers dropped records too, so on runs that
- * finish before the tick limit it reconciles exactly with the
- * profiler's tx_wasted bucket (tools/check_postmortem_json.py gates
- * this).
+ * max_lost_ticks and the killers' lost_ticks are wall ticks of
+ * aborted attempts, the same arithmetic as the profile's
+ * aborted_tx_ticks charge, over the live and retained records.
  */
 void emitRunJson(std::ostream &os, const RunManifest &manifest,
                  const StatSnapshot &snap,

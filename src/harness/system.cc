@@ -129,8 +129,8 @@ System::System(const SystemParams &params)
             std::make_unique<FlightRecorder>(params_.forensics);
         tracer_.subscribe(flightrec_.get(),
                           {Ev::TxBegin, Ev::TxRestart, Ev::TxCommit,
-                           Ev::TxAbort, Ev::TxWasted, Ev::SptMiss,
-                           Ev::TavMiss, Ev::ShadowAlloc, Ev::WatchdogTrip,
+                           Ev::TxAbort, Ev::SptMiss, Ev::TavMiss,
+                           Ev::ShadowAlloc, Ev::WatchdogTrip,
                            Ev::StarvationGrant});
         flightrec_->setRepro(repro);
         if (auditor_.attached() && flightrec_->armed())

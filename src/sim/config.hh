@@ -226,8 +226,6 @@ struct ForensicsParams
      * never-taken branch). The recorder is cheap enough to default on.
      */
     unsigned depth = 256;
-    /** Generations of abort causality the post-mortem DAG walks. */
-    unsigned generations = 8;
     /**
      * Post-mortem dump sink: empty = no dump, "-"/"stderr" = stderr,
      * anything else = a ptm-postmortem-v1 JSON file. Setting a path

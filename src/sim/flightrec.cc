@@ -89,11 +89,8 @@ FlightRecorder::observe(const TraceEvent &e)
         onCommit(e.tx, e.tick);
         break;
       case TraceEventType::TxAbort:
-        onAbort(e.tx, e.tick, std::uint8_t(e.a0),
+        onAbort(e.tx, e.tick, e.a2, std::uint8_t(e.a0),
                 e.a1 ? e.a1 : invalidAddr, e.tx2);
-        break;
-      case TraceEventType::TxWasted:
-        liveRecord(e.tx).wastedTicks += e.a0;
         break;
       case TraceEventType::SptMiss:
         if (e.tx != invalidTxId)
@@ -126,8 +123,8 @@ FlightRecorder::observe(const TraceEvent &e)
 }
 
 void
-FlightRecorder::onAbort(TxId id, Tick now, std::uint8_t cause,
-                        Addr where, TxId winner)
+FlightRecorder::onAbort(TxId id, Tick now, Tick begin,
+                        std::uint8_t cause, Addr where, TxId winner)
 {
     FlightRecord &rec = liveRecord(id);
     FlightAbortEvent &ev =
@@ -138,8 +135,7 @@ FlightRecorder::onAbort(TxId id, Tick now, std::uint8_t cause,
     ev.where = where;
     ev.winner = winner;
     ++rec.abortCount;
-    if (now >= rec.lastBegin)
-        rec.lostTicks += now - rec.lastBegin;
+    rec.lostTicks += now - begin;
     // `rec` may dangle after the winner lookup below (FlatMap
     // insertion can rehash), so read what the trigger needs first.
     unsigned abort_count = rec.abortCount;
@@ -162,14 +158,13 @@ FlightRecorder::onCommit(TxId id, Tick now)
     rec->endTick = now;
     rec->committed = true;
     // Retire into the ring; evicting a valid record truncates history,
-    // so count the drop and keep its wasted ticks for reconciliation.
+    // so count the drop.
     if (ring_.size() < params_.depth) {
         ring_.push_back(*rec);
     } else {
         FlightRecord &slot = ring_[ring_next_];
         ring_next_ = (ring_next_ + 1) % ring_.size();
         ++droppedRecords;
-        dropped_wasted_ += slot.wastedTicks;
         slot = *rec;
     }
     ++retiredRecords;
@@ -211,7 +206,7 @@ FlightRecorder::chainDepthOf(const FlightRecord &rec) const
     unsigned depth = 0;
     TxId tx = rec.id;
     Tick bound = ~Tick(0);
-    while (depth < params_.generations) {
+    while (depth < generations) {
         const FlightAbortEvent *ev = lastAbortBefore(tx, bound);
         if (!ev || ev->winner == invalidTxId)
             break;
@@ -299,7 +294,7 @@ FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
             r.edges.push_back({w.from, idx});
         r.chainDepth = std::max(r.chainDepth, w.gen);
         if (fresh && ev && ev->winner != invalidTxId &&
-            w.gen < params_.generations)
+            w.gen < generations)
             queue.push_back({ev->winner, ev->tick, w.gen + 1, idx});
     }
 
@@ -343,11 +338,9 @@ FlightRecorder::snapshot() const
     s.enabled = true;
     s.armed = armed_;
     s.depth = params_.depth;
-    s.generations = params_.generations;
     s.liveRecords = live_.size();
     s.retiredRecords = ring_.size();
     s.droppedRecords = droppedRecords.value();
-    s.droppedWastedTicks = dropped_wasted_;
     s.postmortems = postmortems.value();
     s.droppedReports = droppedReports.value();
     s.reports = reports_;
@@ -365,12 +358,10 @@ FlightRecorder::snapshot() const
                   return a->id < b->id;
               });
 
-    s.wastedTicksTotal = dropped_wasted_;
     for (const FlightRecord *rec : recs) {
-        s.wastedTicksTotal += rec->wastedTicks;
-        if (rec->wastedTicks > s.maxWastedTicks) {
-            s.maxWastedTicks = rec->wastedTicks;
-            s.maxWastedTx = rec->id;
+        if (rec->lostTicks > s.maxLostTicks) {
+            s.maxLostTicks = rec->lostTicks;
+            s.maxLostTx = rec->id;
         }
         if (rec->abortCount)
             s.deepestChain =
@@ -382,7 +373,7 @@ FlightRecorder::snapshot() const
     std::vector<KillerRank> killers;
     for (const FlightRecord *rec : recs)
         if (rec->kills)
-            killers.push_back({rec->id, rec->kills, rec->wastedTicks});
+            killers.push_back({rec->id, rec->kills, rec->lostTicks});
     std::sort(killers.begin(), killers.end(),
               [](const KillerRank &a, const KillerRank &b) {
                   if (a.kills != b.kills)

@@ -6,7 +6,7 @@
  * a fixed-capacity ring of recently-retired ones: begin/restart ticks,
  * the most recent abort events (cause, conflicting address, winner),
  * retry counts, SPT/TAV miss counts, shadow-page allocations, and the
- * wasted ticks the cycle profiler retired against the transaction.
+ * wall ticks its aborted attempts lost.
  * Updates are O(1) hash-map bumps, cheap enough to stay always on;
  * `--flightrec-depth 0` removes the recorder entirely (nothing then
  * subscribes to the records it consumed).
@@ -21,10 +21,11 @@
  * is acyclic by construction (tools/check_postmortem_json.py verifies
  * this on the emitted `ptm-postmortem-v1` dump).
  *
- * Reconciliation invariants (pinned by the checker and tests):
- *  - wasted-tick totals, including the ticks of records dropped from
- *    the ring, sum exactly to the profiler's tx_wasted bucket on runs
- *    that finish before the tick limit;
+ * Reconciliation invariants (pinned by the tests):
+ *  - a record's lost ticks are `tick - a2` of each of its TxAbort
+ *    records, the profiler overlay's own arithmetic, so over a ring
+ *    that holds every transaction they sum exactly to the
+ *    aborted_tx_ticks charge;
  *  - ring overflow is surfaced honestly: `flightrec.dropped_records`
  *    counts evicted records so truncated forensics never read as
  *    complete.
@@ -93,14 +94,7 @@ struct FlightRecord
     std::uint64_t sptMisses = 0;
     std::uint64_t tavMisses = 0;
     std::uint64_t shadowAllocs = 0;
-    /** Profiler-retired wasted ticks attributed to this tx. */
-    Tick wastedTicks = 0;
-    /**
-     * Wall ticks of aborted attempts (attempt begin to abort, summed).
-     * Unlike wastedTicks this includes stall time, so it stays
-     * meaningful for workloads whose in-transaction execution is pure
-     * memory traffic.
-     */
+    /** Wall ticks of aborted attempts (attempt begin to abort, summed). */
     Tick lostTicks = 0;
 
     /** Newest-last ring of the most recent aborts (by abortCount). */
@@ -160,7 +154,7 @@ struct KillerRank
 {
     TxId tx = invalidTxId;
     std::uint64_t kills = 0;
-    Tick wastedTicks = 0; //!< wasted ticks of the *killer* itself
+    Tick lostTicks = 0; //!< lost ticks of the *killer* itself
 };
 
 /** By-value capture of the recorder for results / emission. */
@@ -169,16 +163,12 @@ struct ForensicsSnapshot
     bool enabled = false;
     bool armed = false;
     unsigned depth = 0;
-    unsigned generations = 0;
     std::uint64_t liveRecords = 0;
     std::uint64_t retiredRecords = 0;
     std::uint64_t droppedRecords = 0;
-    /** Wasted ticks across live + retired + dropped records; equals
-     *  the profiler's tx_wasted bucket on runs that complete. */
-    Tick wastedTicksTotal = 0;
-    Tick droppedWastedTicks = 0;
-    Tick maxWastedTicks = 0;
-    TxId maxWastedTx = invalidTxId;
+    /** The live or retained record that lost the most ticks. */
+    Tick maxLostTicks = 0;
+    TxId maxLostTx = invalidTxId;
     /** Deepest abort-causality chain over all records and reports. */
     unsigned deepestChain = 0;
     std::uint64_t postmortems = 0;
@@ -190,12 +180,15 @@ struct ForensicsSnapshot
 /**
  * The flight recorder: a subscriber on the observer path (absent when
  * depth is 0). It consumes the transaction lifecycle records, SPT/TAV
- * misses, shadow allocations and the wasted-tick hand-off; when armed
- * it also takes watchdog trips and starvation grants as triggers.
+ * misses and shadow allocations; when armed it also takes watchdog
+ * trips and starvation grants as triggers.
  */
 class FlightRecorder : public TraceObserver
 {
   public:
+    /** Generations of abort causality the post-mortem DAG walks. */
+    static constexpr unsigned generations = 8;
+
     explicit FlightRecorder(const ForensicsParams &params);
 
     void observe(const TraceEvent &e) override;
@@ -233,9 +226,6 @@ class FlightRecorder : public TraceObserver
     /** Number of currently-live (unretired) records. */
     std::size_t liveCount() const { return live_.size(); }
 
-    /** Wasted ticks of records evicted from the retired ring. */
-    Tick droppedWasted() const { return dropped_wasted_; }
-
     ForensicsSnapshot snapshot() const;
 
     /** Register the recorder statistics under "flightrec". */
@@ -256,9 +246,10 @@ class FlightRecorder : public TraceObserver
     static constexpr std::size_t maxNodes = 64;
 
     void onBegin(TxId id, ThreadId thread, ProcId proc, Tick now);
-    /** @p winner is the killer tx (invalidTxId when unattributable). */
-    void onAbort(TxId id, Tick now, std::uint8_t cause, Addr where,
-                 TxId winner);
+    /** @p winner is the killer tx (invalidTxId when unattributable);
+     *  @p begin is the aborted attempt's begin tick. */
+    void onAbort(TxId id, Tick now, Tick begin, std::uint8_t cause,
+                 Addr where, TxId winner);
     void onCommit(TxId id, Tick now);
 
     FlightRecord &liveRecord(TxId id);
@@ -275,7 +266,6 @@ class FlightRecorder : public TraceObserver
     FlatMap<TxId, FlightRecord> live_;
     std::vector<FlightRecord> ring_; //!< capacity params_.depth
     std::size_t ring_next_ = 0;
-    Tick dropped_wasted_ = 0;
 
     std::vector<PostmortemReport> reports_;
 };

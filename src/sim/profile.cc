@@ -18,10 +18,8 @@ profBucketName(ProfBucket b)
         return "idle";
       case ProfBucket::NonTx:
         return "non_tx";
-      case ProfBucket::TxUseful:
-        return "tx_useful";
-      case ProfBucket::TxWasted:
-        return "tx_wasted";
+      case ProfBucket::TxExec:
+        return "tx_exec";
       case ProfBucket::StallL1:
         return "stall_l1";
       case ProfBucket::StallL2:
@@ -88,7 +86,7 @@ CycleProfiler::configure(unsigned cores)
     panic_if(cores == 0, "profiling zero cores");
     lanes_.assign(cores, Lane{});
     for (Lane &l : lanes_)
-        l.stack.push_back(std::uint8_t(ProfBucket::Idle));
+        l.stack.push_back(ProfBucket::Idle);
     charges_.fill(0);
     end_ = 0;
     enabled_ = true;
@@ -113,17 +111,13 @@ void
 CycleProfiler::accrue(Lane &l, Tick now)
 {
     if (now > l.last) {
-        std::uint8_t top = l.stack.back();
-        if (top == kPending)
-            l.pending += now - l.last;
-        else
-            l.buckets[top] += now - l.last;
+        l.buckets[unsigned(l.stack.back())] += now - l.last;
         l.last = now;
     }
 }
 
 void
-CycleProfiler::doSet(unsigned core, std::uint8_t b)
+CycleProfiler::doSet(unsigned core, ProfBucket b)
 {
     Lane &l = lane(core);
     accrue(l, now());
@@ -131,7 +125,7 @@ CycleProfiler::doSet(unsigned core, std::uint8_t b)
 }
 
 void
-CycleProfiler::doPush(unsigned core, std::uint8_t b)
+CycleProfiler::doPush(unsigned core, ProfBucket b)
 {
     Lane &l = lane(core);
     accrue(l, now());
@@ -149,7 +143,7 @@ CycleProfiler::doPop(unsigned core)
 }
 
 void
-CycleProfiler::doSpan(unsigned core, std::uint8_t b, Tick from, Tick to)
+CycleProfiler::doSpan(unsigned core, ProfBucket b, Tick from, Tick to)
 {
     Lane &l = lane(core);
     accrue(l, from);
@@ -157,28 +151,12 @@ CycleProfiler::doSpan(unsigned core, std::uint8_t b, Tick from, Tick to)
         l.stack.push_back(b);
         return;
     }
-    if (b == kPending)
-        l.pending += to - from;
-    else
-        l.buckets[b] += to - from;
+    l.buckets[unsigned(b)] += to - from;
     l.last = to;
 }
 
-Tick
-CycleProfiler::doResolveTx(unsigned core, bool committed)
-{
-    Lane &l = lane(core);
-    accrue(l, now());
-    ProfBucket to =
-        committed ? ProfBucket::TxUseful : ProfBucket::TxWasted;
-    Tick retired = l.pending;
-    l.buckets[unsigned(to)] += retired;
-    l.pending = 0;
-    return retired;
-}
-
 void
-CycleProfiler::doCollapse(unsigned core, std::uint8_t b)
+CycleProfiler::doCollapse(unsigned core, ProfBucket b)
 {
     Lane &l = lane(core);
     accrue(l, now());
@@ -192,13 +170,8 @@ CycleProfiler::finish(Tick end)
     if (!enabled_)
         return;
     end_ = end;
-    for (Lane &l : lanes_) {
+    for (Lane &l : lanes_)
         accrue(l, end);
-        // Attempts still unresolved at the end of a (tick-limited) run
-        // never committed: their execution was wasted.
-        l.buckets[unsigned(ProfBucket::TxWasted)] += l.pending;
-        l.pending = 0;
-    }
 }
 
 ProfSnapshot

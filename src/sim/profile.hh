@@ -18,13 +18,10 @@
  * scopes). Because attribution happens on transition — never by
  * re-deriving elapsed time — exactness holds by construction.
  *
- * Committed vs. wasted work: execution ticks inside a transaction
- * accrue into a per-core *pending pot* (the outcome is unknown while
- * the attempt runs) and are retired into TxUseful or TxWasted when the
- * attempt commits or aborts. A transactional thread that migrates off
- * a core mid-attempt has its pot retired optimistically at switch
- * time, keeping the pot core-local (per-core exactness) at the cost of
- * slight attribution optimism across migrations.
+ * In-transaction execution accrues to TxExec whether the attempt
+ * later commits or aborts. Committed vs. wasted work is counted once,
+ * in the overlay below: the wall ticks of each attempt, begin to
+ * commit or abort, charged to CommittedTxTicks or AbortedTxTicks.
  *
  * Supervisor overlay: VTS/VTM metadata walks, cleanup walks, overflow
  * spills and OS fault/swap handling fold their latencies into bus
@@ -62,8 +59,7 @@ enum class ProfBucket : std::uint8_t
 {
     Idle,      //!< no runnable thread bound to the core
     NonTx,     //!< executing outside any transaction
-    TxUseful,  //!< in-transaction execution that later committed
-    TxWasted,  //!< in-transaction execution of an aborted attempt
+    TxExec,    //!< executing inside a transaction attempt
     StallL1,   //!< memory stall satisfied by the L1 filter
     StallL2,   //!< memory stall satisfied by the local L2
     StallMem,  //!< bus / remote cache / DRAM / backend-check stall
@@ -81,7 +77,7 @@ enum class ProfBucket : std::uint8_t
 /** Number of per-core buckets. */
 constexpr unsigned profBuckets = unsigned(ProfBucket::NumBuckets);
 
-/** Stable snake_case name of a bucket ("tx_useful", ...). */
+/** Stable snake_case name of a bucket ("tx_exec", ...). */
 const char *profBucketName(ProfBucket b);
 
 /**
@@ -218,7 +214,7 @@ class CycleProfiler : public TraceObserver
     set(unsigned core, ProfBucket b)
     {
         if (enabled_)
-            doSet(core, std::uint8_t(b));
+            doSet(core, b);
     }
 
     /** Nest phase @p b over the current phase of @p core. */
@@ -226,7 +222,7 @@ class CycleProfiler : public TraceObserver
     push(unsigned core, ProfBucket b)
     {
         if (enabled_)
-            doPush(core, std::uint8_t(b));
+            doPush(core, b);
     }
 
     /** End the nested phase, restoring the one underneath. */
@@ -237,48 +233,16 @@ class CycleProfiler : public TraceObserver
             doPop(core);
     }
 
-    /** span() bucket naming the pending pot: in-transaction
-     *  execution, retired by resolveTx() (what txWork() enters). */
-    static constexpr ProfBucket txPot = ProfBucket::NumBuckets;
-
     /**
      * push(b) at tick @p from and pop() at @p to, for ops a batch
      * retires ahead of the clock. With @p to omitted the span stays
-     * open for the caller's pop() at the op's completion. @p b may be
-     * txPot.
+     * open for the caller's pop() at the op's completion.
      */
     void
     span(unsigned core, ProfBucket b, Tick from, Tick to = maxTick)
     {
         if (enabled_)
-            doSpan(core, std::uint8_t(b), from, to);
-    }
-
-    /**
-     * Enter in-transaction execution on @p core: subsequent ticks
-     * accrue into the pending pot until resolveTx().
-     */
-    void
-    txWork(unsigned core)
-    {
-        if (enabled_)
-            doSet(core, kPending);
-    }
-
-    /**
-     * Retire @p core's pending pot into TxUseful (@p committed) or
-     * TxWasted. The current phase is unchanged; callers set() the next
-     * phase immediately after.
-     * @return the retired pot in ticks (0 when disabled) — the flight
-     *         recorder attributes wasted amounts per transaction with
-     *         it, so forensic sums reconcile with the tx_wasted bucket.
-     */
-    Tick
-    resolveTx(unsigned core, bool committed)
-    {
-        if (enabled_)
-            return doResolveTx(core, committed);
-        return 0;
+            doSpan(core, b, from, to);
     }
 
     /**
@@ -289,7 +253,7 @@ class CycleProfiler : public TraceObserver
     collapse(unsigned core, ProfBucket b)
     {
         if (enabled_)
-            doCollapse(core, std::uint8_t(b));
+            doCollapse(core, b);
     }
     /// @}
 
@@ -302,9 +266,8 @@ class CycleProfiler : public TraceObserver
     }
 
     /**
-     * Close every core's timeline at @p end and retire leftover
-     * pending pots (tick-limit runs) into TxWasted. After finish(),
-     * every core's bucket sum equals @p end.
+     * Close every core's timeline at @p end. After finish(), every
+     * core's bucket sum equals @p end.
      */
     void finish(Tick end);
 
@@ -315,25 +278,19 @@ class CycleProfiler : public TraceObserver
     static CycleProfiler &nil();
 
   private:
-    /** Internal sentinel phase: the unresolved in-transaction pot. */
-    static constexpr std::uint8_t kPending = std::uint8_t(txPot);
-
     struct Lane
     {
         /** Phase stack; base is never popped. */
-        std::vector<std::uint8_t> stack;
+        std::vector<ProfBucket> stack;
         Tick last = 0;
         std::array<std::uint64_t, profBuckets> buckets{};
-        /** Unresolved in-transaction execution ticks. */
-        std::uint64_t pending = 0;
     };
 
-    void doSet(unsigned core, std::uint8_t b);
-    void doPush(unsigned core, std::uint8_t b);
+    void doSet(unsigned core, ProfBucket b);
+    void doPush(unsigned core, ProfBucket b);
     void doPop(unsigned core);
-    void doSpan(unsigned core, std::uint8_t b, Tick from, Tick to);
-    Tick doResolveTx(unsigned core, bool committed);
-    void doCollapse(unsigned core, std::uint8_t b);
+    void doSpan(unsigned core, ProfBucket b, Tick from, Tick to);
+    void doCollapse(unsigned core, ProfBucket b);
     void accrue(Lane &lane, Tick now);
     Lane &lane(unsigned core);
 

@@ -44,7 +44,6 @@ traceEventTypeName(TraceEventType t)
       case TraceEventType::WalAppend: return "wal_append";
       case TraceEventType::WalFlush: return "wal_flush";
       case TraceEventType::CrashCut: return "crash_cut";
-      case TraceEventType::TxWasted: return "tx_wasted";
     }
     return "unknown";
 }
@@ -62,7 +61,6 @@ traceCatName(TraceCat c)
       case TraceCat::Watch: return "watch";
       case TraceCat::Chaos: return "chaos";
       case TraceCat::Persist: return "persist";
-      case TraceCat::Observer: return "observer";
     }
     return "unknown";
 }

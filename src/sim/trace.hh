@@ -49,8 +49,6 @@ enum class TraceCat : std::uint32_t
     Watch    = 1u << 6, //!< watchpoint hits (--watch-addr)
     Chaos    = 1u << 7, //!< fault injections, watchdog trips
     Persist  = 1u << 8, //!< WAL appends, ordered flushes, crash cuts
-    /** Observer-only records: never enabled, never in the ring. */
-    Observer = 0,
 };
 
 /** Bitmask with every category enabled. */
@@ -98,13 +96,11 @@ enum class TraceEventType : std::uint8_t
     WalAppend,       //!< tx: id; a0: record bytes; a1: log offset; v: seq
     WalFlush,        //!< tx: id; a0: stall ticks; a1: drain-end tick
     CrashCut,        //!< a0: crash tick; a1: durable log bytes
-    /** Observer-only: tx: id; a0: profiler-retired wasted ticks. */
-    TxWasted,
 };
 
 /** Number of distinct TraceEventType values. */
 constexpr unsigned traceEventTypes =
-    unsigned(TraceEventType::TxWasted) + 1;
+    unsigned(TraceEventType::CrashCut) + 1;
 
 /** What a watchpoint event observed (Watchpoint payload a1). */
 enum class WatchKind : std::uint8_t
@@ -164,8 +160,6 @@ traceEventCat(TraceEventType t)
       case TraceEventType::WalFlush:
       case TraceEventType::CrashCut:
         return TraceCat::Persist;
-      case TraceEventType::TxWasted:
-        return TraceCat::Observer;
     }
     return TraceCat::Tx;
 }

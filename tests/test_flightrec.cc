@@ -3,10 +3,9 @@
  * Tests for the transaction flight recorder and post-mortem
  * forensics: the starvation-grant post-mortem must name the actual
  * killer chain (every DAG node cross-checked against the traced
- * TxAbort / ConflictEdge events of the same run), wasted-tick totals
- * must reconcile exactly with the cycle profiler, ring overflow must
- * be counted without losing totals, and forensics must never perturb
- * simulated timing.
+ * TxAbort / ConflictEdge events of the same run), per-record lost
+ * ticks must reconcile exactly with the cycle profiler, ring overflow
+ * must be counted, and forensics must never perturb simulated timing.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +21,7 @@
 #include "sim/trace.hh"
 #include "sim_test_util.hh"
 #include "tx/tx_manager.hh"
+#include "workloads/workload.hh"
 
 namespace ptm
 {
@@ -159,43 +159,47 @@ TEST(FlightRecorder, StarvationGrantPostmortemMatchesTrace)
 }
 
 /**
- * The recorder's wasted-tick total must equal the profiler's
- * TxWasted bucket summed over cores — exactly, not approximately.
+ * Per-record lost ticks are the one account of wasted work: on kv at
+ * zipf 0.99 with a ring deep enough to keep every transaction, they
+ * sum exactly to the profiler's aborted_tx_ticks charge.
  */
-TEST(FlightRecorder, WastedTicksReconcileWithProfiler)
+TEST(FlightRecorder, LostTicksSumToAbortedTxTicks)
 {
-    SystemParams prm = contendedParams();
+    SystemParams prm = quietParams(TmKind::SelectPtm);
     prm.profile.enabled = true;
+    prm.forensics.depth = 1u << 16;
+    WorkloadConfig wcfg;
+    auto wl = makeWorkload("kv", wcfg, {{"scale", "0"}, {"zipf", "0.99"}});
     System sys(prm);
-    ASSERT_NE(sys.flightrec(), nullptr);
-    EXPECT_FALSE(sys.flightrec()->armed());
-
-    ProcId p = sys.createProcess();
-    addCounterThreads(sys, p, 4, 20);
+    wl->build(sys);
     sys.run();
+    ASSERT_TRUE(wl->verify(sys));
 
+    const FlightRecorder &fr = *sys.flightrec();
+    std::uint64_t txs = 0;
+    Tick lost = 0;
+    for (TxId id = 1; const FlightRecord *rec = fr.record(id); ++id) {
+        ++txs;
+        lost += rec->lostTicks;
+    }
+    EXPECT_EQ(fr.droppedRecords.value(), 0u);
+    EXPECT_EQ(txs, sys.snapshot().counter("tx.commits"));
     ProfSnapshot ps = sys.profiler().snapshot();
-    std::uint64_t wasted = 0;
-    for (const auto &core : ps.cores)
-        wasted += core[std::size_t(ProfBucket::TxWasted)];
-    ASSERT_GT(wasted, 0u) << "the contended run aborted nothing";
+    EXPECT_GT(lost, 0u) << "kv at zipf 0.99 aborted nothing";
+    EXPECT_EQ(lost, ps.charges[unsigned(ProfCharge::AbortedTxTicks)]);
 
-    ForensicsSnapshot fs = sys.flightrec()->snapshot();
-    EXPECT_EQ(fs.wastedTicksTotal, wasted);
+    ForensicsSnapshot fs = fr.snapshot();
     EXPECT_FALSE(fs.armed);
     EXPECT_EQ(fs.postmortems, 0u);
     EXPECT_FALSE(fs.topKillers.empty());
+    EXPECT_GT(fs.maxLostTicks, 0u);
 }
 
-/**
- * A tiny ring must overflow on this workload; the drops are counted
- * and the evicted records' wasted ticks still land in the total, so
- * reconciliation survives truncation.
- */
+/** A tiny ring must overflow on this workload; the drops are counted
+ *  so truncated forensics never read as complete. */
 TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
 {
     SystemParams prm = contendedParams();
-    prm.profile.enabled = true;
     prm.forensics.depth = 4;
     System sys(prm);
     ASSERT_NE(sys.flightrec(), nullptr);
@@ -206,13 +210,9 @@ TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
 
     ForensicsSnapshot fs = sys.flightrec()->snapshot();
     EXPECT_GT(fs.droppedRecords, 0u);
-    EXPECT_GT(fs.droppedWastedTicks, 0u);
-
-    ProfSnapshot ps = sys.profiler().snapshot();
-    std::uint64_t wasted = 0;
-    for (const auto &core : ps.cores)
-        wasted += core[std::size_t(ProfBucket::TxWasted)];
-    EXPECT_EQ(fs.wastedTicksTotal, wasted);
+    EXPECT_EQ(fs.retiredRecords, 4u);
+    EXPECT_EQ(fs.droppedRecords + fs.retiredRecords,
+              sys.flightrec()->retiredRecords.value());
 }
 
 Tick

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the cycle-accounting profiler (sim/profile) and the
  * event queue's executed-event / host-profile accounting: synthetic
- * phase-machine sequences under a manual clock, the pending-pot
- * commit/abort retirement, nested PhaseGuard scopes, exactness
+ * phase-machine sequences under a manual clock, in-transaction
+ * execution on a real run, nested PhaseGuard scopes, exactness
  * (bucket sums == elapsed ticks) on a real profiled workload run, and
  * the per-priority executed-event counters.
  */
@@ -13,6 +13,7 @@
 #include "harness/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/profile.hh"
+#include "sim_test_util.hh"
 
 namespace ptm
 {
@@ -93,37 +94,36 @@ TEST(CycleProfiler, NestedGuardsUnwindInOrder)
     EXPECT_EQ(s.coreTotal(0), 120u);
 }
 
-TEST(CycleProfiler, PendingPotRetiresOnOutcome)
+// In-transaction execution lands in TxExec on a real run, whatever the
+// attempt's outcome; plain steps land in NonTx.
+TEST(CycleProfiler, TxExecutionLandsInTxExec)
 {
-    ManualProfiler m(1);
-    m.prof.txWork(0); // in-tx execution: pot, not a bucket
-    m.now = 80;
-    m.prof.resolveTx(0, true); // committed: pot -> TxUseful
-    m.prof.set(0, ProfBucket::NonTx);
-    m.now = 90;
-    m.prof.txWork(0);
-    m.now = 140;
-    m.prof.resolveTx(0, false); // aborted: pot -> TxWasted
-    m.prof.set(0, ProfBucket::Idle);
-    m.prof.finish(150);
+    SystemParams prm = test::quietParams(TmKind::SelectPtm);
+    prm.profile.enabled = true;
+    System sys(prm);
+    ProcId p = sys.createProcess();
+    for (unsigned t = 0; t < 2; ++t) {
+        std::vector<Step> steps;
+        for (unsigned i = 0; i < 10; ++i) {
+            steps.push_back(test::tx([](MemCtx m) -> TxCoro {
+                std::uint64_t v = co_await m.load(0x40000);
+                co_await m.compute(300);
+                co_await m.store(0x40000, std::uint32_t(v + 1));
+            }));
+            steps.push_back(test::plain([](MemCtx m) -> TxCoro {
+                co_await m.compute(200);
+            }));
+        }
+        sys.addThread(p, std::move(steps));
+    }
+    sys.run();
+    EXPECT_EQ(sys.readWord32(p, 0x40000), 20u);
 
-    ProfSnapshot s = m.prof.snapshot();
-    EXPECT_EQ(bucket(s, 0, ProfBucket::TxUseful), 80u);
-    EXPECT_EQ(bucket(s, 0, ProfBucket::TxWasted), 50u);
-    EXPECT_EQ(bucket(s, 0, ProfBucket::NonTx), 10u);
-    EXPECT_EQ(bucket(s, 0, ProfBucket::Idle), 10u);
-    EXPECT_EQ(s.coreTotal(0), 150u);
-}
-
-TEST(CycleProfiler, FinishRetiresLeftoverPendingAsWasted)
-{
-    ManualProfiler m(1);
-    m.prof.txWork(0);
-    m.prof.finish(60); // tick-limit end: attempt never resolved
-
-    ProfSnapshot s = m.prof.snapshot();
-    EXPECT_EQ(bucket(s, 0, ProfBucket::TxWasted), 60u);
-    EXPECT_EQ(s.coreTotal(0), 60u);
+    ProfSnapshot s = sys.profiler().snapshot();
+    EXPECT_GE(s.bucketTotal(ProfBucket::TxExec), 20u * 300u);
+    EXPECT_GE(s.bucketTotal(ProfBucket::NonTx), 20u * 200u);
+    for (unsigned c = 0; c < s.cores.size(); ++c)
+        EXPECT_EQ(s.coreTotal(c), s.elapsed);
 }
 
 TEST(CycleProfiler, CollapseAbandonsNestedPhases)

@@ -84,11 +84,11 @@ TEST(TracerTest, InterestMaskRoutesRecords)
     Tracer t;
     t.configure(traceCatMask(TraceCat::Tx), 64);
     CountingObserver a, b;
-    t.subscribe(&a, {TraceEventType::TxAbort, TraceEventType::TxWasted});
+    t.subscribe(&a, {TraceEventType::TxAbort, TraceEventType::WalkEnd});
     t.subscribe(&b, {TraceEventType::TxAbort, TraceEventType::SptMiss});
     t.record(TraceEventType::TxBegin);    // ring only
     t.record(TraceEventType::TxAbort);    // ring, a and b
-    t.record(TraceEventType::TxWasted);   // a only: observer-only type
+    t.record(TraceEventType::WalkEnd);    // a only: meta is not traced
     t.record(TraceEventType::SptMiss);    // b only: meta is not traced
     t.record(TraceEventType::Writeback);  // nobody
     EXPECT_EQ(t.recorded(), 2u);
@@ -96,14 +96,15 @@ TEST(TracerTest, InterestMaskRoutesRecords)
     EXPECT_EQ(t.snapshot()[1].type, TraceEventType::TxAbort);
     EXPECT_EQ(a.seen, (std::vector<TraceEventType>{
                           TraceEventType::TxAbort,
-                          TraceEventType::TxWasted}));
+                          TraceEventType::WalkEnd}));
     EXPECT_EQ(b.seen, (std::vector<TraceEventType>{
                           TraceEventType::TxAbort,
                           TraceEventType::SptMiss}));
-    // Even an all-categories ring never stores an observer-only type.
+    // Reconfiguring the ring keeps the subscriptions: an all-categories
+    // ring now stores the type too, and a still sees it.
     t.configure(traceCatAll, 64);
-    t.record(TraceEventType::TxWasted);
-    EXPECT_EQ(t.recorded(), 0u);
+    t.record(TraceEventType::WalkEnd);
+    EXPECT_EQ(t.recorded(), 1u);
     EXPECT_EQ(a.seen.size(), 3u);
 }
 

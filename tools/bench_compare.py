@@ -33,7 +33,7 @@ from ptm_schema import read_benchsuite, read_file  # noqa: E402
 THRESHOLDS = {
     "cycles": 0.01,            # headline metric: 1% noise budget
     "prof_total_ticks": 0.01,  # must track cycles by construction
-    "prof_tx_wasted": 0.05,
+    "prof_tx_exec": 0.05,
     # Execution vs. local-hit attribution: a batch that charged its
     # hits to non_tx (or the reverse) moves ticks between these two.
     "prof_non_tx": 0.05,

@@ -2,8 +2,9 @@
 """Schema and reconciliation checker for ptm-postmortem-v1 dumps.
 
 Runs ptm_sim on the contended KV workload (zipf 0.99) with a retry
-budget so the starvation token fires, post-mortem capture armed, and
-validates the dump file (concatenated JSON documents):
+budget so the starvation token fires, post-mortem capture armed and a
+tx-category trace, and validates the dump file (concatenated JSON
+documents):
 
   * ptm_schema.read_postmortem: every document carries the schema
     tag, a known trigger kind, a repro line, well-typed nodes /
@@ -15,18 +16,22 @@ validates the dump file (concatenated JSON documents):
     generation bound;
   * records are sorted by tx id and every record's tx appears in the
     node list;
-  * the run's ptm-stats-v1 "forensics" section reconciles: its
-    wasted_ticks_total equals the profiler's tx_wasted bucket summed
-    over cores (runs that finish before the tick limit), and the
-    number of dumped documents equals forensics.postmortems;
+  * the run's ptm-stats-v1 "forensics" section reconciles with the
+    flightrec group's dropped_records, and the number of dumped
+    documents equals forensics.postmortems;
+  * attempt ticks reconcile with the trace: the capture drops no
+    events, and t - c (commit or abort tick minus the attempt's begin
+    tick) summed over tx_abort events equals the profile's
+    aborted_tx_ticks charge, and over tx_commit events its
+    committed_tx_ticks charge;
   * off by default: a run without --postmortem / --postmortem-on-abort
     writes no dump, prints no post-mortem block, and reports
     armed=false with zero postmortems.
 
 With --self-test these checks run against mutations of crafted inputs
-(cyclic edges, tick ordering violation, unsorted records, wasted-tick
-mismatch, missing starvation grant, armed control run) instead of
-driving the simulator.
+(cyclic edges, tick ordering violation, unsorted records, dropped
+trace events, attempt-tick mismatches, missing starvation grant, armed
+control run) instead of driving the simulator.
 
 Usage:
     check_postmortem_json.py PATH_TO_PTM_SIM
@@ -41,7 +46,7 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ptm_schema import (DELETE, SAMPLES, mutate,  # noqa: E402
                         read_file, read_postmortem, read_stats,
-                        rejections, report)
+                        read_trace, rejections, report)
 
 
 def check_dag(doc, where):
@@ -97,9 +102,9 @@ def check_dag(doc, where):
     return errors
 
 
-def reconcile_forensics(stats_doc):
-    """Forensics totals vs. the flightrec group and the profiler's
-    tx_wasted bucket."""
+def reconcile_forensics(stats_doc, trace):
+    """Forensics totals vs. the flightrec group, and the profile's
+    attempt-tick charges vs. the traced commit and abort records."""
     errors = []
     forensics = stats_doc.get("forensics")
     if forensics is None:
@@ -111,26 +116,34 @@ def reconcile_forensics(stats_doc):
         errors.append(f"flightrec.dropped_records {dropped} != forensics "
                       f"section {forensics['dropped_records']}")
     profile = stats_doc.get("profile")
-    hit_limit = groups.get("sys", {}).get("hit_tick_limit", {}) \
-        .get("value", 0)
-    if profile is not None and not hit_limit:
-        tx_wasted = sum(c["ticks"].get("tx_wasted", 0)
-                        for c in profile["cores"])
-        if forensics["wasted_ticks_total"] != tx_wasted:
-            errors.append(f"forensics.wasted_ticks_total "
-                          f"{forensics['wasted_ticks_total']} != profiler "
-                          f"tx_wasted bucket {tx_wasted}")
+    if profile is None:
+        return errors + ["stats json has no profile section"]
+    ticks = {"tx_commit": 0, "tx_abort": 0}
+    for cap in trace["captures"]:
+        if cap["dropped"]:
+            errors.append(f"trace capture {cap['label']} dropped "
+                          f"{cap['dropped']} events")
+        for e in cap["events"]:
+            if e["ev"] in ticks:
+                ticks[e["ev"]] += e["t"] - e.get("c", 0)
+    for ev, charge in (("tx_commit", "committed_tx_ticks"),
+                       ("tx_abort", "aborted_tx_ticks")):
+        want = profile["supervisor"].get(charge)
+        if ticks[ev] != want:
+            errors.append(f"{ev} attempt ticks {ticks[ev]} != profile "
+                          f"{charge} {want}")
     return errors
 
 
-def check_dump(docs, stats_doc):
-    """The armed run: every document's graph, the forensics
-    reconciliation, and a starvation-grant capture with a killer chain
-    (the token fires under retry budget 6 and zipf 0.99)."""
+def check_dump(docs, stats_doc, trace):
+    """The armed run: every document's graph, the forensics and
+    attempt-tick reconciliations, and a starvation-grant capture with a
+    killer chain (the token fires under retry budget 6 and zipf
+    0.99)."""
     errors = []
     for i, doc in enumerate(docs):
         errors += check_dag(doc, f"doc {i}")
-    errors += reconcile_forensics(stats_doc)
+    errors += reconcile_forensics(stats_doc, trace)
     forensics = stats_doc.get("forensics", {})
     if forensics.get("armed") is not True:
         errors.append("armed run reports forensics.armed != true")
@@ -168,9 +181,11 @@ def check_run(ptm_sim):
     with tempfile.TemporaryDirectory() as tmp:
         pm_path = os.path.join(tmp, "pm.json")
         stats_path = os.path.join(tmp, "stats.json")
+        trace_path = os.path.join(tmp, "trace.jsonl")
         proc = subprocess.run(
             run + ["--profile", "--postmortem", pm_path,
-                   "--stats-json", stats_path],
+                   "--stats-json", stats_path, "--trace", trace_path,
+                   "--trace-categories", "tx"],
             capture_output=True, text=True)
         if proc.returncode != 0:
             return [f"ptm_sim exited {proc.returncode}: "
@@ -178,8 +193,10 @@ def check_run(ptm_sim):
         docs, errors = read_file(pm_path, read_postmortem)
         stats_doc, errs = read_file(stats_path, read_stats)
         errors += errs
+        trace, errs = read_file(trace_path, read_trace)
+        errors += errs
         if not errors:
-            errors = check_dump(docs, stats_doc)
+            errors = check_dump(docs, stats_doc, trace)
         if "post-mortem" not in proc.stderr:
             errors.append("armed run printed no human post-mortem "
                           "block on stderr")
@@ -207,25 +224,41 @@ def self_test():
         (["chain_depth"], 0, "< deepest node generation 1"),
         (["chain_depth"], 9, "> generation bound 8"),
     ])
-    stats = SAMPLES["stats"]
-    failures += rejections(reconcile_forensics, stats, [
-        (["forensics", "wasted_ticks_total"], 10, "tx_wasted bucket 0"),
-        (["profile", "cores", 0, "ticks", "tx_wasted"], 5,
-         "tx_wasted bucket 5"),
-        (["groups", "flightrec", "dropped_records", "value"], 2,
-         "dropped_records 2"),
-    ])
+    # One aborted attempt (begin 5, abort 9) and its committed retry
+    # (begin 12, commit 20): 4 aborted and 8 committed attempt ticks.
+    stats = mutate(SAMPLES["stats"], ["profile", "supervisor"],
+                   {"committed_tx_ticks": 8, "aborted_tx_ticks": 4})
+    trace = {"captures": [{"label": "kv/Sel-PTM", "recorded": 4,
+                           "dropped": 0, "events": [
+        {"t": 5, "ev": "tx_begin", "tx": 1},
+        {"t": 9, "ev": "tx_abort", "tx": 1, "c": 5},
+        {"t": 12, "ev": "tx_restart", "tx": 1, "a": 2},
+        {"t": 20, "ev": "tx_commit", "tx": 1, "c": 12}]}]}
+    failures += rejections(
+        lambda d: reconcile_forensics(d["stats"], d["trace"]),
+        {"stats": stats, "trace": trace}, [
+            (["stats", "groups", "flightrec", "dropped_records", "value"],
+             2, "dropped_records 2"),
+            (["stats", "profile"], DELETE, "no profile section"),
+            (["trace", "captures", 0, "dropped"], 3, "dropped 3 events"),
+            (["trace", "captures", 0, "events", 1, "c"], 6,
+             "tx_abort attempt ticks 3 != profile aborted_tx_ticks 4"),
+            (["trace", "captures", 0, "events", 3, "c"], 10,
+             "tx_commit attempt ticks 10 != profile committed_tx_ticks 8"),
+        ])
     armed = mutate(mutate(stats, ["forensics", "armed"], True),
                    ["forensics", "postmortems"], 1)
     grant = mutate(doc, ["trigger", "kind"], "starvation-grant")
-    failures += rejections(lambda d: check_dump(d["docs"], d["stats"]),
-                           {"docs": [grant], "stats": armed}, [
-        (["stats", "forensics", "armed"], False, "armed != true"),
-        (["stats", "forensics"], DELETE, "postmortems None != 1"),
-        (["docs"], [grant, grant], "postmortems 1 != 2"),
-        (["docs", 0, "trigger", "kind"], "watchdog", "no starvation"),
-        (["docs", 0, "edges"], [], "no causality edges"),
-    ])
+    failures += rejections(
+        lambda d: check_dump(d["docs"], d["stats"], trace),
+        {"docs": [grant], "stats": armed}, [
+            (["stats", "forensics", "armed"], False, "armed != true"),
+            (["stats", "forensics"], DELETE, "postmortems None != 1"),
+            (["docs"], [grant, grant], "postmortems 1 != 2"),
+            (["docs", 0, "trigger", "kind"], "watchdog",
+             "no starvation"),
+            (["docs", 0, "edges"], [], "no causality edges"),
+        ])
     failures += rejections(check_control, stats, [
         (["forensics"], DELETE, "no forensics section"),
         (["forensics", "armed"], True, "armed != false"),

@@ -210,7 +210,7 @@ def self_test():
                                                 "forensics"], ["vts"])
 
     sample = SAMPLES["stats"]
-    killer = {"tx": 1, "kills": 1, "wasted_ticks": 0}
+    killer = {"tx": 1, "kills": 1, "lost_ticks": 0}
     plain = mutate(sample, ["groups", "vts"], DELETE)
     plain = {k: v for k, v in plain.items() if k not in
              ("profile", "hot_pages", "forensics")}

@@ -66,7 +66,7 @@ def analyze(docs, stats_doc=None, top=10):
         "repro": docs[0]["repro"],
         "killers": [{k: r[k] for k in (
             "tx", "kills", "attempts", "aborts", "lost_ticks",
-            "wasted_ticks", "committed")} for r in killers],
+            "committed")} for r in killers],
         "chain_depth_histogram": {
             str(d): depth_hist[d] for d in sorted(depth_hist)},
         "pages": page_rows,
@@ -88,8 +88,7 @@ def print_report(a):
         tail = " (committed)" if r["committed"] else ""
         print(f"  tx {r['tx']}: kills {r['kills']} "
               f"attempts {r['attempts']} aborts {r['aborts']} "
-              f"lost {r['lost_ticks']} wasted {r['wasted_ticks']}"
-              f"{tail}")
+              f"lost {r['lost_ticks']}{tail}")
 
     print("\nchain depth histogram:")
     hist = a["chain_depth_histogram"]

@@ -40,8 +40,7 @@ SCALAR = (str, int, float, bool)
 # --system names (SystemKind).
 SYSTEMS = ("serial", "locks", "copy-ptm", "sel-ptm", "vtm", "vc-vtm")
 
-# TraceEventType names that reach the trace ring (traceEventName);
-# observer-only records such as tx_wasted never do.
+# TraceEventType names (traceEventName); every one can reach the ring.
 TRACE_EVENTS = frozenset({
     "tx_begin", "tx_restart", "tx_commit", "tx_abort", "conflict_edge",
     "spt_hit", "spt_miss", "spt_evict", "tav_hit", "tav_miss",
@@ -74,7 +73,7 @@ NODE_CAUSES = frozenset(ABORT_CAUSES) | {"terminal"}
 
 # CycleProfiler buckets (per-core ticks) and supervisor charges.
 PROF_BUCKETS = frozenset({
-    "idle", "non_tx", "tx_useful", "tx_wasted", "stall_l1", "stall_l2",
+    "idle", "non_tx", "tx_exec", "stall_l1", "stall_l2",
     "stall_mem", "stall_xlat", "fault_swap", "tx_begin", "tx_commit",
     "tx_abort", "tx_persist", "ctx_switch", "barrier",
 })
@@ -117,12 +116,11 @@ class Opt:
         self.want = want
 
 
-KILLER = {"tx": int, "kills": int, "wasted_ticks": int}
+KILLER = {"tx": int, "kills": int, "lost_ticks": int}
 FORENSICS = {
     "depth": int, "generations": int, "live_records": int,
     "retired_records": int, "dropped_records": int,
-    "wasted_ticks_total": int, "dropped_wasted_ticks": int,
-    "max_wasted_ticks": int, "max_wasted_tx": int, "deepest_chain": int,
+    "max_lost_ticks": int, "max_lost_tx": int, "deepest_chain": int,
     "postmortems": int, "dropped_reports": int, "armed": bool,
     "top_killers": [KILLER],
 }
@@ -201,10 +199,10 @@ POSTMORTEM = {
         "tx": int, "thread": int, "proc": int, "first_begin": int,
         "last_begin": int, "end_tick": int, "committed": bool,
         "attempts": int, "aborts": int, "kills": int, "spt_misses": int,
-        "tav_misses": int, "shadow_allocs": int, "wasted_ticks": int,
-        "lost_ticks": int, "recent_aborts": list}],
+        "tav_misses": int, "shadow_allocs": int, "lost_ticks": int,
+        "recent_aborts": list}],
     "flightrec": {"depth": int, "live": int, "retired": int,
-                  "dropped_records": int, "dropped_wasted_ticks": int},
+                  "dropped_records": int},
 }
 
 # Bench rows are flat objects of scalars; their fields vary by bench.
@@ -623,9 +621,9 @@ SAMPLES = {
             **{s: _hot(0, []) for s in HOT_COUNTERS}},
         "forensics": {
             **{f: 0 for f, t in FORENSICS.items() if t is int},
-            "depth": 256, "max_wasted_tx": -1, "armed": False,
-            "top_killers": [{"tx": 3, "kills": 2, "wasted_ticks": 0},
-                            {"tx": 1, "kills": 1, "wasted_ticks": 7}]},
+            "depth": 256, "max_lost_tx": -1, "armed": False,
+            "top_killers": [{"tx": 3, "kills": 2, "lost_ticks": 0},
+                            {"tx": 1, "kills": 1, "lost_ticks": 7}]},
     },
     "trace": [
         {"schema": "ptm-trace-v1", "git": "v1", "captures": 1},
@@ -676,10 +674,10 @@ SAMPLES = {
             {"tx": tx, "thread": 0, "proc": 0, "first_begin": 1,
              "last_begin": 1, "end_tick": 0, "committed": False,
              "attempts": 2, "aborts": 1, "kills": 0, "spt_misses": 0,
-             "tav_misses": 0, "shadow_allocs": 0, "wasted_ticks": 0,
-             "lost_ticks": 5, "recent_aborts": []} for tx in (1, 2)],
+             "tav_misses": 0, "shadow_allocs": 0, "lost_ticks": 5,
+             "recent_aborts": []} for tx in (1, 2)],
         "flightrec": {"depth": 256, "live": 2, "retired": 0,
-                      "dropped_records": 0, "dropped_wasted_ticks": 0},
+                      "dropped_records": 0},
     }],
     "bench": {"schema": "ptm-bench-v1", "bench": "bench_fig4",
               "git": "v1", "rows": [{"app": "fft", "system": "sel-ptm",
@@ -773,8 +771,8 @@ MUTATIONS = {
          "missing 'blocks'"),
         (["hot_pages", "aborts", "nontx"], DELETE, "missing 'nontx'"),
         (["hot_pages", "tav_misses", "pages"], {}, "pages has type"),
-        (["forensics", "max_wasted_tx"], DELETE,
-         "missing 'max_wasted_tx'"),
+        (["forensics", "max_lost_tx"], DELETE,
+         "missing 'max_lost_tx'"),
         (["forensics", "armed"], DELETE, "missing 'armed'"),
         (["forensics", "top_killers", 0, "kills"], "2",
          "kills has type str"),

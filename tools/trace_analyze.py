@@ -89,24 +89,19 @@ def analyze(cap, top):
     # path is the authoritative hop count.
     deepest = len(chain_path)
 
-    # Wasted work: pair each attempt start (tx_begin / tx_restart)
-    # with the commit or abort that closes it, and bucket the ticks.
-    open_at = {}
+    # Wasted work: every commit and abort record carries its attempt's
+    # begin tick ("c"), so each closes an attempt of t - c ticks even
+    # when the begin fell off the ring.
     wasted = useful = 0
     aborted_attempts = committed = 0
     abort_causes = Counter()
     for e in ev:
         kind = e["ev"]
-        tx = e.get("tx")
-        if kind in ("tx_begin", "tx_restart"):
-            open_at[tx] = e["t"]
-        elif kind == "tx_commit":
-            if tx in open_at:
-                useful += e["t"] - open_at.pop(tx)
+        if kind == "tx_commit":
+            useful += e["t"] - e.get("c", 0)
             committed += 1
         elif kind == "tx_abort":
-            if tx in open_at:
-                wasted += e["t"] - open_at.pop(tx)
+            wasted += e["t"] - e.get("c", 0)
             aborted_attempts += 1
             reason = e.get("a", 0)
             abort_causes[ABORT_CAUSES[reason]
