@@ -301,16 +301,6 @@ addRobustnessOptions(OptionTable &opts, SystemParams &prm)
                     prm.chaos.interval = Tick(n);
                     return true;
                 });
-    opts.option("chaos-cleanup-delay", "TICKS",
-                "max extra delay before a commit/abort cleanup walk "
-                "starts (default 2000)",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0)
-                        return false;
-                    prm.chaos.cleanupDelay = Tick(n);
-                    return true;
-                });
 
     opts.flag("audit",
               "walk and cross-check the PTM structures (SPT/SIT/TAV/"
@@ -332,16 +322,6 @@ addRobustnessOptions(OptionTable &opts, SystemParams &prm)
               "randomize the exponential abort-restart backoff "
               "(seeded per core; deterministic)",
               [&prm] { prm.contention.randomBackoff = true; });
-    opts.option("watchdog", "N",
-                "starvation-watchdog threshold in consecutive aborts "
-                "(default 16, 0 disables)",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n > 0xFFFFFFFFull)
-                        return false;
-                    prm.contention.watchdogThreshold = unsigned(n);
-                    return true;
-                });
     opts.option("retry-budget", "N",
                 "consecutive aborts before a transaction claims the "
                 "serialized starvation token (0 disables)",
@@ -417,17 +397,6 @@ addObservabilityOptions(OptionTable &opts, SystemParams &prm)
               "the hottest pages (bounded top-K counters); adds a "
               "'hot_pages' JSON section",
               [&prm] { prm.heatmap.enabled = true; });
-    opts.option("heatmap-k", "N",
-                "keys tracked per heatmap metric (default 64); "
-                "implies --heatmap",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
-                        return false;
-                    prm.heatmap.enabled = true;
-                    prm.heatmap.topK = unsigned(n);
-                    return true;
-                });
 }
 
 void

@@ -131,17 +131,16 @@ class OptionTable
  *    --trace-buffer-events, --watch-addr;
  *  - profiling: --profile, --host-profile (implies --profile);
  *  - robustness: fault injection (--chaos, --chaos-seed, --chaos-plan,
- *    --chaos-interval, --chaos-cleanup-delay; the
- *    value-taking chaos options imply --chaos), invariant auditing
- *    (--audit, --audit-interval) and contention knobs (--backoff,
- *    --watchdog, --retry-budget);
+ *    --chaos-interval; the value-taking chaos options imply
+ *    --chaos), invariant auditing (--audit, --audit-interval) and
+ *    contention knobs (--backoff, --retry-budget);
  *  - machine scaling: --mem-banks N address-interleaved interconnect
  *    banks (power of two; 1 reproduces the paper's single bus
  *    bit-exactly);
  *  - observability: --timeseries FILE ('-' streams to stderr),
  *    --timeseries-interval (also the period of a trace's counter
- *    tracks), --heatmap, --heatmap-k (streaming implies --heatmap so
- *    interval records carry hot_pages);
+ *    tracks), --heatmap (streaming implies --heatmap so interval
+ *    records carry hot_pages);
  *  - forensics: --flightrec-depth (0 removes the recorder),
  *    --postmortem FILE and --postmortem-on-abort N, which arm
  *    post-mortem capture (unarmed runs record but never dump);

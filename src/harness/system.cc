@@ -98,8 +98,8 @@ System::System(const SystemParams &params)
     txmgr_.setClock([this] { return eq_.curTick(); });
 
     if (params_.heatmap.enabled) {
-        heatmap_ =
-            std::make_unique<ContentionHeatmap>(params_.heatmap.topK);
+        // 64 keys tracked per metric (space-saving summary capacity).
+        heatmap_ = std::make_unique<ContentionHeatmap>(64);
         tracer_.subscribe(heatmap_.get(),
                           {Ev::ConflictEdge, Ev::TxAbort, Ev::SptMiss,
                            Ev::TavMiss, Ev::ShadowAlloc});

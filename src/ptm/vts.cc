@@ -14,101 +14,6 @@
 namespace ptm
 {
 
-void
-VtsMetaCache::unlink(std::uint32_t i)
-{
-    Node &n = nodes_[i];
-    if (n.prev != nil)
-        nodes_[n.prev].next = n.next;
-    else
-        head_ = n.next;
-    if (n.next != nil)
-        nodes_[n.next].prev = n.prev;
-    else
-        tail_ = n.prev;
-    n.prev = n.next = nil;
-}
-
-void
-VtsMetaCache::pushFront(std::uint32_t i)
-{
-    Node &n = nodes_[i];
-    n.prev = nil;
-    n.next = head_;
-    if (head_ != nil)
-        nodes_[head_].prev = i;
-    head_ = i;
-    if (tail_ == nil)
-        tail_ = i;
-}
-
-bool
-VtsMetaCache::access(std::uint64_t key, bool mark_dirty,
-                     bool &evicted_dirty)
-{
-    evicted_dirty = false;
-    if (std::uint32_t *slot = index_.find(key)) {
-        std::uint32_t i = *slot;
-        nodes_[i].dirty |= mark_dirty;
-        if (head_ != i) {
-            unlink(i);
-            pushFront(i);
-        }
-        ++hits;
-        return true;
-    }
-    ++misses;
-    if (index_.size() >= capacity_) {
-        std::uint32_t victim = tail_;
-        if (nodes_[victim].dirty) {
-            evicted_dirty = true;
-            ++dirtyEvictions;
-        }
-        unlink(victim);
-        index_.erase(nodes_[victim].key);
-        free_.push_back(victim);
-    }
-    std::uint32_t i;
-    if (!free_.empty()) {
-        i = free_.back();
-        free_.pop_back();
-    } else {
-        i = std::uint32_t(nodes_.size());
-        nodes_.emplace_back();
-    }
-    nodes_[i].key = key;
-    nodes_[i].dirty = mark_dirty;
-    pushFront(i);
-    index_[key] = i;
-    return false;
-}
-
-void
-VtsMetaCache::remove(std::uint64_t key)
-{
-    std::uint32_t *slot = index_.find(key);
-    if (!slot)
-        return;
-    std::uint32_t i = *slot;
-    unlink(i);
-    index_.erase(key);
-    free_.push_back(i);
-}
-
-void
-VtsMetaCache::setCapacity(unsigned entries)
-{
-    capacity_ = entries ? entries : 1;
-    while (index_.size() > capacity_) {
-        std::uint32_t victim = tail_;
-        if (nodes_[victim].dirty)
-            ++dirtyEvictions;
-        unlink(victim);
-        index_.erase(nodes_[victim].key);
-        free_.push_back(victim);
-    }
-}
-
 Vts::Vts(const SystemParams &params, EventQueue &eq, PhysMem &phys,
          TxManager &txmgr, FrameAllocator &frames, DramModel &dram)
     : sptCache(params.sptCacheEntries, params.memBanks),

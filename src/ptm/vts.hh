@@ -42,6 +42,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/lru_map.hh"
 #include "sim/stats.hh"
 #include "tx/tm_backend.hh"
 #include "tx/tx_manager.hh"
@@ -53,86 +54,20 @@ class PtmAuditor;
 struct AuditTestAccess;
 
 /**
- * Timing model of a fully-associative, LRU, write-back metadata cache
- * in the memory controller (the SPT cache and the TAV cache). The
- * simulator keeps the *functional* PTM structures always current; these
- * caches only decide whether a lookup pays cache latency or a memory
- * walk.
+ * Timing model of the VTS metadata caches in the memory controller
+ * (the SPT cache and the TAV cache): fully-associative, LRU,
+ * write-back. The simulator keeps the *functional* PTM structures
+ * always current; these caches only decide whether a lookup pays
+ * cache latency or a memory walk.
  *
- * Hit, miss and eviction are all O(1): entries live in a slab indexed
- * by an open-addressing map, threaded on an intrusive doubly-linked
- * list in recency order, so the LRU victim is the list tail (the exact
- * entry the previous implementation found by scanning every entry for
- * the minimum use stamp — use stamps are unique, so victim choice and
- * therefore every simulated statistic is unchanged).
- */
-class VtsMetaCache
-{
-  public:
-    explicit VtsMetaCache(unsigned entries) : capacity_(entries)
-    {
-        nodes_.reserve(entries);
-        index_.reserve(entries);
-    }
-
-    /**
-     * Look up @p key; inserts it on a miss (possibly evicting LRU).
-     * @param mark_dirty the entry is being updated in place
-     * @param[out] evicted_dirty an LRU victim needed a write-back
-     * @return true on hit
-     */
-    bool access(std::uint64_t key, bool mark_dirty, bool &evicted_dirty);
-
-    /** Drop @p key (structure freed). */
-    void remove(std::uint64_t key);
-
-    /**
-     * Change the capacity at runtime (chaos cache squeezes), evicting
-     * LRU entries — with normal write-back accounting — until the new
-     * capacity holds. A zero @p entries is clamped to 1.
-     */
-    void setCapacity(unsigned entries);
-
-    unsigned capacity() const { return capacity_; }
-
-    Counter hits;
-    Counter misses;
-    Counter dirtyEvictions;
-
-  private:
-    static constexpr std::uint32_t nil = ~std::uint32_t(0);
-
-    struct Node
-    {
-        std::uint64_t key = 0;
-        std::uint32_t prev = nil;
-        std::uint32_t next = nil;
-        bool dirty = false;
-    };
-
-    /** Detach node @p i from the recency list. */
-    void unlink(std::uint32_t i);
-    /** Attach node @p i at the most-recently-used end. */
-    void pushFront(std::uint32_t i);
-
-    unsigned capacity_;
-    std::vector<Node> nodes_;           //!< slab; index_ maps into it
-    std::vector<std::uint32_t> free_;   //!< recycled slab slots
-    std::uint32_t head_ = nil;          //!< most recently used
-    std::uint32_t tail_ = nil;          //!< LRU victim
-    FlatMap<std::uint64_t, std::uint32_t> index_;
-};
-
-/**
- * A VTS metadata cache partitioned by interconnect bank: one
- * VtsMetaCache per bank, routed by the home page number, with the
- * total capacity divided evenly across partitions. With one bank (the
- * paper configuration) this is a single full-capacity partition and
- * behaves bit-identically to the unpartitioned cache; with more banks,
- * each bank's controller slice arbitrates its own metadata cache, so
- * SPT/TAV lookups to disjoint banks never contend for the same LRU
- * state. The aggregate hit/miss/dirty-eviction counters live here so
- * stats wiring is independent of the partition count.
+ * The cache is partitioned by interconnect bank: one LruMap per bank
+ * (the value is the entry's dirty bit), routed by the home page
+ * number, with the total capacity divided evenly across partitions.
+ * With one bank (the paper configuration) this is a single
+ * full-capacity LRU; with more banks, each bank's controller slice
+ * arbitrates its own metadata cache, so SPT/TAV lookups to disjoint
+ * banks never contend for the same LRU state. The hit/miss/dirty-
+ * eviction counters cover all partitions.
  */
 class BankedVtsCache
 {
@@ -141,49 +76,58 @@ class BankedVtsCache
         : route_mask_(std::max(1u, banks) - 1)
     {
         unsigned n = std::max(1u, banks);
-        unsigned per = std::max(1u, (entries + n - 1) / n);
         parts_.reserve(n);
         for (unsigned i = 0; i < n; ++i)
-            parts_.emplace_back(per);
+            parts_.emplace_back(perPartition(entries));
     }
 
     /**
      * Look up @p key in the partition serving home page @p route;
      * inserts it on a miss (possibly evicting that partition's LRU).
+     * @param mark_dirty the entry is being updated in place
+     * @param[out] evicted_dirty an LRU victim needed a write-back
      * @return true on hit
      */
     bool
     access(PageNum route, std::uint64_t key, bool mark_dirty,
            bool &evicted_dirty)
     {
-        bool hit = part(route).access(key, mark_dirty, evicted_dirty);
-        if (hit)
+        evicted_dirty = false;
+        LruMap<bool> &p = part(route);
+        if (bool *dirty = p.find(key)) {
+            *dirty |= mark_dirty;
             ++hits;
-        else
-            ++misses;
-        if (evicted_dirty)
+            return true;
+        }
+        ++misses;
+        auto victim = p.insert(key, mark_dirty);
+        if (victim && victim->value) {
+            evicted_dirty = true;
             ++dirtyEvictions;
-        return hit;
+        }
+        return false;
     }
 
-    /** Drop @p key from the partition serving @p route. */
+    /** Drop @p key (structure freed): no write-back. */
     void remove(PageNum route, std::uint64_t key)
     {
-        part(route).remove(key);
+        part(route).erase(key);
     }
 
     /**
      * Change the *total* capacity at runtime (chaos cache squeezes),
-     * divided evenly across partitions with normal write-back
-     * accounting for the evictions.
+     * divided evenly across partitions. Each partition drops its LRU
+     * entries until the new capacity holds; these write-backs are not
+     * counted in dirtyEvictions.
      */
     void
     setCapacity(unsigned entries)
     {
-        unsigned n = unsigned(parts_.size());
-        unsigned per = std::max(1u, (entries + n - 1) / n);
-        for (VtsMetaCache &p : parts_)
-            p.setCapacity(per);
+        for (LruMap<bool> &p : parts_) {
+            p.setCapacity(perPartition(entries));
+            while (p.size() > p.capacity())
+                p.popLru();
+        }
     }
 
     /** Total capacity over all partitions. */
@@ -191,8 +135,8 @@ class BankedVtsCache
     capacity() const
     {
         unsigned n = 0;
-        for (const VtsMetaCache &p : parts_)
-            n += p.capacity();
+        for (const LruMap<bool> &p : parts_)
+            n += unsigned(p.capacity());
         return n;
     }
 
@@ -204,13 +148,21 @@ class BankedVtsCache
     Counter dirtyEvictions;
 
   private:
-    VtsMetaCache &part(PageNum route)
+    /** Share of @p entries per partition (at least one). */
+    unsigned
+    perPartition(unsigned entries) const
+    {
+        unsigned n = route_mask_ + 1;
+        return std::max(1u, (entries + n - 1) / n);
+    }
+
+    LruMap<bool> &part(PageNum route)
     {
         return parts_[route & route_mask_];
     }
 
     PageNum route_mask_;
-    std::vector<VtsMetaCache> parts_;
+    std::vector<LruMap<bool>> parts_;
 };
 
 /** The PTM backend. */

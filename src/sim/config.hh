@@ -213,8 +213,6 @@ struct HeatmapParams
 {
     /** Master switch; no hooks are attached while false. */
     bool enabled = false;
-    /** Keys tracked per metric (space-saving summary capacity). */
-    unsigned topK = 64;
 };
 
 /** Flight-recorder / post-mortem configuration (sim/flightrec). */

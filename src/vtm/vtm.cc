@@ -17,7 +17,8 @@ VtmController::VtmController(const SystemParams &params, EventQueue &eq,
                              DramModel &dram)
     : params_(params), eq_(eq), phys_(phys), txmgr_(txmgr),
       dram_(dram), vc_enabled_(params.tmKind == TmKind::VcVtm),
-      xf_(params.xfEntries)
+      xf_(params.xfEntries), xadc_(params.xadcEntries),
+      victim_(params.victimCacheEntries)
 {
     panic_if(params.tmKind != TmKind::Vtm &&
                  params.tmKind != TmKind::VcVtm,
@@ -60,11 +61,9 @@ VtmController::regStats(StatRegistry &reg)
 }
 
 Tick
-VtmController::xadcLookup(Addr block, bool allocate)
+VtmController::xadcLookup(Addr block)
 {
-    auto it = xadc_.find(block);
-    if (it != xadc_.end()) {
-        it->second.lastUse = ++xadc_clock_;
+    if (xadc_.find(block)) {
         ++xadcHits;
         prof_->charge(ProfCharge::MetaLookup, params_.vtsCacheLatency);
         return params_.vtsCacheLatency;
@@ -75,28 +74,9 @@ VtmController::xadcLookup(Addr block, bool allocate)
     Tick now = eq_.curTick();
     Tick done = dram_.access(now);
     ++xadtWalks;
-    if (allocate) {
-        if (xadc_.size() >= params_.xadcEntries) {
-            auto victim = xadc_.begin();
-            for (auto i = xadc_.begin(); i != xadc_.end(); ++i)
-                if (i->second.lastUse < victim->second.lastUse)
-                    victim = i;
-            xadc_.erase(victim);
-        }
-        xadc_[block] = CacheEntry{++xadc_clock_};
-    }
+    xadc_.insert(block, {});
     prof_->charge(ProfCharge::MetaLookup, done - now);
     return done - now;
-}
-
-bool
-VtmController::victimFind(Addr block)
-{
-    auto it = victim_.find(block);
-    if (it == victim_.end())
-        return false;
-    it->second = ++victim_clock_;
-    return true;
 }
 
 void
@@ -104,24 +84,11 @@ VtmController::victimInsert(Addr block)
 {
     if (!vc_enabled_)
         return;
-    if (victim_.size() >= params_.victimCacheEntries &&
-        !victim_.count(block)) {
-        auto victim = victim_.begin();
-        for (auto i = victim_.begin(); i != victim_.end(); ++i)
-            if (i->second < victim->second)
-                victim = i;
+    if (victim_.insert(block, {})) {
         // Deferred write-back of a committed block leaving the VC.
         ++victimWritebacks;
         dram_.write(eq_.curTick());
-        victim_.erase(victim);
     }
-    victim_[block] = ++victim_clock_;
-}
-
-void
-VtmController::victimRemove(Addr block)
-{
-    victim_.erase(block);
 }
 
 void
@@ -146,7 +113,7 @@ VtmController::checkAccess(const BlockAccess &acc)
         return r;
     }
 
-    r.extraLatency += xadcLookup(acc.blockAddr, true);
+    r.extraLatency += xadcLookup(acc.blockAddr);
     auto it = xadt_.find(acc.blockAddr);
     if (it == xadt_.end())
         return r; // Bloom-filter false positive
@@ -191,18 +158,14 @@ VtmController::fillBlock(Addr block_addr, TxId requester,
         it->second.writer == requester) {
         spec_words = 0xffff;
         // The transaction re-reads its own overflowed block: fetch the
-        // speculative version from the XADT (or the victim cache). The
+        // speculative version from the XADT (one memory access). The
         // cache line becomes the authoritative speculative copy again,
-        // so drop the buffered data — a later eviction re-deposits it,
-        // and a commit copy-back of the stale buffer could otherwise
-        // overwrite newer committed data.
+        // so drop the buffered data and its victim-cache slot — a later
+        // eviction re-deposits it, and a commit copy-back of the stale
+        // buffer could otherwise overwrite newer committed data.
         std::memcpy(dst, it->second.specData, blockBytes);
         it->second.hasSpecData = false;
-        victimRemove(block_addr);
-        if (vc_enabled_ && victimFind(block_addr)) {
-            ++victimHits;
-            return params_.vtsCacheLatency;
-        }
+        victim_.erase(block_addr);
         Tick now = eq_.curTick();
         return dram_.access(now) - now;
     }
@@ -235,7 +198,7 @@ VtmController::evictTxBlock(Addr block_addr, TxId tx, bool dirty_spec,
     (void)read_words;
     (void)write_words;
     Tick now = eq_.curTick();
-    Tick lat = xadcLookup(block_addr, true);
+    Tick lat = xadcLookup(block_addr);
 
     XadtEntry &e = xadt_[block_addr];
     bool new_assoc = e.writer != tx &&
@@ -288,7 +251,7 @@ VtmController::writebackBlock(Addr block_addr, const std::uint8_t *data,
         phys_.writeWord32(block_addr + block_off + Addr(w) * wordBytes,
                           v);
     }
-    victimRemove(block_addr);
+    victim_.erase(block_addr);
     dram_.write(eq_.curTick()); // posted write
     return 0;
 }
@@ -341,7 +304,7 @@ VtmController::startCleanup(TxId tx, bool is_commit)
         for (Addr b : blocks) {
             auto e = xadt_.find(b);
             if (e != xadt_.end() && e->second.writer == tx &&
-                e->second.hasSpecData && victimFind(b)) {
+                e->second.hasSpecData && victim_.find(b)) {
                 ++victimHits;
                 phys_.writeBlock(b, e->second.specData);
                 processBlock(job, b, tx);
@@ -450,7 +413,7 @@ VtmController::processBlock(CleanupJob &job, Addr block, TxId tx)
         e.pendingCopyback = false;
         if (!job.isCommit) {
             // Aborted speculative data must not linger in the VC.
-            victimRemove(block);
+            victim_.erase(block);
         }
     }
     xf_.remove(block);

@@ -31,6 +31,7 @@
 #include "mem/timing.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/lru_map.hh"
 #include "sim/stats.hh"
 #include "tx/tm_backend.hh"
 #include "tx/tx_manager.hh"
@@ -165,13 +166,12 @@ class VtmController : public TmBackend
         Tick startTick = 0; //!< cleanup-latency distributions
     };
 
-    /** XADC timing lookup; returns added latency. */
-    Tick xadcLookup(Addr block, bool allocate);
+    /** XADC timing lookup, allocating on a miss; returns added
+     *  latency. */
+    Tick xadcLookup(Addr block);
 
-    /** Victim-cache lookup/insert (VC-VTM only). */
-    bool victimFind(Addr block);
+    /** Buffer an evicted block in the victim cache (VC-VTM only). */
     void victimInsert(Addr block);
-    void victimRemove(Addr block);
 
     void noteOverflow(TxId tx);
     void startCleanup(TxId tx, bool is_commit);
@@ -195,17 +195,10 @@ class VtmController : public TmBackend
     std::unordered_map<TxId, CleanupJob> jobs_;
 
     /** XADC: metadata-cache keys with LRU (timing only). */
-    struct CacheEntry
-    {
-        std::uint64_t lastUse = 0;
-    };
-    std::unordered_map<Addr, CacheEntry> xadc_;
-    std::uint64_t xadc_clock_ = 0;
-
-    /** Victim cache: block -> LRU stamp (data modeled functionally
-     *  through the XADT entry it shadows). */
-    std::unordered_map<Addr, std::uint64_t> victim_;
-    std::uint64_t victim_clock_ = 0;
+    LruMap<> xadc_;
+    /** Victim cache: resident blocks with LRU (data modeled
+     *  functionally through the XADT entry each one shadows). */
+    LruMap<> victim_;
 
     unsigned overflowed_live_ = 0;
     Tick supervisor_free_ = 0;

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the cache substrate: MOESI helpers, the mark list and
  * CacheLine mark management, the set-associative array with LRU
- * replacement and its tag array, the L1 filter, and the TLB.
+ * replacement and its tag array, and the L1 filter.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cache/cache.hh"
-#include "cache/tlb.hh"
 
 namespace ptm
 {
@@ -262,74 +261,6 @@ TEST(L1Filter, DirectMappedConflictEvicts)
     f.insert(b);
     EXPECT_EQ(f.find(a), nullptr);
     EXPECT_NE(f.find(b), nullptr);
-}
-
-TEST(Tlb, HitMissAndLru)
-{
-    Tlb t(2);
-    EXPECT_EQ(t.lookup(0, 10), invalidPage);
-    t.insert(0, 10, 100);
-    t.insert(0, 11, 101);
-    EXPECT_EQ(t.lookup(0, 10), 100u);
-    EXPECT_EQ(t.lookup(0, 11), 101u);
-    // 10 was used less recently than 11? lookup(10) then lookup(11):
-    // 10 older -> inserting a third entry evicts 10.
-    t.lookup(0, 11);
-    t.insert(0, 12, 102);
-    EXPECT_EQ(t.lookup(0, 12), 102u);
-    EXPECT_EQ(t.lookup(0, 10), invalidPage);
-    EXPECT_EQ(t.misses.value(), 2u);
-    EXPECT_EQ(t.hits.value(), 4u);
-}
-
-TEST(Tlb, HitOnlyLookupMatchesLookup)
-{
-    // Two TLBs see the same accesses, filling on a miss. One
-    // translates through lookup(), the other through lookupHit(); the
-    // hits, the misses seen and the LRU victims must agree, and
-    // lookupHit() must count no miss.
-    Tlb full(3);
-    Tlb fast(3);
-    const PageNum pages[] = {1, 2, 1, 3, 3, 4, 2, 1, 5, 1, 1, 4, 3};
-    std::uint64_t fast_misses = 0;
-    for (PageNum p : pages) {
-        PageNum a = full.lookup(0, p);
-        PageNum b = fast.lookupHit(0, p);
-        EXPECT_EQ(a, b) << "page " << p;
-        if (a == invalidPage)
-            full.insert(0, p, 100 + p);
-        if (b == invalidPage) {
-            ++fast_misses;
-            fast.insert(0, p, 100 + p);
-        }
-    }
-    EXPECT_EQ(fast.hits.value(), full.hits.value());
-    EXPECT_EQ(fast.misses.value(), 0u);
-    EXPECT_EQ(fast_misses, full.misses.value());
-    // Same residents: LRU order picked the same victims.
-    for (PageNum p = 1; p <= 5; ++p)
-        EXPECT_EQ(full.lookupHit(0, p), fast.lookupHit(0, p))
-            << "page " << p;
-}
-
-TEST(Tlb, ProcessTagged)
-{
-    Tlb t(4);
-    t.insert(0, 10, 100);
-    t.insert(1, 10, 200);
-    EXPECT_EQ(t.lookup(0, 10), 100u);
-    EXPECT_EQ(t.lookup(1, 10), 200u);
-    t.flushProc(0);
-    EXPECT_EQ(t.lookup(0, 10), invalidPage);
-    EXPECT_EQ(t.lookup(1, 10), 200u);
-}
-
-TEST(Tlb, Shootdown)
-{
-    Tlb t(4);
-    t.insert(0, 10, 100);
-    t.invalidate(0, 10);
-    EXPECT_EQ(t.lookup(0, 10), invalidPage);
 }
 
 } // namespace

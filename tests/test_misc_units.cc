@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the remaining substrate pieces: functional physical
  * memory, the frame allocator, coroutine plumbing edge cases, report
- * formatting, the flat-map/metadata-cache building blocks, and a
- * parameterized cache-geometry correctness sweep.
+ * formatting, the flat map, and a parameterized cache-geometry
+ * correctness sweep.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "harness/report.hh"
 #include "mem/frame_alloc.hh"
 #include "mem/phys_mem.hh"
-#include "ptm/vts.hh"
 #include "sim/flat_map.hh"
 #include "sim_test_util.hh"
 
@@ -226,97 +225,6 @@ INSTANTIATE_TEST_SUITE_P(
         return "L2_" + std::to_string(std::get<0>(info.param)) + "KB_" +
                std::to_string(std::get<1>(info.param)) + "way";
     });
-
-// VtsMetaCache sequences pin the timing cache's externally observable
-// behavior — hit/miss classification, LRU victim selection and dirty
-// write-back signaling — so the O(1) slab/intrusive-list version is a
-// proven drop-in for the original scan-for-minimum implementation.
-
-TEST(VtsMetaCacheSeq, HitsMovesEntryToMostRecent)
-{
-    VtsMetaCache c(3);
-    bool evd = false;
-    EXPECT_FALSE(c.access(10, false, evd));
-    EXPECT_FALSE(c.access(11, false, evd));
-    EXPECT_FALSE(c.access(12, false, evd));
-    // Touch 10: LRU is now 11.
-    EXPECT_TRUE(c.access(10, false, evd));
-    EXPECT_FALSE(c.access(13, false, evd)); // evicts 11
-    EXPECT_TRUE(c.access(10, false, evd));
-    EXPECT_TRUE(c.access(12, false, evd));
-    EXPECT_TRUE(c.access(13, false, evd));
-    EXPECT_FALSE(c.access(11, false, evd)); // 11 was the victim
-    EXPECT_EQ(c.hits.value(), 4u);
-    EXPECT_EQ(c.misses.value(), 5u);
-}
-
-TEST(VtsMetaCacheSeq, EvictionChainFollowsRecency)
-{
-    VtsMetaCache c(2);
-    bool evd = false;
-    c.access(1, false, evd);
-    c.access(2, false, evd);
-    // Victims must come off in recency order: 1, then 2, then 3.
-    c.access(3, false, evd);                 // evicts 1
-    EXPECT_FALSE(c.access(1, false, evd));   // miss; evicts 2
-    EXPECT_FALSE(c.access(2, false, evd));   // miss; evicts 3
-    EXPECT_FALSE(c.access(3, false, evd));   // miss
-    EXPECT_TRUE(c.access(2, false, evd));    // still resident
-    EXPECT_EQ(c.misses.value(), 6u);
-    EXPECT_EQ(c.hits.value(), 1u);
-}
-
-TEST(VtsMetaCacheSeq, DirtyWritebackOnlyForDirtyVictims)
-{
-    VtsMetaCache c(2);
-    bool evd = false;
-    c.access(1, false, evd); // clean insert
-    c.access(2, true, evd);  // dirty insert
-    // Evicting clean 1 signals no write-back.
-    EXPECT_FALSE(c.access(3, false, evd));
-    EXPECT_FALSE(evd);
-    // Evicting dirty 2 signals one.
-    EXPECT_FALSE(c.access(4, false, evd));
-    EXPECT_TRUE(evd);
-    EXPECT_EQ(c.dirtyEvictions.value(), 1u);
-    // A hit with mark_dirty dirties an initially clean entry and
-    // makes it most recent, so 4 (clean) goes first, then 3 (dirty).
-    EXPECT_TRUE(c.access(3, true, evd));
-    EXPECT_FALSE(c.access(5, false, evd)); // evicts clean 4
-    EXPECT_FALSE(evd);
-    EXPECT_FALSE(c.access(6, false, evd)); // evicts dirty 3
-    EXPECT_TRUE(evd);
-    EXPECT_EQ(c.dirtyEvictions.value(), 2u);
-}
-
-TEST(VtsMetaCacheSeq, RecycledSlotsStartClean)
-{
-    VtsMetaCache c(1);
-    bool evd = false;
-    c.access(1, true, evd);
-    c.access(2, false, evd); // dirty 1 evicted; 2 reuses its slot
-    EXPECT_TRUE(evd);
-    c.access(3, false, evd); // 2 must evict clean
-    EXPECT_FALSE(evd);
-    EXPECT_EQ(c.dirtyEvictions.value(), 1u);
-}
-
-TEST(VtsMetaCacheSeq, RemoveFreesCapacityWithoutEviction)
-{
-    VtsMetaCache c(2);
-    bool evd = false;
-    c.access(1, true, evd);
-    c.access(2, false, evd);
-    c.remove(1); // structure freed: no write-back, no counter
-    EXPECT_EQ(c.dirtyEvictions.value(), 0u);
-    // Capacity freed: inserting 3 must not evict 2.
-    EXPECT_FALSE(c.access(3, false, evd));
-    EXPECT_FALSE(evd);
-    EXPECT_TRUE(c.access(2, false, evd));
-    // The removed key is gone.
-    EXPECT_FALSE(c.access(1, false, evd));
-    c.remove(99); // absent key: no-op
-}
 
 // The open-addressing map behind the metadata caches, SPT, frame and
 // TLB indices.

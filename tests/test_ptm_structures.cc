@@ -1,11 +1,11 @@
 /**
  * @file
  * Unit tests of the PTM structures driven directly against the VTS:
- * page-granularity mapping, the metadata caches, shadow-page
- * allocation and data placement for both versioning policies,
- * selection-vector toggling at commit, Copy-PTM abort restores,
- * conflict checks and stalls, exclusive-grant refusal, paging through
- * the Swap Index Table, and the shadow freeing policies.
+ * page-granularity mapping, shadow-page allocation and data placement
+ * for both versioning policies, selection-vector toggling at commit,
+ * Copy-PTM abort restores, conflict checks and stalls, exclusive-grant
+ * refusal, paging through the Swap Index Table, and the shadow freeing
+ * policies.
  */
 
 #include <gtest/gtest.h>
@@ -81,22 +81,6 @@ TEST(BitVec, Bits16ReadsAlignedGroups)
     EXPECT_EQ(v.bits16(48), 0x8001u);
     EXPECT_EQ(v.bits16(64), 0x0041u);
     EXPECT_EQ(v.bits16(112), 0u);
-}
-
-TEST(VtsMetaCache, HitMissDirtyEviction)
-{
-    VtsMetaCache c(2);
-    bool evd = false;
-    EXPECT_FALSE(c.access(1, true, evd));
-    EXPECT_FALSE(c.access(2, false, evd));
-    EXPECT_TRUE(c.access(1, false, evd));
-    // Inserting key 3 evicts LRU key 2 (clean).
-    EXPECT_FALSE(c.access(3, false, evd));
-    EXPECT_FALSE(evd);
-    // Inserting key 4 evicts key 1, which is dirty.
-    EXPECT_FALSE(c.access(4, false, evd));
-    EXPECT_TRUE(evd);
-    EXPECT_EQ(c.dirtyEvictions.value(), 1u);
 }
 
 // Regression for the old (home << 22) ^ tx TAV-cache key: it aliased

@@ -94,39 +94,6 @@ TEST(BankedBus, DisjointBanksDoNotQueueBehindEachOther)
     EXPECT_EQ(bus.reserve(0, 0), 20u);
 }
 
-// ------------------------------------------------- banked VTS cache
-
-TEST(BankedVtsCache, SinglePartitionMatchesPlainCache)
-{
-    BankedVtsCache banked(8, 1);
-    VtsMetaCache plain(8);
-    ASSERT_EQ(banked.numPartitions(), 1u);
-    for (std::uint64_t k = 0; k < 32; ++k) {
-        bool ed_b = false, ed_p = false;
-        bool hit_b = banked.access(PageNum(k), k, k % 3 == 0, ed_b);
-        bool hit_p = plain.access(k, k % 3 == 0, ed_p);
-        EXPECT_EQ(hit_b, hit_p) << k;
-        EXPECT_EQ(ed_b, ed_p) << k;
-    }
-    EXPECT_EQ(banked.hits.value(), plain.hits.value());
-    EXPECT_EQ(banked.misses.value(), plain.misses.value());
-}
-
-TEST(BankedVtsCache, PartitionsAreIndependent)
-{
-    BankedVtsCache banked(8, 4); // 2 entries per partition
-    ASSERT_EQ(banked.numPartitions(), 4u);
-    EXPECT_EQ(banked.capacity(), 8u);
-    bool ed = false;
-    // Two keys on partition 0 fit; a third evicts, but keys routed to
-    // other partitions are untouched.
-    EXPECT_FALSE(banked.access(PageNum(0), 100, false, ed));
-    EXPECT_FALSE(banked.access(PageNum(4), 104, false, ed));
-    EXPECT_FALSE(banked.access(PageNum(1), 101, false, ed));
-    EXPECT_FALSE(banked.access(PageNum(8), 108, false, ed)); // evicts
-    EXPECT_TRUE(banked.access(PageNum(1), 101, false, ed));
-}
-
 // -------------------------------------------------- config validation
 
 TEST(ValidateParams, AcceptsDefaultsAndWideMachines)

@@ -2,7 +2,8 @@
  * @file
  * Unit tests of the VTM baseline: the XF counting Bloom filter, XADT
  * bookkeeping, spec-data buffering and copy-back at commit, fast
- * aborts, and the commit-stall behavior contrasted with VC-VTM.
+ * aborts, LRU eviction from the XADC and the victim cache, and the
+ * commit-stall behavior contrasted with VC-VTM.
  */
 
 #include <gtest/gtest.h>
@@ -170,6 +171,48 @@ TEST_F(VtmUnit, ConflictDetectionThroughXadt)
     r = vtm->checkAccess(BlockAccess{block, b, false, 0xffff});
     EXPECT_TRUE(r.conflicts.empty());
     EXPECT_FALSE(vtm->mayGrantExclusive(block, b));
+}
+
+TEST_F(VtmUnit, TinyXadcAndVictimCacheEvictLeastRecentlyUsed)
+{
+    params.xadcEntries = 2;
+    params.victimCacheEntries = 2;
+    build(TmKind::VcVtm);
+    const Addr a = 0x200000, b = 0x240000, c = 0x280000;
+    TxId tx = txmgr.begin(0, 0, 0);
+    evictDirty(tx, a, 100);
+    evictDirty(tx, b, 200);
+    evictDirty(tx, a, 300); // a becomes most recent in both caches
+    EXPECT_EQ(vtm->victimWritebacks.value(), 0u);
+    evictDirty(tx, c, 400); // evicts b, the LRU, from both caches
+    EXPECT_EQ(vtm->xadcHits.value(), 1u);
+    EXPECT_EQ(vtm->xadcMisses.value(), 3u);
+    EXPECT_EQ(vtm->victimWritebacks.value(), 1u);
+
+    // The XADC holds {c, a}: a hits; b misses and evicts c, so c
+    // misses too.
+    auto probe = [&](Addr blk) {
+        vtm->checkAccess(BlockAccess{blk, tx, false, 0xffff});
+    };
+    probe(a);
+    EXPECT_EQ(vtm->xadcHits.value(), 2u);
+    EXPECT_EQ(vtm->xadcMisses.value(), 3u);
+    probe(b);
+    probe(c);
+    EXPECT_EQ(vtm->xadcHits.value(), 2u);
+    EXPECT_EQ(vtm->xadcMisses.value(), 5u);
+
+    // The victim cache holds {c, a}: those two commit instantly and b
+    // alone is copied back by the walk.
+    txmgr.requestCommit(tx);
+    eq.run();
+    EXPECT_EQ(txmgr.stateOf(tx), TxState::Committed);
+    EXPECT_EQ(vtm->victimHits.value(), 2u);
+    EXPECT_EQ(vtm->copybacks.value(), 1u);
+    EXPECT_EQ(vtm->victimWritebacks.value(), 1u);
+    EXPECT_EQ(phys.readWord32(a), 300u);
+    EXPECT_EQ(phys.readWord32(b), 200u);
+    EXPECT_EQ(phys.readWord32(c), 400u);
 }
 
 TEST(VtmIntegration, VictimCacheReducesCommitStalls)

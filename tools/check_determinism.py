@@ -76,6 +76,14 @@ DEFAULT_CONFIGS = [
     # ... and Copy-PTM backups and abort restores.
     ["--workload", "radix", "--system", "copy-ptm", "--scale", "0",
      "--flush-ctxsw", "--daemon", "3000"],
+    # LRU evictions: ocean at scale 1 overflows VC-VTM's XADC and
+    # victim cache, ...
+    ["--workload", "ocean", "--system", "vc-vtm", "--scale", "1"],
+    # ... and a chaos squeeze shrinks the SPT and TAV caches to 4
+    # entries while the overflow path runs.
+    ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
+     "--flush-ctxsw", "--daemon", "3000", "--chaos", "--chaos-plan",
+     "squeeze", "--chaos-interval", "3000"],
 ]
 
 
