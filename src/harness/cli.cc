@@ -306,17 +306,6 @@ addRobustnessOptions(OptionTable &opts, SystemParams &prm)
               "walk and cross-check the PTM structures (SPT/SIT/TAV/"
               "selection) at boundaries and intervals; PTM systems only",
               [&prm] { prm.audit.enabled = true; });
-    opts.option("audit-interval", "TICKS",
-                "ticks between periodic audits (default 100000, 0 = "
-                "boundaries only); implies --audit",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n))
-                        return false;
-                    prm.audit.enabled = true;
-                    prm.audit.interval = Tick(n);
-                    return true;
-                });
 
     opts.flag("backoff",
               "randomize the exponential abort-restart backoff "
@@ -536,8 +525,7 @@ chaosReproArgs(const SystemParams &prm)
                        chaosPlanString(prm.chaos.plan).c_str(),
                        (ull)prm.chaos.interval);
     if (prm.audit.enabled)
-        s += strprintf(" --audit --audit-interval %llu",
-                       (ull)prm.audit.interval);
+        s += " --audit";
     if (prm.persist.enabled()) {
         s += strprintf(" --durability %s --wal-flush-latency %llu "
                        "--wal-bytes-per-cycle %llu",

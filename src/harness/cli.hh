@@ -132,7 +132,7 @@ class OptionTable
  *  - profiling: --profile, --host-profile (implies --profile);
  *  - robustness: fault injection (--chaos, --chaos-seed, --chaos-plan,
  *    --chaos-interval; the value-taking chaos options imply
- *    --chaos), invariant auditing (--audit, --audit-interval) and
+ *    --chaos), invariant auditing (--audit) and
  *    contention knobs (--backoff, --retry-budget);
  *  - machine scaling: --mem-banks N address-interleaved interconnect
  *    banks (power of two; 1 reproduces the paper's single bus

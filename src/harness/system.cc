@@ -116,6 +116,10 @@ System::System(const SystemParams &params)
     if (params_.audit.enabled) {
         if (vts_) {
             auditor_.attach(vts_, &txmgr_);
+            auditor_.attachCaches([this](const auto &fn) {
+                for (CoreId c = 0; c < params_.numCores; ++c)
+                    mem_.l2(c).forEachValid(fn);
+            });
             auditor_.setRepro(repro);
         } else {
             warn("--audit requested but the %s backend has no PTM "

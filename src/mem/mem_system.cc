@@ -496,9 +496,15 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
         mine.readWords |= m.readWords;
         mine.writeWords |= m.writeWords;
     }
+    if (write && wordMode() && (src || own) && backend_ &&
+        backend_->anyOverflow())
+        // Cached data, taken writable: the copies it came from may
+        // predate an overflow, so the line also takes the marks a
+        // fill from memory would have brought.
+        backend_->overflowMarks(block, acc.tx, fill_foreign);
     for (const auto &fm : fill_foreign) {
-        // Overflowed speculative words of other live transactions came
-        // with the fill: the line must carry their marks.
+        // Live transactions' overflowed words in the block: the line
+        // must carry their marks.
         noteFootprint(fm.tx, c, *target);
         TxMark &mine = target->mark(fm.tx);
         mine.readWords |= fm.readWords;
@@ -508,11 +514,12 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
         noteFootprint(acc.tx, c, *target);
         // The fill contains the requester's own overflowed speculative
         // words: restore the write marking (the line is speculative,
-        // not a committed copy).
+        // not a committed copy). Word modes let other cores keep
+        // shared copies of the block beside those words; the line is
+        // then not exclusive, and the next store upgrades on the bus
+        // so those copies are invalidated and their marks migrate.
         target->mark(acc.tx).writeWords |= fill_spec_words;
-        if (!moesiWritable(target->state))
-            target->state = Moesi::M;
-        else if (target->state == Moesi::E)
+        if (!any_other_copy)
             target->state = Moesi::M;
     }
     for (const auto &m : target->marks)

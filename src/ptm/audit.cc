@@ -12,6 +12,7 @@
 
 #include <unordered_set>
 
+#include "cache/cache.hh"
 #include "ptm/vts.hh"
 #include "sim/logging.hh"
 #include "tx/tx_manager.hh"
@@ -283,6 +284,42 @@ PtmAuditor::checkAll(const char *where, Tick now)
                strprintf("VTS counts %u overflowed live transactions, "
                          "table holds %llu",
                          vts_->overflowed_live_, (ull)overflowed_live));
+
+    // Word modes: a writable cached line carries the mark of every
+    // Running transaction with overflowed reads or writes of its words
+    // (the marks a fill brings, Vts::overflowMarks). A missing mark
+    // lets a local store skip the conflict check against that reader
+    // or writer.
+    if (lines_ && vts_->gran_.perWord()) {
+        lines_([&](const CacheLine &l) {
+            const SptEntry *e = vts_->findEntry(pageOf(l.addr));
+            if (!e || !moesiWritable(l.state))
+                return;
+            std::size_t steps = 0;
+            for (const TavNode *t = e->tavHead; t && ++steps <= walk_cap;
+                 t = t->nextOnPage) {
+                if (txmgr_->stateOf(t->tx) != TxState::Running)
+                    continue;
+                std::uint16_t r = vts_->gran_.blockWords(t->read, l.addr);
+                std::uint16_t w =
+                    vts_->gran_.blockWords(t->write, l.addr);
+                std::uint16_t have_r = 0, have_w = 0;
+                for (const TxMark &m : l.marks)
+                    if (m.tx == t->tx) {
+                        have_r = m.readWords;
+                        have_w = m.writeWords;
+                    }
+                if ((r & ~have_r) || (w & ~have_w))
+                    report("line-marks", where, now,
+                           strprintf("writable line %#llx lacks tx %llu's "
+                                     "overflowed words (read %#x/%#x, "
+                                     "write %#x/%#x marked)",
+                                     (ull)l.addr, (ull)t->tx,
+                                     unsigned(r & have_r), unsigned(r),
+                                     unsigned(w & have_w), unsigned(w)));
+            }
+        });
+    }
 
     std::uint64_t cause_sum = txmgr_->abortsConflict.value() +
                               txmgr_->abortsNonTx.value() +

@@ -42,6 +42,7 @@ namespace ptm
 
 class Vts;
 class TxManager;
+struct CacheLine;
 struct TavNode;
 
 /** One detected invariant violation. */
@@ -74,6 +75,13 @@ class PtmAuditor
 
     /** True once attach() ran with a PTM backend. */
     bool attached() const { return vts_ != nullptr; }
+
+    /** Calls its argument on every valid L2 line of the machine. */
+    using LineWalk =
+        std::function<void(const std::function<void(const CacheLine &)> &)>;
+
+    /** Wire the caches the "line-marks" check walks (System wiring). */
+    void attachCaches(LineWalk walk) { lines_ = std::move(walk); }
 
     /**
      * Reproducer line prefix ("--seed N --chaos-seed M ...") echoed
@@ -118,6 +126,7 @@ class PtmAuditor
 
     Vts *vts_ = nullptr;
     TxManager *txmgr_ = nullptr;
+    LineWalk lines_;
     std::string repro_;
     std::vector<AuditViolation> violations_;
 };

@@ -291,15 +291,16 @@ Vts::fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
     if (!anyOverflow())
         extra += sptLookupCost(page, requester);
 
+    BlockView v = viewBlock(*e, block_addr, requester);
+    spec_words = v.mine;
+    blockMarks(*e, block_addr, v, foreign);
+
     if (!select_ || !e->hasShadow()) {
         // Copy-PTM fetches from the home page; for the writer this is
         // the speculative version, for everyone else the committed one
-        // (conflicting cases were resolved before the fill).
+        // (conflicting cases were resolved before the fill) beside the
+        // overflowed words of other writers, which their marks cover.
         phys_.readBlock(block_addr, dst);
-        if (const TavNode *mine = requester != invalidTxId
-                                      ? e->findTav(requester)
-                                      : nullptr)
-            spec_words = gran_.blockWords(mine->write, block_addr);
         return extra;
     }
 
@@ -307,22 +308,7 @@ Vts::fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
     // the page; equivalently, the requester reads its own speculative
     // units and committed units otherwise (section 4.4.1). Another
     // live transaction's overflowed speculative word (word modes) also
-    // comes from the speculative location, and the line then carries
-    // the writer's mark so conflicts keep firing on the cached copy.
-    BlockView v = viewBlock(*e, block_addr, requester);
-    spec_words = v.mine;
-    for (std::uint16_t m = v.foreign; m; m &= m - 1) {
-        unsigned w = unsigned(std::countr_zero(m));
-        std::uint16_t bit = std::uint16_t(1u << w);
-        auto fm = std::find_if(foreign.begin(), foreign.end(),
-                               [&](const TxMark &f) {
-                                   return f.tx == v.writer[w];
-                               });
-        if (fm != foreign.end())
-            fm->writeWords |= bit;
-        else
-            foreign.push_back(TxMark{v.writer[w], 0, bit});
-    }
+    // comes from the speculative location.
     std::uint16_t from_shadow = v.effSel ^ (v.mine | v.foreign);
     const std::uint8_t *home_f = phys_.frameData(e->home);
     const std::uint8_t *shadow_f = phys_.frameData(e->shadow);
@@ -342,6 +328,42 @@ Vts::fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
         std::memcpy(dst + w * wordBytes, &val, wordBytes);
     }
     return extra;
+}
+
+void
+Vts::blockMarks(const SptEntry &e, Addr block_addr, const BlockView &v,
+                std::vector<TxMark> &out) const
+{
+    out.clear();
+    // Block mode needs no marks: any access to a block with overflowed
+    // state conflicts on the bus before it can be cached.
+    if (!gran_.perWord())
+        return;
+    auto mark = [&](TxId tx) -> TxMark & {
+        auto m = std::find_if(out.begin(), out.end(),
+                              [&](const TxMark &f) { return f.tx == tx; });
+        return m != out.end() ? *m : out.emplace_back(TxMark{tx, 0, 0});
+    };
+    for (std::uint16_t m = v.foreign; m; m &= m - 1) {
+        unsigned w = unsigned(std::countr_zero(m));
+        mark(v.writer[w]).writeWords |= std::uint16_t(1u << w);
+    }
+    for (const TavNode *t = e.tavHead; t; t = t->nextOnPage) {
+        std::uint16_t r = gran_.blockWords(t->read, block_addr);
+        if (r && txmgr_.stateOf(t->tx) == TxState::Running)
+            mark(t->tx).readWords |= r;
+    }
+}
+
+void
+Vts::overflowMarks(Addr block_addr, TxId requester,
+                   std::vector<TxMark> &out)
+{
+    out.clear();
+    const SptEntry *e = findEntry(pageOf(block_addr));
+    if (e && gran_.perWord())
+        blockMarks(*e, block_addr, viewBlock(*e, block_addr, requester),
+                   out);
 }
 
 bool
@@ -481,9 +503,18 @@ Vts::evictTxBlock(Addr block_addr, TxId tx, bool dirty_spec,
         if (!select_) {
             // Copy-PTM: back up the committed unit on its first dirty
             // overflow, then store the speculative data in the home
-            // page (section 3.2.1).
+            // page (section 3.2.1). A unit whose only other writer is
+            // Committing needs a fresh backup: that writer's data in
+            // the home page is the committed copy now, and the shadow
+            // still holds the value from before it.
+            const std::uint16_t backed =
+                viewBlock(e, block_addr, tx).backedUp;
             gran_.forBits(block_addr, write_words, [&](unsigned i) {
-                if (!e.writeSummary.test(i) && !node->write.test(i)) {
+                const std::uint16_t unit =
+                    gran_.perWord()
+                        ? std::uint16_t(1u << (i % wordsPerBlock))
+                        : std::uint16_t(0xffff);
+                if (!(backed & unit)) {
                     Addr home_u = gran_.unitAddr(e.home, i);
                     Addr shadow_u = gran_.unitAddr(e.shadow, i);
                     if (gran_.perWord())
@@ -861,6 +892,14 @@ Vts::processNode(CleanupJob &job, TavNode *node)
         ++abortWalkNodes;
         if (!select_) {
             node->write.forEachSet([&](unsigned i) {
+                // Another writer's speculative data may sit in the
+                // home unit (word modes let it write the unit while
+                // this walk was pending). The shadow then already
+                // holds that writer's backup — the committed copy —
+                // so restoring would only clobber its data.
+                for (const TavNode *t = e.tavHead; t; t = t->nextOnPage)
+                    if (t != node && t->write.test(i))
+                        return;
                 Addr home_u = gran_.unitAddr(e.home, i);
                 Addr shadow_u = gran_.unitAddr(e.shadow, i);
                 if (gran_.perWord())

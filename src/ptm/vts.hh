@@ -203,6 +203,8 @@ class Vts : public TmBackend
     Tick fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
                    std::uint16_t &spec_words,
                    std::vector<TxMark> &foreign) override;
+    void overflowMarks(Addr block_addr, TxId requester,
+                       std::vector<TxMark> &out) override;
     bool mayGrantExclusive(Addr block_addr, TxId requester) override;
     Tick evictTxBlock(Addr block_addr, TxId tx, bool dirty_spec,
                       const std::uint8_t *data, std::uint16_t read_words,
@@ -365,6 +367,10 @@ class Vts : public TmBackend
      *  @p requester (invalidTxId: no requester). */
     BlockView viewBlock(const SptEntry &e, Addr block_addr,
                         TxId requester) const;
+
+    /** overflowMarks() of a block of @p e whose view is @p v. */
+    void blockMarks(const SptEntry &e, Addr block_addr, const BlockView &v,
+                    std::vector<TxMark> &out) const;
 
     /** Recompute a page's summary vectors and live-dirty gauge. */
     void refreshPage(SptEntry &e);

@@ -83,18 +83,35 @@ class TmBackend
      *        requester's own *speculative* version; the cache line
      *        must be re-marked as transactionally written for them so
      *        that abort/commit and isolation handling stay correct.
-     * @param[out] foreign marks of *other* live transactions whose
-     *        overflowed speculative words are part of the returned
-     *        block (word-granularity modes; the paper's XOR rule
-     *        fetches the speculative location whenever the write
-     *        summary bit is set). The cache line must carry these
-     *        marks so conflict detection keeps working on cached
-     *        copies.
+     * @param[out] foreign overflowMarks() of the block: the cache
+     *        line must carry them so conflict detection keeps
+     *        working on cached copies.
      * @return extra latency beyond the standard DRAM access.
      */
     virtual Tick fillBlock(Addr block_addr, TxId requester,
                            std::uint8_t *dst, std::uint16_t &spec_words,
                            std::vector<TxMark> &foreign) = 0;
+
+    /**
+     * Replace @p out with the marks of the live transactions that
+     * overflowed words of the block (word-granularity modes), less the
+     * requester's own writes (fillBlock's spec_words): a writer's
+     * speculative words are part of the block as fetched (the paper's
+     * XOR rule fetches the speculative location whenever the write
+     * summary bit is set), and a reader's words must conflict with a
+     * later store by anyone else — the requester's own reads included,
+     * since another transaction may run on the core before it commits.
+     * A line taken writable must carry these marks, or its local
+     * stores would skip the check.
+     */
+    virtual void
+    overflowMarks(Addr block_addr, TxId requester,
+                  std::vector<TxMark> &out)
+    {
+        (void)block_addr;
+        (void)requester;
+        out.clear();
+    }
 
     /**
      * Whether a read miss may take the line Exclusive. PTM refuses

@@ -158,74 +158,80 @@ payloadWord(std::uint32_t tag, unsigned w)
                    (std::uint64_t(w) * 2654435761ull));
 }
 
-std::vector<Op>
-generateProgram(const Params &p, unsigned thread)
+Programs
+generatePrograms(const Params &p)
 {
-    Zipfian zipf(p.keys, p.zipf);
-    Pcg32 rng(p.seed + std::uint64_t(thread) * 1000003,
-              0xC0FFEEull + thread);
-    std::vector<Op> ops;
-    ops.reserve(p.ops);
-    for (std::uint64_t i = 0; i < p.ops; ++i) {
-        Op op;
-        unsigned roll = rng.below(100);
-        if (roll < p.lookupPct) {
-            op.type = OpType::Lookup;
-        } else if (roll < p.lookupPct + p.scanPct) {
-            op.type = OpType::Scan;
-            op.len = std::uint32_t(p.scanLen);
-        } else if (roll < p.lookupPct + p.scanPct + p.insertPct) {
-            op.type = OpType::Insert;
-        } else {
-            op.type = OpType::Delete;
+    const Zipfian zipf(p.keys, p.zipf);
+    Programs programs(p.threads);
+    for (unsigned thread = 0; thread < p.threads; ++thread) {
+        Pcg32 rng(p.seed + std::uint64_t(thread) * 1000003,
+                  0xC0FFEEull + thread);
+        std::vector<Op> &ops = programs[thread];
+        ops.reserve(p.ops);
+        for (std::uint64_t i = 0; i < p.ops; ++i) {
+            Op op;
+            unsigned roll = rng.below(100);
+            if (roll < p.lookupPct) {
+                op.type = OpType::Lookup;
+            } else if (roll < p.lookupPct + p.scanPct) {
+                op.type = OpType::Scan;
+                op.len = std::uint32_t(p.scanLen);
+            } else if (roll < p.lookupPct + p.scanPct + p.insertPct) {
+                op.type = OpType::Insert;
+            } else {
+                op.type = OpType::Delete;
+            }
+            std::uint64_t rank = zipf.sample(rng);
+            std::uint32_t key = scatterKey(rank, p.keys, p.seed);
+            if (op.isWrite()) {
+                // Remap to this thread's own partition (owner = key
+                // mod threads): reads stay unrestricted, writes never
+                // race another thread on the same key, so the final
+                // contents are interleaving-independent.
+                key = key - key % p.threads + thread;
+                if (key >= p.keys)
+                    key -= p.threads;
+            }
+            op.key = key;
+            ops.push_back(op);
         }
-        std::uint64_t rank = zipf.sample(rng);
-        std::uint32_t key = scatterKey(rank, p.keys, p.seed);
-        if (op.isWrite()) {
-            // Remap to this thread's own partition (owner = key mod
-            // threads): reads stay unrestricted, writes never race
-            // another thread on the same key, so the final contents
-            // are interleaving-independent.
-            key = key - key % p.threads + thread;
-            if (key >= p.keys)
-                key -= p.threads;
-        }
-        op.key = key;
-        ops.push_back(op);
     }
-    return ops;
+    return programs;
 }
 
+namespace
+{
+
+/** The store contents before the run (index = key, value = tag). */
 std::vector<std::uint32_t>
-expectedFinal(const Params &p)
+preloadImage(const Params &p)
 {
     std::vector<std::uint32_t> tags(p.keys, 0);
     for (std::uint32_t k = 0; k < p.keys; ++k)
         if (preloaded(p, k))
             tags[k] = preloadTag(p.seed, k);
-    for (unsigned t = 0; t < p.threads; ++t) {
-        auto prog = generateProgram(p, t);
-        for (std::size_t i = 0; i < prog.size(); ++i) {
-            const Op &op = prog[i];
-            if (op.type == OpType::Insert)
-                tags[op.key] = valueTag(p.seed, t, i, op.key);
-            else if (op.type == OpType::Delete)
-                tags[op.key] = 0;
-        }
-    }
     return tags;
 }
 
+} // namespace
+
 std::vector<std::uint32_t>
-expectedAfterCommits(const Params &p,
+expectedFinal(const Params &p, const Programs &programs)
+{
+    // Every transaction of every thread committed.
+    std::vector<std::uint64_t> counts;
+    for (const std::vector<Op> &prog : programs)
+        counts.push_back((prog.size() + p.txOps - 1) / p.txOps);
+    return expectedAfterCommits(p, programs, counts);
+}
+
+std::vector<std::uint32_t>
+expectedAfterCommits(const Params &p, const Programs &programs,
                      const std::vector<std::uint64_t> &counts)
 {
-    std::vector<std::uint32_t> tags(p.keys, 0);
-    for (std::uint32_t k = 0; k < p.keys; ++k)
-        if (preloaded(p, k))
-            tags[k] = preloadTag(p.seed, k);
-    for (unsigned t = 0; t < p.threads; ++t) {
-        auto prog = generateProgram(p, t);
+    std::vector<std::uint32_t> tags = preloadImage(p);
+    for (unsigned t = 0; t < programs.size(); ++t) {
+        const std::vector<Op> &prog = programs[t];
         std::uint64_t committed = t < counts.size() ? counts[t] : 0;
         std::uint64_t nops =
             std::min<std::uint64_t>(prog.size(), committed * p.txOps);
@@ -362,11 +368,9 @@ class KvWorkload : public Workload
   public:
     explicit KvWorkload(const WorkloadConfig &cfg)
         : Workload(cfg), params_(kv::paramsFromConfig(cfg_)),
-          layout_(params_.keys, params_.vwords)
+          layout_(params_.keys, params_.vwords),
+          programs_(kv::generatePrograms(params_))
     {
-        programs_.reserve(cfg_.threads);
-        for (unsigned t = 0; t < cfg_.threads; ++t)
-            programs_.push_back(kv::generateProgram(params_, t));
         if (params_.dropWrite != 0)
             drop_idx_ = kv::chooseDropIndex(programs_[0]);
         // The scale=0 preset shrinks some non-explicit options; write
@@ -428,7 +432,7 @@ class KvWorkload : public Workload
         // slots/payloads, occupancy counters and the leaf chain — all
         // through the same walker crash recovery compares with.
         bool ok = true;
-        kv::forEachWord(params_, kv::expectedFinal(params_),
+        kv::forEachWord(params_, kv::expectedFinal(params_, programs_),
                         [&](Addr a, std::uint32_t want) {
                             if (ok && sys.readWord32(proc_, a) != want)
                                 ok = false;
@@ -444,10 +448,7 @@ class KvWorkload : public Workload
         // The pre-run baseline: exactly the image init() stores, as
         // three dense regions (structure padding words are zero, like
         // untouched simulated memory).
-        std::vector<std::uint32_t> tags(params_.keys, 0);
-        for (std::uint32_t k = 0; k < params_.keys; ++k)
-            if (kv::preloaded(params_, k))
-                tags[k] = kv::preloadTag(params_.seed, k);
+        const std::vector<std::uint32_t> tags = kv::preloadImage(params_);
 
         emit(layout_.metaAddr(),
              {std::uint32_t(layout_.rootAddr()), layout_.depth(),
@@ -501,7 +502,8 @@ class KvWorkload : public Workload
                     const std::function<void(Addr, std::uint32_t)>
                         &emit) const override
     {
-        kv::forEachWord(params_, kv::expectedAfterCommits(params_, counts),
+        kv::forEachWord(params_,
+                        kv::expectedAfterCommits(params_, programs_, counts),
                         emit);
     }
 
@@ -659,7 +661,7 @@ class KvWorkload : public Workload
 
     kv::Params params_;
     Layout layout_;
-    std::vector<std::vector<Op>> programs_;
+    kv::Programs programs_;
     std::size_t drop_idx_ = SIZE_MAX;
     ProcId proc_ = 0;
     unsigned barrier_ = 0;

@@ -24,6 +24,9 @@
  * (owner(k) = k mod threads), which keeps the final store contents
  * independent of commit interleaving: the host oracle replays each
  * thread's stream sequentially and compares the final memory image.
+ *
+ * Determinism contract: one normaliser per run; the streams are
+ * generated once and shared by build and the oracles.
  */
 
 #ifndef PTM_WORKLOADS_KV_HH
@@ -107,13 +110,17 @@ struct Op
     }
 };
 
+/** One op program per thread, index = thread. */
+using Programs = std::vector<std::vector<Op>>;
+
 /**
- * Generate thread @p thread's op program: bit-exact for a given
- * (params, thread), independent of everything else. Keys are drawn
- * Zipfian-by-rank and scattered over the key space by a seeded
- * bijection; write ops are remapped to the thread's own key partition.
+ * Generate every thread's op program: bit-exact for given params.
+ * One Zipfian normaliser serves all threads, and thread t draws its
+ * stream from its own Pcg32. Keys are drawn Zipfian-by-rank and
+ * scattered over the key space by a seeded bijection; write ops are
+ * remapped to the drawing thread's own key partition.
  */
-std::vector<Op> generateProgram(const Params &p, unsigned thread);
+Programs generatePrograms(const Params &p);
 
 /** The seeded rank -> key scatter bijection (power-of-two @p keys). */
 std::uint32_t scatterKey(std::uint64_t rank, std::uint64_t keys,
@@ -134,10 +141,11 @@ std::uint32_t payloadWord(std::uint32_t tag, unsigned w);
 
 /**
  * The final store contents (index = key, value = tag, 0 = absent)
- * after every thread's program ran — the sequential oracle. Valid
- * because writes are key-partitioned per thread.
+ * after every thread's program in @p programs ran — the sequential
+ * oracle. Valid because writes are key-partitioned per thread.
  */
-std::vector<std::uint32_t> expectedFinal(const Params &p);
+std::vector<std::uint32_t> expectedFinal(const Params &p,
+                                         const Programs &programs);
 
 /**
  * The store contents after each thread committed exactly its first
@@ -149,7 +157,7 @@ std::vector<std::uint32_t> expectedFinal(const Params &p);
  * key-partitioned per thread.
  */
 std::vector<std::uint32_t>
-expectedAfterCommits(const Params &p,
+expectedAfterCommits(const Params &p, const Programs &programs,
                      const std::vector<std::uint64_t> &counts);
 
 /**

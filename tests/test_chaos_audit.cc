@@ -13,6 +13,7 @@
 
 #include <cstring>
 
+#include "cache/cache.hh"
 #include "harness/cli.hh"
 #include "mem/frame_alloc.hh"
 #include "mem/phys_mem.hh"
@@ -295,6 +296,31 @@ TEST_F(AuditNegative, LiveCountSkewFires)
     expectClean();
     AuditTestAccess::bumpLiveCount(txmgr);
     expectCheck("live-count");
+}
+
+TEST_F(AuditNegative, WritableLineMissingOverflowedReaderFires)
+{
+    build(TmKind::SelectPtm, Granularity::WordCacheMem);
+    TxId reader = txmgr.begin(0, 0, 0);
+    const Addr block = blockAddr(home, 2);
+    const std::uint8_t data[blockBytes] = {};
+    vts->evictTxBlock(block, reader, false, data, 0x0010, 0);
+
+    // A cached copy of the block, as another core's fill leaves it.
+    CacheLine line;
+    line.addr = block;
+    line.state = Moesi::M;
+    line.mark(reader).readWords = 0x0010;
+    auditor.attachCaches([&](const auto &fn) { fn(line); });
+    expectClean();
+    // A shared copy may lack the mark: its stores go to the bus, where
+    // the overflowed read is checked.
+    line.removeMark(reader);
+    line.state = Moesi::S;
+    expectClean();
+    // A writable one may not: a local store would skip the check.
+    line.state = Moesi::M;
+    expectCheck("line-marks");
 }
 
 /** The full lifecycle leaves nothing for the auditor to object to. */

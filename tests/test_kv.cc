@@ -65,25 +65,116 @@ TEST(KvZipfian, SkewMatchesTheta)
     EXPECT_LT(head_share(0.0), 0.10);
 }
 
+/** FNV-1a over every thread's program, threads in order. */
+std::uint64_t
+programsDigest(const kv::Programs &programs)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+    for (const std::vector<kv::Op> &prog : programs) {
+        mix(prog.size());
+        for (const kv::Op &op : prog) {
+            mix(std::uint64_t(op.type));
+            mix(op.key);
+            mix(op.len);
+        }
+    }
+    return h;
+}
+
+/**
+ * Thread @p t's stream drawn with its own Zipfian, as the generator
+ * did before the normaliser was shared: the reference the shared
+ * generator must reproduce bit for bit.
+ */
+std::vector<kv::Op>
+referenceProgram(const kv::Params &p, unsigned t)
+{
+    Zipfian zipf(p.keys, p.zipf);
+    Pcg32 rng(p.seed + std::uint64_t(t) * 1000003, 0xC0FFEEull + t);
+    std::vector<kv::Op> ops;
+    for (std::uint64_t i = 0; i < p.ops; ++i) {
+        kv::Op op;
+        unsigned roll = rng.below(100);
+        if (roll < p.lookupPct) {
+            op.type = kv::OpType::Lookup;
+        } else if (roll < p.lookupPct + p.scanPct) {
+            op.type = kv::OpType::Scan;
+            op.len = std::uint32_t(p.scanLen);
+        } else if (roll < p.lookupPct + p.scanPct + p.insertPct) {
+            op.type = kv::OpType::Insert;
+        } else {
+            op.type = kv::OpType::Delete;
+        }
+        std::uint32_t key =
+            kv::scatterKey(zipf.sample(rng), p.keys, p.seed);
+        if (op.isWrite()) {
+            key = key - key % p.threads + t;
+            if (key >= p.keys)
+                key -= p.threads;
+        }
+        op.key = key;
+        ops.push_back(op);
+    }
+    return ops;
+}
+
 TEST(KvProgram, DeterministicPerThread)
 {
     kv::Params p = tinyParams();
+    kv::Programs a = kv::generatePrograms(p);
+    kv::Programs b = kv::generatePrograms(p);
+    ASSERT_EQ(a.size(), p.threads);
     for (unsigned t = 0; t < p.threads; ++t) {
-        auto a = kv::generateProgram(p, t);
-        auto b = kv::generateProgram(p, t);
-        ASSERT_EQ(a.size(), p.ops);
-        EXPECT_TRUE(a == b) << "thread " << t;
+        ASSERT_EQ(a[t].size(), p.ops);
+        EXPECT_TRUE(a[t] == b[t]) << "thread " << t;
     }
     // Different threads draw different streams.
-    EXPECT_FALSE(kv::generateProgram(p, 0) == kv::generateProgram(p, 1));
+    EXPECT_FALSE(a[0] == a[1]);
+}
+
+TEST(KvProgram, StreamsMatchRecordedDigests)
+{
+    // Digests recorded from the per-thread generator that built one
+    // Zipfian per thread; sharing the normaliser must not move a bit.
+    kv::Params skew; // 4 threads, 131072 keys, zipf 0.99
+    kv::Params uniform;
+    uniform.threads = 16;
+    uniform.zipf = 0.0;
+    struct Case
+    {
+        const char *name;
+        kv::Params p;
+        std::uint64_t digest;
+    };
+    for (const Case &c : {Case{"skew", skew, 0xbc0d327b24566182ull},
+                          Case{"uniform", uniform, 0xe052a37efd80f23eull},
+                          Case{"tiny", tinyParams(), 0x3c63af9170c324ddull}}) {
+        EXPECT_EQ(programsDigest(kv::generatePrograms(c.p)), c.digest)
+            << c.name;
+    }
+}
+
+TEST(KvProgram, SharedNormaliserMatchesPerThreadStreams)
+{
+    kv::Params p = tinyParams();
+    kv::Programs shared = kv::generatePrograms(p);
+    kv::Programs regenerated;
+    for (unsigned t = 0; t < p.threads; ++t) {
+        regenerated.push_back(referenceProgram(p, t));
+        EXPECT_TRUE(shared[t] == regenerated[t]) << "thread " << t;
+    }
+    EXPECT_EQ(kv::expectedFinal(p, shared),
+              kv::expectedFinal(p, regenerated));
 }
 
 TEST(KvProgram, WritesStayInOwnerPartition)
 {
     kv::Params p = tinyParams();
     std::map<kv::OpType, int> count;
+    kv::Programs programs = kv::generatePrograms(p);
     for (unsigned t = 0; t < p.threads; ++t) {
-        for (const kv::Op &op : kv::generateProgram(p, t)) {
+        for (const kv::Op &op : programs[t]) {
             ASSERT_LT(op.key, p.keys);
             if (op.isWrite()) {
                 EXPECT_EQ(op.key % p.threads, t);
@@ -169,7 +260,7 @@ TEST(KvLayout, SeparatorDescentReachesEveryLeaf)
 TEST(KvOracle, DropIndexTargetsNeverRewrittenInsert)
 {
     kv::Params p = tinyParams();
-    auto program = kv::generateProgram(p, 0);
+    auto program = kv::generatePrograms(p)[0];
     std::size_t drop = kv::chooseDropIndex(program);
     ASSERT_NE(drop, std::size_t(-1));
     ASSERT_EQ(program[drop].type, kv::OpType::Insert);
@@ -184,12 +275,13 @@ TEST(KvOracle, DropIndexTargetsNeverRewrittenInsert)
 TEST(KvOracle, ExpectedFinalRespectsPreloadAndWrites)
 {
     kv::Params p = tinyParams();
-    auto final = kv::expectedFinal(p);
+    kv::Programs programs = kv::generatePrograms(p);
+    auto final = kv::expectedFinal(p, programs);
     ASSERT_EQ(final.size(), p.keys);
     // Keys nobody writes keep their preload state.
     std::vector<bool> written(p.keys, false);
-    for (unsigned t = 0; t < p.threads; ++t)
-        for (const kv::Op &op : kv::generateProgram(p, t))
+    for (const std::vector<kv::Op> &prog : programs)
+        for (const kv::Op &op : prog)
             if (op.isWrite())
                 written[op.key] = true;
     int untouched = 0;
@@ -203,6 +295,38 @@ TEST(KvOracle, ExpectedFinalRespectsPreloadAndWrites)
             EXPECT_EQ(final[k], 0u);
     }
     EXPECT_GT(untouched, 0);
+}
+
+TEST(KvWorkload, ExpectedImageMatchesRegeneratedStreams)
+{
+    // The workload's committed-prefix image comes from the programs it
+    // generated at construction; it must equal the image replayed from
+    // streams regenerated independently, thread by thread.
+    const WorkloadInfo *info = WorkloadRegistry::instance().find("kv");
+    ASSERT_NE(info, nullptr);
+    WorkloadConfig cfg;
+    std::string err;
+    ASSERT_TRUE(WorkloadRegistry::instance().resolve(
+        *info, {{"scale", "0"}}, cfg.options, &err))
+        << err;
+    std::unique_ptr<Workload> w = info->factory(cfg);
+    kv::Params p = kv::paramsFromConfig(cfg);
+    kv::Programs regenerated;
+    for (unsigned t = 0; t < p.threads; ++t)
+        regenerated.push_back(referenceProgram(p, t));
+
+    for (const std::vector<std::uint64_t> &counts :
+         {std::vector<std::uint64_t>{}, std::vector<std::uint64_t>{3, 0, 7},
+          std::vector<std::uint64_t>(p.threads, ~0ull / p.txOps)}) {
+        std::map<Addr, std::uint32_t> built, replayed;
+        w->persistExpected(counts, [&](Addr a, std::uint32_t v) {
+            built[a] = v;
+        });
+        kv::forEachWord(p, kv::expectedAfterCommits(p, regenerated, counts),
+                        [&](Addr a, std::uint32_t v) { replayed[a] = v; });
+        EXPECT_FALSE(built.empty());
+        EXPECT_EQ(built, replayed) << counts.size() << " counts";
+    }
 }
 
 TEST(KvWorkload, OracleCatchesLostUpdate)

@@ -73,9 +73,14 @@ DEFAULT_CONFIGS = [
     ["--workload", "lu", "--system", "sel-ptm", "--gran", "wd:cache+mem",
      "--scale", "0", "--flush-ctxsw", "--daemon", "3000",
      "--lazy-migrate"],
-    # ... and Copy-PTM backups and abort restores.
+    # ... and Copy-PTM backups and abort restores, ...
     ["--workload", "radix", "--system", "copy-ptm", "--scale", "0",
      "--flush-ctxsw", "--daemon", "3000"],
+    # ... also per word: overflowed readers' and writers' marks on
+    # filled lines, fresh backups behind Committing writers and abort
+    # restores that skip units another writer holds.
+    ["--workload", "kv", "--system", "copy-ptm", "--gran", "wd:cache+mem",
+     "--scale", "0", "--flush-ctxsw", "--daemon", "3000"],
     # LRU evictions: ocean at scale 1 overflows VC-VTM's XADC and
     # victim cache, ...
     ["--workload", "ocean", "--system", "vc-vtm", "--scale", "1"],
