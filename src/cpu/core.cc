@@ -94,7 +94,7 @@ Core::preempt(ThreadCtx &t, Tick next_step_delay)
     t.core = nullptr;
     os_.makeReady(&t);
     cur_ = nullptr;
-    scheduleStep(next_step_delay + params_.contextSwitchLatency);
+    scheduleStep(next_step_delay + contextSwitchLatency);
 }
 
 void
@@ -137,7 +137,7 @@ Core::step()
                                 cur_->id, invalidTxId, invalidTxId, 0);
             last_ = cur_;
             prof_->set(id_, ProfBucket::CtxSwitch);
-            scheduleStep(params_.contextSwitchLatency);
+            scheduleStep(contextSwitchLatency);
             return;
         }
         last_ = cur_;
@@ -180,7 +180,7 @@ Core::beginStep(ThreadCtx &t)
         // Pick up more work if any.
         if (os_.hasReady()) {
             prof_->set(id_, ProfBucket::CtxSwitch);
-            scheduleStep(params_.contextSwitchLatency);
+            scheduleStep(contextSwitchLatency);
         } else {
             goIdle();
         }
@@ -199,7 +199,7 @@ Core::beginStep(ThreadCtx &t)
         t.coroLive = true;
         // Register checkpoint at transaction begin.
         prof_->set(id_, ProfBucket::TxBegin);
-        scheduleStep(params_.checkpointLatency);
+        scheduleStep(checkpointLatency);
         return;
     }
     if (const PlainStep *p = std::get_if<PlainStep>(&step)) {
@@ -220,14 +220,14 @@ Core::beginStep(ThreadCtx &t)
         }
         os_.kickIdleCores();
         prof_->set(id_, ProfBucket::Barrier);
-        scheduleStep(params_.barrierLatency);
+        scheduleStep(barrierLatency);
     } else {
         t.state = ThreadState::WaitBarrier;
         t.core = nullptr;
         cur_ = nullptr;
         if (os_.hasReady()) {
             prof_->set(id_, ProfBucket::CtxSwitch);
-            scheduleStep(params_.contextSwitchLatency);
+            scheduleStep(contextSwitchLatency);
         } else {
             // Nothing else to run: the core sits out the barrier.
             goIdle(ProfBucket::Barrier);
@@ -484,7 +484,7 @@ Core::stepFinished(ThreadCtx &t)
     if (std::holds_alternative<TxStep>(t.currentStep())) {
         t.commitPending = true;
         prof_->set(id_, ProfBucket::TxCommit);
-        after(t, params_.commitLatency, [this, &t] {
+        after(t, logicalCommitLatency, [this, &t] {
             if (t.abortPending)
                 handleAbort(t);
             else
@@ -529,7 +529,7 @@ Core::tryCommit(ThreadCtx &t)
         prof_->set(id_, ProfBucket::CtxSwitch);
         t.core = nullptr;
         cur_ = nullptr;
-        scheduleStep(params_.contextSwitchLatency);
+        scheduleStep(contextSwitchLatency);
     } else {
         goIdle(ProfBucket::TxCommit);
     }
@@ -560,7 +560,7 @@ Core::handleAbort(ThreadCtx &t)
             prof_->set(id_, ProfBucket::CtxSwitch);
             t.core = nullptr;
             cur_ = nullptr;
-            scheduleStep(params_.contextSwitchLatency);
+            scheduleStep(contextSwitchLatency);
         } else {
             // Waiting in place for abort cleanup is abort overhead.
             goIdle(ProfBucket::TxAbort);
@@ -577,7 +577,7 @@ Core::handleAbort(ThreadCtx &t)
     const Transaction *txn = txmgr_.get(t.curTx);
     unsigned shift = txn ? std::min(txn->attempts, 8u) : 1;
     txmgr_.restart(t.curTx, eq_.curTick());
-    Tick delay = params_.abortRestartLatency << (shift - 1);
+    Tick delay = abortRestartLatency << (shift - 1);
     if (params_.contention.randomBackoff && delay > 1) {
         // Randomize within the upper half of the exponential window so
         // two transactions aborted by the same conflict do not retry

@@ -106,8 +106,7 @@ class Core
     ProfBucket
     hitBucket(Tick lat) const
     {
-        return lat <= params_.l1Latency ? ProfBucket::StallL1
-                                        : ProfBucket::StallL2;
+        return lat <= l1Latency ? ProfBucket::StallL1 : ProfBucket::StallL2;
     }
 
     /**

@@ -497,15 +497,14 @@ addWorkloadOptions(OptionTable &opts, WorkloadOptList &dest)
 void
 printWorkloadList()
 {
-    for (const WorkloadInfo *info :
-         WorkloadRegistry::instance().all()) {
-        std::printf("%s — %s\n", info->name.c_str(),
-                    info->description.c_str());
+    for (const WorkloadInfo &info : workloadTable()) {
+        std::printf("%s — %s\n", info.name.c_str(),
+                    info.description.c_str());
         std::size_t width = 0;
-        for (const auto &o : info->options)
+        for (const auto &o : info.options)
             width = std::max(width,
                              o.name.size() + 1 + o.defaultValue.size());
-        for (const auto &o : info->options) {
+        for (const auto &o : info.options) {
             std::string kv = o.name + "=" + o.defaultValue;
             std::printf("    %-*s  %s\n", int(width), kv.c_str(),
                         o.help.c_str());

@@ -30,13 +30,12 @@ runWorkload(const std::string &workload_name, SystemParams params,
     // The legacy scale argument becomes the "scale" option (where the
     // workload declares one); explicit --wl-opt pairs are appended
     // after it so they win.
-    const WorkloadInfo *info =
-        WorkloadRegistry::instance().find(workload_name);
+    const WorkloadInfo *info = findWorkload(workload_name);
     if (!info)
         fatal("unknown workload '%s' (known: %s)",
               workload_name.c_str(), workloadNameList().c_str());
     WorkloadOptList given;
-    if (WorkloadRegistry::findOption(*info, "scale"))
+    if (findWorkloadOption(*info, "scale"))
         given.emplace_back("scale", std::to_string(scale));
     given.insert(given.end(), wl_opts.begin(), wl_opts.end());
 

@@ -106,7 +106,8 @@ struct ExperimentResult
  * @p scale is injected as the workload's "scale" option when it
  * declares one; @p wl_opts are further key=value options resolved
  * against the workload's option table (fatal when unknown/invalid —
- * front ends wanting a recoverable diagnostic use WorkloadRegistry).
+ * front ends wanting a recoverable diagnostic use
+ * resolveWorkloadOptions).
  */
 ExperimentResult runWorkload(const std::string &workload_name,
                              SystemParams params, int scale = 1,

@@ -238,15 +238,15 @@ emitParams(JsonWriter &w, const SystemParams &p)
     w.beginObject();
     w.member("num_cores", p.numCores);
     w.member("l1_bytes", p.l1Bytes);
-    w.member("l1_assoc", p.l1Assoc);
-    w.member("l1_latency", std::uint64_t(p.l1Latency));
+    w.member("l1_assoc", l1Assoc);
+    w.member("l1_latency", std::uint64_t(l1Latency));
     w.member("l2_bytes", p.l2Bytes);
     w.member("l2_assoc", p.l2Assoc);
-    w.member("l2_latency", std::uint64_t(p.l2Latency));
-    w.member("bus_latency", std::uint64_t(p.busLatency));
-    w.member("dram_latency", std::uint64_t(p.dramLatency));
-    w.member("dram_pipeline", p.dramPipeline);
-    w.member("tlb_entries", p.tlbEntries);
+    w.member("l2_latency", std::uint64_t(l2Latency));
+    w.member("bus_latency", std::uint64_t(busLatency));
+    w.member("dram_latency", std::uint64_t(dramLatency));
+    w.member("dram_pipeline", dramPipeline);
+    w.member("tlb_entries", tlbEntries);
     w.member("phys_frames", p.physFrames);
     w.member("swap_enabled", p.swapEnabled);
     w.member("os_quantum", std::uint64_t(p.osQuantum));
@@ -254,7 +254,7 @@ emitParams(JsonWriter &w, const SystemParams &p)
     w.member("spt_cache_entries", p.sptCacheEntries);
     w.member("tav_cache_entries", p.tavCacheEntries);
     w.member("shadow_free", shadowFreeName(p.shadowFree));
-    w.member("xf_entries", p.xfEntries);
+    w.member("xf_entries", xfEntries);
     w.member("xadc_entries", p.xadcEntries);
     w.member("victim_cache_entries", p.victimCacheEntries);
     w.member("flush_on_context_switch", p.flushOnContextSwitch);

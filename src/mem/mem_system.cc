@@ -18,17 +18,15 @@ namespace ptm
 MemSystem::MemSystem(const SystemParams &params, EventQueue &eq,
                      PhysMem &phys, TxManager &txmgr)
     : params_(params), eq_(eq), phys_(phys), txmgr_(txmgr),
-      bus_(params.busLatency, params.memBanks),
-      dram_(params.dramLatency, params.dramPipeline,
-            params.dramWriteOccupancy),
+      bus_(busLatency, params.memBanks),
+      dram_(dramLatency, dramPipeline, dramWriteOccupancy),
       dir_(std::max(1u, params.memBanks))
 {
     panic_if(params.numCores > 64,
              "sharer-filter masks are 64-bit: numCores %u > 64",
              params.numCores);
     for (unsigned c = 0; c < params.numCores; ++c) {
-        l1_.push_back(std::make_unique<L1Filter>(params.l1Bytes,
-                                                 params.l1Assoc));
+        l1_.push_back(std::make_unique<L1Filter>(params.l1Bytes, l1Assoc));
         l2_.push_back(std::make_unique<CacheArray>(params.l2Bytes,
                                                    params.l2Assoc));
     }
@@ -178,8 +176,7 @@ MemSystem::trySync(const Access &acc, Tick at)
             }
             l2_[c]->touch(line);
             ++l1Hits;
-            return std::make_pair(params_.l1Latency,
-                                  AccessResult{v, false});
+            return std::make_pair(l1Latency, AccessResult{v, false});
         }
     }
 
@@ -193,7 +190,7 @@ MemSystem::trySync(const Access &acc, Tick at)
     if (!confl.empty())
         return std::nullopt; // arbitration happens on the bus
 
-    Tick lat = params_.l1Latency + params_.l2Latency;
+    Tick lat = l1Latency + l2Latency;
     if (write) {
         if (!moesiWritable(line->state))
             return std::nullopt; // needs an upgrade
@@ -206,7 +203,7 @@ MemSystem::trySync(const Access &acc, Tick at)
             // modes persist per word in noteWordWrite instead.)
             if (ahead)
                 return std::nullopt;
-            lat += writebackCommitted(*line) + params_.l2Latency;
+            lat += writebackCommitted(*line) + l2Latency;
         }
         if (ahead && persistsWord(acc, *line))
             return std::nullopt;
@@ -223,9 +220,8 @@ MemSystem::trySync(const Access &acc, Tick at)
 void
 MemSystem::request(const Access &acc, AccessCallback cb)
 {
-    Tick treq = eq_.curTick() + params_.l1Latency + params_.l2Latency;
-    Tick occupancy = params_.busLatency +
-                     (wordMode() ? params_.wordCoherenceOverhead : 0);
+    Tick treq = eq_.curTick() + l1Latency + l2Latency;
+    Tick occupancy = busLatency + (wordMode() ? wordCoherenceOverhead : 0);
     Tick grant = bus_.reserve(blockAlign(acc.paddr), treq, occupancy);
     eq_.schedule(grant, EventPriority::Memory,
                  [this, acc, cb = std::move(cb), grant]() mutable {
@@ -240,8 +236,7 @@ MemSystem::scheduleRetry(const Access &acc, AccessCallback cb, Tick when,
     panic_if(attempt > maxRetries,
              "access to %#llx stalled forever (cleanup deadlock?)",
              (unsigned long long)acc.paddr);
-    Tick occupancy = params_.busLatency +
-                     (wordMode() ? params_.wordCoherenceOverhead : 0);
+    Tick occupancy = busLatency + (wordMode() ? wordCoherenceOverhead : 0);
     Tick grant = bus_.reserve(blockAlign(acc.paddr), when, occupancy);
     eq_.schedule(grant, EventPriority::Memory,
                  [this, acc, cb = std::move(cb), grant,
@@ -263,7 +258,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     // The requesting transaction may have been aborted while the
     // request sat in the bus queue: squash.
     if (acc.tx != invalidTxId && !txmgr_.isLive(acc.tx)) {
-        cb(grant_tick + params_.busLatency, AccessResult{0, true});
+        cb(grant_tick + busLatency, AccessResult{0, true});
         return;
     }
 
@@ -323,7 +318,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     if (!confl.empty()) {
         ++conflicts;
         if (!txmgr_.resolveConflicts(acc.tx, confl, block)) {
-            cb(grant_tick + params_.busLatency, AccessResult{0, true});
+            cb(grant_tick + busLatency, AccessResult{0, true});
             return;
         }
         if (confl.size() > cache_conflicts) {
@@ -349,8 +344,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
         setMarks(acc, *own);
         fillL1(c, *own, acc.tx);
         l2_[c]->touch(*own);
-        cb(grant_tick + params_.busLatency + extra,
-           AccessResult{v, false});
+        cb(grant_tick + busLatency + extra, AccessResult{v, false});
         return;
     }
 
@@ -365,8 +359,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
             dirClear(c, victim.addr);
             victim.invalidate();
             if (acc.tx != invalidTxId && !txmgr_.isLive(acc.tx)) {
-                cb(grant_tick + params_.busLatency + extra,
-                   AccessResult{0, true});
+                cb(grant_tick + busLatency + extra, AccessResult{0, true});
                 return;
             }
         }
@@ -426,7 +419,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
         dirty_data = false;
     }
 
-    Tick data_ready = grant_tick + params_.busLatency;
+    Tick data_ready = grant_tick + busLatency;
     std::uint16_t fill_spec_words = 0;
     std::vector<TxMark> &fill_foreign = grant_fill_foreign_;
     fill_foreign.clear();
@@ -541,7 +534,7 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     l2_[c]->touch(*target);
     dirSet(c, block); // the single line-install site of the directory
 
-    cb(std::max(data_ready, grant_tick + params_.busLatency) + extra,
+    cb(std::max(data_ready, grant_tick + busLatency) + extra,
        AccessResult{v, false});
 }
 

@@ -120,8 +120,7 @@ recoverRun(const std::string &path)
             replay.records.size(), clist.c_str());
 
     // --- 2. Rebuild the workload for its oracle. -------------------
-    const WorkloadInfo *info =
-        WorkloadRegistry::instance().find(dump.workload);
+    const WorkloadInfo *info = findWorkload(dump.workload);
     if (!info)
         return recReject(strprintf("dump names unknown workload '%s'",
                                    dump.workload.c_str()));
@@ -129,8 +128,7 @@ recoverRun(const std::string &path)
     cfg.threads = dump.threads;
     cfg.mode = syncModeFor(kind);
     cfg.seed = dump.seed;
-    if (!WorkloadRegistry::instance().resolve(*info, dump.options,
-                                              cfg.options, &err))
+    if (!resolveWorkloadOptions(*info, dump.options, cfg.options, &err))
         return recReject("dump workload options: " + err);
     std::unique_ptr<Workload> wl = info->factory(cfg);
     if (!wl->persistSupported())

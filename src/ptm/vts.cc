@@ -149,8 +149,7 @@ Vts::sptLookupCost(PageNum home, TxId tx)
     }
     if (evicted_dirty)
         done = dram_.access(done);
-    Tick cost = hit ? params_.vtsCacheLatency
-                    : std::max(done - now, params_.vtsCacheLatency);
+    Tick cost = hit ? vtsCacheLatency : std::max(done - now, vtsCacheLatency);
     prof_->charge(ProfCharge::MetaLookup, cost);
     return cost;
 }
@@ -301,6 +300,14 @@ Vts::fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
         // (conflicting cases were resolved before the fill) beside the
         // overflowed words of other writers, which their marks cover.
         phys_.readBlock(block_addr, dst);
+        if (!select_ && tracer_->watchingBlock(block_addr)) {
+            Addr wa = wordAlign(tracer_->watchAddr());
+            std::uint32_t val;
+            std::memcpy(&val, dst + (wa - block_addr), wordBytes);
+            tracer_->record(TraceEventType::Watchpoint, traceNoId,
+                            traceNoId, requester, invalidTxId, wa,
+                            std::uint64_t(WatchKind::Fill), double(val));
+        }
         return extra;
     }
 
@@ -604,6 +611,15 @@ Vts::writebackBlock(Addr block_addr, const std::uint8_t *data,
                 continue;
             unsigned off = block_off + w * unsigned(wordBytes);
             std::memcpy(home_f + off, data + w * wordBytes, wordBytes);
+            Addr word_addr = block_addr + Addr(w) * wordBytes;
+            if (e && !select_ && tracer_->watchingWord(word_addr)) {
+                std::uint32_t v;
+                std::memcpy(&v, data + w * wordBytes, wordBytes);
+                tracer_->record(TraceEventType::Watchpoint, traceNoId,
+                                traceNoId, invalidTxId, invalidTxId,
+                                word_addr, std::uint64_t(WatchKind::Cwb),
+                                double(v));
+            }
             if (backed & (1u << w))
                 std::memcpy(shadow_f + off, data + w * wordBytes,
                             wordBytes);
@@ -907,6 +923,14 @@ Vts::processNode(CleanupJob &job, TavNode *node)
                 else
                     phys_.copyBlock(home_u, shadow_u);
                 ++abortRestoreUnits;
+                Addr wa = tracer_->watchAddr();
+                if (wa != invalidAddr && pageOf(wa) == e.home &&
+                    gran_.wordBit(wa) == i)
+                    tracer_->record(
+                        TraceEventType::Watchpoint, traceNoId, traceNoId,
+                        node->tx, invalidTxId, wordAlign(wa),
+                        std::uint64_t(WatchKind::Restore),
+                        double(phys_.readWord32(wordAlign(wa))));
             });
         }
         // Select-PTM abort: nothing to do — the selection bits still

@@ -247,28 +247,73 @@ struct ForensicsParams
     }
 };
 
-/** All tunables of one simulated system instance. */
+/**
+ * @name The paper machine's fixed timings and sizes (section 6.1)
+ * Every run models these values; they are not run settings.
+ */
+/// @{
+/** L1 associativity (direct-mapped). */
+constexpr unsigned l1Assoc = 1;
+/** L1 hit latency. */
+constexpr Tick l1Latency = 1;
+/** L2 hit latency, beyond the L1's. */
+constexpr Tick l2Latency = 6;
+/** Minimum round-trip latency of the on-chip snoopy bus. */
+constexpr Tick busLatency = 20;
+/** Main-memory access latency (minimum). */
+constexpr Tick dramLatency = 200;
+/** Number of memory requests that can be pipelined. */
+constexpr unsigned dramPipeline = 3;
+/** Bank occupancy of a posted write (bandwidth, not latency). */
+constexpr Tick dramWriteOccupancy = 60;
+/** TLB entries (fully associative). */
+constexpr unsigned tlbEntries = 512;
+/** Latency of a hardware page-table walk on TLB miss. */
+constexpr Tick tlbWalkLatency = 40;
+/** Extra latency of the software exception path on a page fault. */
+constexpr Tick pageFaultLatency = 400;
+/** Latency of swapping one page in or out. */
+constexpr Tick swapLatency = 4000;
+/** Context-switch overhead charged to the core. */
+constexpr Tick contextSwitchLatency = 600;
+/** Cycles for an SPT/TAV (or XADC) cache hit lookup. */
+constexpr Tick vtsCacheLatency = 2;
+/** VTM's XF counting Bloom filter entries (paper: 1.6 million). */
+constexpr std::uint64_t xfEntries = 1600 * 1000;
+/**
+ * Extra bus occupancy per coherence transaction in word-granularity
+ * cache modes (the paper notes wd modes add coherence traffic).
+ */
+constexpr Tick wordCoherenceOverhead = 2;
+/** Cycles to take/restore a register checkpoint. */
+constexpr Tick checkpointLatency = 4;
+/** Cycles for the logical commit (T-State flip + flash clear). */
+constexpr Tick logicalCommitLatency = 12;
+/** Fixed OS cost of a barrier arrival. */
+constexpr Tick barrierLatency = 20;
+/** Restart delay after an abort before re-executing. */
+constexpr Tick abortRestartLatency = 40;
+/// @}
+
+/**
+ * The run settings of one simulated system instance: the machine's
+ * scale (cores, cache and memory sizes, banks), the TM system and its
+ * policies, the OS schedule, the observers and the seed. The paper
+ * machine's fixed timings and sizes are the constants above.
+ */
 struct SystemParams
 {
     /** Number of CPU cores (paper: 4 nodes). */
     unsigned numCores = 4;
 
-    /** @name L1 cache (16 KB direct-mapped, 1-cycle latency) */
-    /// @{
+    /** L1 capacity (paper: 16 KB, direct-mapped). */
     std::uint64_t l1Bytes = 16 * 1024;
-    unsigned l1Assoc = 1;
-    Tick l1Latency = 1;
-    /// @}
 
-    /** @name L2 cache (256 KB 4-way, 6-cycle latency) */
+    /** @name L2 cache (256 KB 4-way) */
     /// @{
     std::uint64_t l2Bytes = 256 * 1024;
     unsigned l2Assoc = 4;
-    Tick l2Latency = 6;
     /// @}
-
-    /** Minimum round-trip latency of the on-chip snoopy bus. */
-    Tick busLatency = 20;
 
     /**
      * Number of independently-arbitrated interconnect banks, selected
@@ -292,31 +337,13 @@ struct SystemParams
      */
     unsigned fastForwardOps = 32;
 
-    /** Main-memory access latency (minimum). */
-    Tick dramLatency = 200;
-    /** Number of memory requests that can be pipelined. */
-    unsigned dramPipeline = 3;
-    /** Bank occupancy of a posted write (bandwidth, not latency). */
-    Tick dramWriteOccupancy = 60;
-
-    /** TLB entries (fully associative). */
-    unsigned tlbEntries = 512;
-    /** Latency of a hardware page-table walk on TLB miss. */
-    Tick tlbWalkLatency = 40;
-    /** Extra latency of the software exception path on a page fault. */
-    Tick pageFaultLatency = 400;
-
     /** Physical memory size in 4 KB frames (64 MB default). */
     std::uint64_t physFrames = 16 * 1024;
     /** Whether the OS may swap pages to the swap device. */
     bool swapEnabled = false;
-    /** Latency of swapping one page in or out. */
-    Tick swapLatency = 4000;
 
     /** Scheduler time slice; 0 disables preemptive switches. */
     Tick osQuantum = 500 * 1000;
-    /** Context-switch overhead charged to the core. */
-    Tick contextSwitchLatency = 600;
     /** Mean interval between spontaneous OS daemon preemptions; 0 off. */
     Tick daemonInterval = 2 * 1000 * 1000;
     /** Length of a daemon preemption. */
@@ -326,15 +353,11 @@ struct SystemParams
     /// @{
     unsigned sptCacheEntries = 512;
     unsigned tavCacheEntries = 2048;
-    /** Cycles for an SPT/TAV cache hit lookup. */
-    Tick vtsCacheLatency = 2;
     ShadowFreePolicy shadowFree = ShadowFreePolicy::MergeOnSwap;
     /// @}
 
     /** @name VTM baseline */
     /// @{
-    /** XF counting Bloom filter entries (paper: 1.6 million). */
-    std::uint64_t xfEntries = 1600 * 1000;
     /**
      * XADC metadata-cache entries; paper sets the capacity equal to the
      * combined SPT + TAV cache capacity.
@@ -348,20 +371,6 @@ struct SystemParams
     TmKind tmKind = TmKind::SelectPtm;
     /** Conflict-detection granularity. */
     Granularity granularity = Granularity::Block;
-    /**
-     * Extra bus occupancy per coherence transaction in word-granularity
-     * cache modes (the paper notes wd modes add coherence traffic).
-     */
-    Tick wordCoherenceOverhead = 2;
-
-    /** Cycles to take/restore a register checkpoint. */
-    Tick checkpointLatency = 4;
-    /** Cycles for the logical commit (T-State flip + flash clear). */
-    Tick commitLatency = 12;
-    /** Fixed OS cost of a barrier arrival. */
-    Tick barrierLatency = 20;
-    /** Restart delay after an abort before re-executing. */
-    Tick abortRestartLatency = 40;
 
     /**
      * Ablation: flush (overflow) a departing thread's transactional

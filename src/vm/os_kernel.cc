@@ -20,7 +20,7 @@ OsKernel::OsKernel(const SystemParams &params, EventQueue &eq,
       rng_(params.seed, 0x05)
 {
     for (unsigned c = 0; c < params.numCores; ++c)
-        tlbs_.push_back(std::make_unique<Tlb>(params.tlbEntries));
+        tlbs_.push_back(std::make_unique<Tlb>(tlbEntries));
 }
 
 void
@@ -115,7 +115,7 @@ OsKernel::translate(CoreId core, ProcId proc, Addr vaddr, bool write)
     }
 
     // Hardware page-table walk.
-    r.latency += params_.tlbWalkLatency;
+    r.latency += tlbWalkLatency;
     PageMapping &pte = procs_.at(proc).pageTable[vpage];
     PageMapping &m = resolve(pte);
 
@@ -141,14 +141,14 @@ OsKernel::handleFault(ProcId proc, PageNum vpage, PageMapping &m)
     ++pageFaults;
     tracer_->record(TraceEventType::PageFault, traceNoId, traceNoId,
                     invalidTxId, invalidTxId, vpage, proc);
-    Tick lat = params_.pageFaultLatency;
+    Tick lat = pageFaultLatency;
     lat += reclaimFrames();
 
     if (m.state == PageMapping::State::Swapped) {
         // Swap the page (and, via the backend, its shadow) back in.
         ++swapIns;
-        prof_->charge(ProfCharge::SwapIo, params_.swapLatency);
-        lat += params_.swapLatency;
+        prof_->charge(ProfCharge::SwapIo, swapLatency);
+        lat += swapLatency;
         m.frame = frames_.alloc();
         tracer_->record(TraceEventType::SwapIn, traceNoId, traceNoId,
                         invalidTxId, invalidTxId, m.swapSlot, m.frame);
@@ -224,8 +224,8 @@ OsKernel::swapOutOne()
         }
 
         ++swapOuts;
-        prof_->charge(ProfCharge::SwapIo, params_.swapLatency);
-        lat += params_.swapLatency;
+        prof_->charge(ProfCharge::SwapIo, swapLatency);
+        lat += swapLatency;
         std::uint64_t slot = next_swap_slot_++;
         tracer_->record(TraceEventType::SwapOut, traceNoId, traceNoId,
                         invalidTxId, invalidTxId, m.frame, slot);

@@ -17,7 +17,7 @@ VtmController::VtmController(const SystemParams &params, EventQueue &eq,
                              DramModel &dram)
     : params_(params), eq_(eq), phys_(phys), txmgr_(txmgr),
       dram_(dram), vc_enabled_(params.tmKind == TmKind::VcVtm),
-      xf_(params.xfEntries), xadc_(params.xadcEntries),
+      xf_(xfEntries), xadc_(params.xadcEntries),
       victim_(params.victimCacheEntries)
 {
     panic_if(params.tmKind != TmKind::Vtm &&
@@ -65,8 +65,8 @@ VtmController::xadcLookup(Addr block)
 {
     if (xadc_.find(block)) {
         ++xadcHits;
-        prof_->charge(ProfCharge::MetaLookup, params_.vtsCacheLatency);
-        return params_.vtsCacheLatency;
+        prof_->charge(ProfCharge::MetaLookup, vtsCacheLatency);
+        return vtsCacheLatency;
     }
     ++xadcMisses;
     // Metadata reconstruction via an XADT walk: one memory access per

@@ -178,17 +178,16 @@ class FftWorkload : public Workload
     unsigned barrier_ = 0;
 };
 
-void
-registerFftWorkload()
+WorkloadInfo
+fftWorkload()
 {
-    static WorkloadRegistrar reg(
-        {"fft",
-         "1D FFT phases with all-to-all transposes (overflow-heavy)",
-         {scaleOption()},
-         [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
-             return std::make_unique<FftWorkload>(cfg);
-         },
-         /*order=*/0, /*paperKernel=*/true});
+    return {"fft",
+            "1D FFT phases with all-to-all transposes (overflow-heavy)",
+            {scaleOption()},
+            [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
+                return std::make_unique<FftWorkload>(cfg);
+            },
+            /*paperKernel=*/true};
 }
 
 } // namespace ptm

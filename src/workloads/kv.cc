@@ -667,41 +667,40 @@ class KvWorkload : public Workload
     unsigned barrier_ = 0;
 };
 
-void
-registerKvWorkload()
+WorkloadInfo
+kvWorkload()
 {
-    static WorkloadRegistrar reg(
-        {"kv",
-         "transactional B+-tree KV store under Zipfian request streams",
-         {scaleOption(),
-          {"keys", WorkloadOption::Kind::U64, "131072",
-           "key-space size (power of two, 32..4194304)"},
-          {"zipf", WorkloadOption::Kind::Real, "0.99",
-           "Zipfian skew theta in [0, 1); 0 = uniform"},
-          {"ops", WorkloadOption::Kind::U64, "12000",
-           "operations per thread"},
-          {"tx-ops", WorkloadOption::Kind::U64, "32",
-           "operations per transaction"},
-          {"vwords", WorkloadOption::Kind::U64, "2",
-           "32-bit value words per record (1..16)"},
-          {"scan-len", WorkloadOption::Kind::U64, "512",
-           "keys visited per range scan"},
-          {"lookup-pct", WorkloadOption::Kind::U64, "60",
-           "percent of ops that are point lookups"},
-          {"scan-pct", WorkloadOption::Kind::U64, "15",
-           "percent of ops that are range scans"},
-          {"insert-pct", WorkloadOption::Kind::U64, "15",
-           "percent of ops that are upserting inserts"},
-          {"delete-pct", WorkloadOption::Kind::U64, "10",
-           "percent of ops that are deletes"},
-          {"preload-pct", WorkloadOption::Kind::U64, "50",
-           "percent of keys present before the run"},
-          {"drop-write", WorkloadOption::Kind::U64, "0",
-           "test hook: drop one insert of thread 0 (lost update)"}},
-         [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
-             return std::make_unique<KvWorkload>(cfg);
-         },
-         /*order=*/10, /*paperKernel=*/false});
+    return {"kv",
+            "transactional B+-tree KV store under Zipfian request streams",
+            {scaleOption(),
+             {"keys", WorkloadOption::Kind::U64, "131072",
+              "key-space size (power of two, 32..4194304)"},
+             {"zipf", WorkloadOption::Kind::Real, "0.99",
+              "Zipfian skew theta in [0, 1); 0 = uniform"},
+             {"ops", WorkloadOption::Kind::U64, "12000",
+              "operations per thread"},
+             {"tx-ops", WorkloadOption::Kind::U64, "32",
+              "operations per transaction"},
+             {"vwords", WorkloadOption::Kind::U64, "2",
+              "32-bit value words per record (1..16)"},
+             {"scan-len", WorkloadOption::Kind::U64, "512",
+              "keys visited per range scan"},
+             {"lookup-pct", WorkloadOption::Kind::U64, "60",
+              "percent of ops that are point lookups"},
+             {"scan-pct", WorkloadOption::Kind::U64, "15",
+              "percent of ops that are range scans"},
+             {"insert-pct", WorkloadOption::Kind::U64, "15",
+              "percent of ops that are upserting inserts"},
+             {"delete-pct", WorkloadOption::Kind::U64, "10",
+              "percent of ops that are deletes"},
+             {"preload-pct", WorkloadOption::Kind::U64, "50",
+              "percent of keys present before the run"},
+             {"drop-write", WorkloadOption::Kind::U64, "0",
+              "test hook: drop one insert of thread 0 (lost update)"}},
+            [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
+                return std::make_unique<KvWorkload>(cfg);
+            },
+            /*paperKernel=*/false};
 }
 
 } // namespace ptm

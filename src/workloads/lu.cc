@@ -245,17 +245,16 @@ class LuWorkload : public Workload
     unsigned barrier_ = 0;
 };
 
-void
-registerLuWorkload()
+WorkloadInfo
+luWorkload()
 {
-    static WorkloadRegistrar reg(
-        {"lu",
-         "blocked dense LU factorization (streaming matrix updates)",
-         {scaleOption()},
-         [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
-             return std::make_unique<LuWorkload>(cfg);
-         },
-         /*order=*/1, /*paperKernel=*/true});
+    return {"lu",
+            "blocked dense LU factorization (streaming matrix updates)",
+            {scaleOption()},
+            [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
+                return std::make_unique<LuWorkload>(cfg);
+            },
+            /*paperKernel=*/true};
 }
 
 } // namespace ptm

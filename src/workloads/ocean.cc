@@ -211,17 +211,16 @@ class OceanWorkload : public Workload
     unsigned barrier_ = 0;
 };
 
-void
-registerOceanWorkload()
+WorkloadInfo
+oceanWorkload()
 {
-    static WorkloadRegistrar reg(
-        {"ocean",
-         "red-black grid relaxation (the suite's largest footprint)",
-         {scaleOption()},
-         [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
-             return std::make_unique<OceanWorkload>(cfg);
-         },
-         /*order=*/3, /*paperKernel=*/true});
+    return {"ocean",
+            "red-black grid relaxation (the suite's largest footprint)",
+            {scaleOption()},
+            [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
+                return std::make_unique<OceanWorkload>(cfg);
+            },
+            /*paperKernel=*/true};
 }
 
 } // namespace ptm

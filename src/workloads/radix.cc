@@ -211,17 +211,16 @@ class RadixWorkload : public Workload
     unsigned barrier_ = 0;
 };
 
-void
-registerRadixWorkload()
+WorkloadInfo
+radixWorkload()
 {
-    static WorkloadRegistrar reg(
-        {"radix",
-         "LSD radix sort (permute writes share blocks: false conflicts)",
-         {scaleOption()},
-         [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
-             return std::make_unique<RadixWorkload>(cfg);
-         },
-         /*order=*/2, /*paperKernel=*/true});
+    return {"radix",
+            "LSD radix sort (permute writes share blocks: false conflicts)",
+            {scaleOption()},
+            [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
+                return std::make_unique<RadixWorkload>(cfg);
+            },
+            /*paperKernel=*/true};
 }
 
 } // namespace ptm

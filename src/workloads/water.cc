@@ -222,17 +222,16 @@ class WaterWorkload : public Workload
     unsigned barrier_ = 0;
 };
 
-void
-registerWaterWorkload()
+WorkloadInfo
+waterWorkload()
 {
-    static WorkloadRegistrar reg(
-        {"water",
-         "molecular-dynamics force/integrate steps (cache-resident)",
-         {scaleOption()},
-         [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
-             return std::make_unique<WaterWorkload>(cfg);
-         },
-         /*order=*/4, /*paperKernel=*/true});
+    return {"water",
+            "molecular-dynamics force/integrate steps (cache-resident)",
+            {scaleOption()},
+            [](const WorkloadConfig &cfg) -> std::unique_ptr<Workload> {
+                return std::make_unique<WaterWorkload>(cfg);
+            },
+            /*paperKernel=*/true};
 }
 
 } // namespace ptm

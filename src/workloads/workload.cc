@@ -1,12 +1,11 @@
 /**
  * @file
- * Workload registry implementation: entry storage, option
- * resolution/validation, and the builtin-anchoring hooks.
+ * The built-in workload table, option resolution/validation, and the
+ * lookups over the table.
  */
 
 #include "workloads/workload.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -15,39 +14,16 @@
 namespace ptm
 {
 
-// Builtin register functions, one per kernel translation unit. The
-// kernels live in a static library: without these calls nothing
-// references their object files and the linker silently drops them,
-// registrar statics and all. Each function is idempotent.
-void registerFftWorkload();
-void registerLuWorkload();
-void registerRadixWorkload();
-void registerOceanWorkload();
-void registerWaterWorkload();
-void registerKvWorkload();
-
-/** The registry object without the builtin-registration side effect
- *  (the registrars run *inside* instance()'s first call). */
-WorkloadRegistry &
-workloadRegistryRaw()
-{
-    static WorkloadRegistry reg;
-    return reg;
-}
+// One per kernel translation unit.
+WorkloadInfo fftWorkload();
+WorkloadInfo luWorkload();
+WorkloadInfo radixWorkload();
+WorkloadInfo oceanWorkload();
+WorkloadInfo waterWorkload();
+WorkloadInfo kvWorkload();
 
 namespace
 {
-
-void
-registerBuiltinWorkloads()
-{
-    registerFftWorkload();
-    registerLuWorkload();
-    registerRadixWorkload();
-    registerOceanWorkload();
-    registerWaterWorkload();
-    registerKvWorkload();
-}
 
 const char *
 optionKindName(WorkloadOption::Kind k)
@@ -109,12 +85,6 @@ syncModeFor(TmKind kind)
 }
 
 bool
-WorkloadOptions::has(const std::string &name) const
-{
-    return index_.count(name) != 0;
-}
-
-bool
 WorkloadOptions::explicitlySet(const std::string &name) const
 {
     return explicit_.count(name) != 0;
@@ -170,57 +140,27 @@ WorkloadOptions::set(const std::string &name, const std::string &value,
         explicit_.insert(name);
 }
 
-WorkloadRegistry &
-WorkloadRegistry::instance()
+const std::vector<WorkloadInfo> &
+workloadTable()
 {
-    WorkloadRegistry &reg = workloadRegistryRaw();
-    static bool builtins_done = (registerBuiltinWorkloads(), true);
-    (void)builtins_done;
-    return reg;
-}
-
-void
-WorkloadRegistry::add(WorkloadInfo info)
-{
-    panic_if(info.name.empty(), "registering a nameless workload");
-    panic_if(!info.factory, "workload '%s' registered without a factory",
-             info.name.c_str());
-    panic_if(index_.count(info.name),
-             "duplicate workload registration '%s'", info.name.c_str());
-    for (const auto &opt : info.options)
-        panic_if(!validValue(opt, opt.defaultValue),
-                 "workload '%s' option '%s' has invalid default '%s'",
-                 info.name.c_str(), opt.name.c_str(),
-                 opt.defaultValue.c_str());
-    index_[info.name] = entries_.size();
-    entries_.push_back(std::move(info));
+    static const std::vector<WorkloadInfo> table = {
+        fftWorkload(),   luWorkload(),    radixWorkload(),
+        oceanWorkload(), waterWorkload(), kvWorkload(),
+    };
+    return table;
 }
 
 const WorkloadInfo *
-WorkloadRegistry::find(std::string_view name) const
+findWorkload(std::string_view name)
 {
-    auto it = index_.find(name);
-    return it == index_.end() ? nullptr : &entries_[it->second];
-}
-
-std::vector<const WorkloadInfo *>
-WorkloadRegistry::all() const
-{
-    std::vector<const WorkloadInfo *> out;
-    out.reserve(entries_.size());
-    for (const auto &e : entries_)
-        out.push_back(&e);
-    std::sort(out.begin(), out.end(),
-              [](const WorkloadInfo *a, const WorkloadInfo *b) {
-                  return a->order != b->order ? a->order < b->order
-                                              : a->name < b->name;
-              });
-    return out;
+    for (const WorkloadInfo &info : workloadTable())
+        if (info.name == name)
+            return &info;
+    return nullptr;
 }
 
 const WorkloadOption *
-WorkloadRegistry::findOption(const WorkloadInfo &info,
-                             std::string_view name)
+findWorkloadOption(const WorkloadInfo &info, std::string_view name)
 {
     for (const auto &opt : info.options)
         if (opt.name == name)
@@ -229,15 +169,15 @@ WorkloadRegistry::findOption(const WorkloadInfo &info,
 }
 
 bool
-WorkloadRegistry::resolve(const WorkloadInfo &info,
-                          const WorkloadOptList &given,
-                          WorkloadOptions &out, std::string *err) const
+resolveWorkloadOptions(const WorkloadInfo &info,
+                       const WorkloadOptList &given, WorkloadOptions &out,
+                       std::string *err)
 {
     out = WorkloadOptions();
     for (const auto &opt : info.options)
         out.set(opt.name, opt.defaultValue, false);
     for (const auto &[name, value] : given) {
-        const WorkloadOption *opt = findOption(info, name);
+        const WorkloadOption *opt = findWorkloadOption(info, name);
         if (!opt) {
             if (err) {
                 *err = "workload '" + info.name + "' has no option '" +
@@ -264,22 +204,16 @@ WorkloadRegistry::resolve(const WorkloadInfo &info,
     return true;
 }
 
-WorkloadRegistrar::WorkloadRegistrar(WorkloadInfo info)
-{
-    workloadRegistryRaw().add(std::move(info));
-}
-
 std::unique_ptr<Workload>
 makeWorkload(std::string_view name, WorkloadConfig cfg,
              const WorkloadOptList &given)
 {
-    const WorkloadInfo *info = WorkloadRegistry::instance().find(name);
+    const WorkloadInfo *info = findWorkload(name);
     if (!info)
         fatal("unknown workload '%.*s' (known: %s)", int(name.size()),
               name.data(), workloadNameList().c_str());
     std::string err;
-    if (!WorkloadRegistry::instance().resolve(*info, given, cfg.options,
-                                              &err))
+    if (!resolveWorkloadOptions(*info, given, cfg.options, &err))
         fatal("%s", err.c_str());
     return info->factory(cfg);
 }
@@ -288,9 +222,9 @@ std::vector<std::string>
 workloadNames()
 {
     std::vector<std::string> names;
-    for (const WorkloadInfo *info : WorkloadRegistry::instance().all())
-        if (info->paperKernel)
-            names.push_back(info->name);
+    for (const WorkloadInfo &info : workloadTable())
+        if (info.paperKernel)
+            names.push_back(info.name);
     return names;
 }
 
@@ -298,10 +232,10 @@ std::string
 workloadNameList()
 {
     std::string out;
-    for (const WorkloadInfo *info : WorkloadRegistry::instance().all()) {
+    for (const WorkloadInfo &info : workloadTable()) {
         if (!out.empty())
             out += " | ";
-        out += info->name;
+        out += info.name;
     }
     return out;
 }

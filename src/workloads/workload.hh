@@ -1,6 +1,6 @@
 /**
  * @file
- * Workload kernels and the workload plugin registry.
+ * Workload kernels and the table of built-in workloads.
  *
  * The evaluation suite holds C++ re-creations of the five SPLASH-2
  * loop-region benchmarks of the paper (fft, lu, radix, ocean, water)
@@ -19,15 +19,12 @@
  * of the paper's (Table 1) preserving the relative ordering:
  * ocean >> lu >= fft > radix > water, with water cache-resident.
  *
- * Workloads are constructed through WorkloadRegistry: each entry
- * carries a factory, a one-line description, and a table of validated
- * key=value options (surfaced as `--wl-opt key=value` and
- * `--list-workloads` in the front ends). Adding a workload means
- * implementing the kernel, registering a WorkloadInfo for it, and —
- * for kernels living in libptm — listing its register function in
- * registerBuiltinWorkloads() so the archive member is not dropped by
- * the linker (a pure static-registrar object in an otherwise
- * unreferenced static-library member never runs).
+ * Every workload is one row of workloadTable(): a factory, a one-line
+ * description, and a table of validated key=value options (surfaced
+ * as `--wl-opt key=value` and `--list-workloads` in the front ends).
+ * Adding a workload means implementing the kernel, writing a function
+ * that returns its WorkloadInfo, and listing that function in the
+ * table in workload.cc.
  */
 
 #ifndef PTM_WORKLOADS_WORKLOAD_HH
@@ -69,7 +66,7 @@ struct WorkloadOption
 
     std::string name;
     Kind kind = Kind::U64;
-    /** Default value (string form, validated at registration use). */
+    /** Default value (string form; a test validates every default). */
     std::string defaultValue;
     std::string help;
 };
@@ -89,13 +86,11 @@ using WorkloadOptList = std::vector<std::pair<std::string, std::string>>;
  * Resolved per-workload options: every declared option is present
  * (defaults filled in), values are pre-validated against the declared
  * kind, and declaration order is preserved for reproducible manifest
- * output. Produced by WorkloadRegistry::resolve().
+ * output. Produced by resolveWorkloadOptions().
  */
 class WorkloadOptions
 {
   public:
-    bool has(const std::string &name) const;
-
     /** True if the value came from the user, not the default. */
     bool explicitlySet(const std::string &name) const;
 
@@ -109,7 +104,7 @@ class WorkloadOptions
     /** All options in declaration order (manifest emission). */
     const WorkloadOptList &items() const { return items_; }
 
-    /** Insert or overwrite @p name (resolve() plumbing). */
+    /** Insert or overwrite @p name (resolveWorkloadOptions plumbing). */
     void set(const std::string &name, const std::string &value,
              bool is_explicit);
 
@@ -125,13 +120,13 @@ struct WorkloadConfig
     unsigned threads = 4;
     SyncMode mode = SyncMode::Tx;
     std::uint64_t seed = 1;
-    /** Resolved options (see WorkloadRegistry::resolve). */
+    /** Resolved options (see resolveWorkloadOptions). */
     WorkloadOptions options;
 };
 
 class Workload;
 
-/** One registry entry: identity, documentation, options, factory. */
+/** One workload: identity, documentation, options, factory. */
 struct WorkloadInfo
 {
     std::string name;
@@ -141,66 +136,32 @@ struct WorkloadInfo
     std::vector<WorkloadOption> options;
     std::function<std::unique_ptr<Workload>(const WorkloadConfig &)>
         factory;
-    /** Stable enumeration order (independent of link order). */
-    int order = 100;
     /** Member of the paper's Table 1 suite (bench enumeration). */
     bool paperKernel = false;
 };
 
-/**
- * The process-wide workload registry. Entries self-register through
- * WorkloadRegistrar; the libptm builtins are additionally anchored by
- * registerBuiltinWorkloads() so static linking cannot drop them.
- */
-class WorkloadRegistry
-{
-  public:
-    /** The registry, with the builtin workloads registered. */
-    static WorkloadRegistry &instance();
+/** Every built-in workload, in listing order. */
+const std::vector<WorkloadInfo> &workloadTable();
 
-    /** Register @p info (panics on a duplicate name). */
-    void add(WorkloadInfo info);
+/** The workload named @p name; nullptr if there is none. */
+const WorkloadInfo *findWorkload(std::string_view name);
 
-    /** Find an entry by name; nullptr if unknown. */
-    const WorkloadInfo *find(std::string_view name) const;
-
-    /** Every entry, sorted by (order, name). */
-    std::vector<const WorkloadInfo *> all() const;
-
-    /** The declared option @p name of @p info; nullptr if absent. */
-    static const WorkloadOption *findOption(const WorkloadInfo &info,
-                                            std::string_view name);
-
-    /**
-     * Validate @p given against @p info's option table and produce the
-     * resolved options (defaults filled, user values marked explicit;
-     * later duplicates win).
-     *
-     * @return true on success; false with a diagnostic in @p err
-     *         (unknown option names list the declared options, bad
-     *         values name the expected kind).
-     */
-    bool resolve(const WorkloadInfo &info, const WorkloadOptList &given,
-                 WorkloadOptions &out, std::string *err) const;
-
-  private:
-    friend struct WorkloadRegistrar;
-    friend WorkloadRegistry &workloadRegistryRaw();
-
-    std::vector<WorkloadInfo> entries_;
-    std::map<std::string, std::size_t, std::less<>> index_;
-};
+/** The declared option @p name of @p info; nullptr if absent. */
+const WorkloadOption *findWorkloadOption(const WorkloadInfo &info,
+                                         std::string_view name);
 
 /**
- * Self-registration handle: a static WorkloadRegistrar at namespace or
- * function scope adds its entry exactly once. Usable directly by
- * out-of-tree workloads (tests); libptm kernels wrap theirs in a
- * registerXxxWorkload() function listed in registerBuiltinWorkloads().
+ * Validate @p given against @p info's option table and produce the
+ * resolved options (defaults filled, user values marked explicit;
+ * later duplicates win).
+ *
+ * @return true on success; false with a diagnostic in @p err (unknown
+ *         option names list the declared options, bad values name the
+ *         expected kind).
  */
-struct WorkloadRegistrar
-{
-    explicit WorkloadRegistrar(WorkloadInfo info);
-};
+bool resolveWorkloadOptions(const WorkloadInfo &info,
+                            const WorkloadOptList &given,
+                            WorkloadOptions &out, std::string *err);
 
 /** Base class of the workload kernels. */
 class Workload
@@ -318,19 +279,19 @@ mixHash(std::uint64_t x)
 }
 
 /**
- * Instantiate a registered workload by name, resolving @p given
- * against its option table into @p cfg.options first; fatal on
- * unknown names or invalid options (front ends wanting a recoverable
- * diagnostic resolve through WorkloadRegistry themselves).
+ * Instantiate a workload by name, resolving @p given against its
+ * option table into @p cfg.options first; fatal on unknown names or
+ * invalid options (front ends wanting a recoverable diagnostic call
+ * findWorkload and resolveWorkloadOptions themselves).
  */
 std::unique_ptr<Workload> makeWorkload(std::string_view name,
                                        WorkloadConfig cfg,
                                        const WorkloadOptList &given = {});
 
-/** The Table 1 kernel names in the paper's order (registry-backed). */
+/** The Table 1 kernel names in the paper's order. */
 std::vector<std::string> workloadNames();
 
-/** Every registered workload name, " | "-separated (help strings). */
+/** Every workload name, " | "-separated (help strings). */
 std::string workloadNameList();
 
 } // namespace ptm

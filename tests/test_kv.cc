@@ -302,12 +302,12 @@ TEST(KvWorkload, ExpectedImageMatchesRegeneratedStreams)
     // The workload's committed-prefix image comes from the programs it
     // generated at construction; it must equal the image replayed from
     // streams regenerated independently, thread by thread.
-    const WorkloadInfo *info = WorkloadRegistry::instance().find("kv");
+    const WorkloadInfo *info = findWorkload("kv");
     ASSERT_NE(info, nullptr);
     WorkloadConfig cfg;
     std::string err;
-    ASSERT_TRUE(WorkloadRegistry::instance().resolve(
-        *info, {{"scale", "0"}}, cfg.options, &err))
+    ASSERT_TRUE(
+        resolveWorkloadOptions(*info, {{"scale", "0"}}, cfg.options, &err))
         << err;
     std::unique_ptr<Workload> w = info->factory(cfg);
     kv::Params p = kv::paramsFromConfig(cfg);
@@ -355,41 +355,38 @@ TEST(KvWorkload, VerifiesOnAllBackends)
 
 TEST(KvRegistry, EntryAndOptionTable)
 {
-    const WorkloadInfo *info = WorkloadRegistry::instance().find("kv");
+    const WorkloadInfo *info = findWorkload("kv");
     ASSERT_NE(info, nullptr);
     EXPECT_FALSE(info->description.empty());
     EXPECT_FALSE(info->paperKernel);
     for (const char *name : {"scale", "keys", "zipf", "ops", "tx-ops",
                              "scan-len", "drop-write"})
-        EXPECT_NE(WorkloadRegistry::findOption(*info, name), nullptr)
-            << name;
+        EXPECT_NE(findWorkloadOption(*info, name), nullptr) << name;
 
-    // kv is registered but is not part of the Table 1 suite.
+    // kv is in the table but is not part of the Table 1 suite.
     auto names = workloadNames();
     EXPECT_EQ(names.size(), 5u);
     for (const auto &n : names)
         EXPECT_NE(n, "kv");
     bool listed = false;
-    for (const WorkloadInfo *w : WorkloadRegistry::instance().all())
-        listed = listed || w->name == "kv";
+    for (const WorkloadInfo &w : workloadTable())
+        listed = listed || w.name == "kv";
     EXPECT_TRUE(listed);
 }
 
 TEST(KvRegistry, UnknownOptionDiagnosticNamesAlternatives)
 {
-    const WorkloadInfo *info = WorkloadRegistry::instance().find("kv");
+    const WorkloadInfo *info = findWorkload("kv");
     ASSERT_NE(info, nullptr);
     WorkloadOptions out;
     std::string err;
-    EXPECT_FALSE(WorkloadRegistry::instance().resolve(
-        *info, {{"bogus", "1"}}, out, &err));
+    EXPECT_FALSE(resolveWorkloadOptions(*info, {{"bogus", "1"}}, out, &err));
     EXPECT_NE(err.find("bogus"), std::string::npos);
     EXPECT_NE(err.find("zipf"), std::string::npos)
         << "diagnostic should list the declared options: " << err;
 
     err.clear();
-    EXPECT_FALSE(WorkloadRegistry::instance().resolve(
-        *info, {{"zipf", "hot"}}, out, &err));
+    EXPECT_FALSE(resolveWorkloadOptions(*info, {{"zipf", "hot"}}, out, &err));
     EXPECT_NE(err.find("zipf"), std::string::npos) << err;
 }
 

@@ -379,6 +379,46 @@ TEST(StatsIoTest, RunJsonRoundTrip)
     EXPECT_EQ(out.substr(out.size() - groups.size()), groups);
 }
 
+TEST(StatsIoTest, DefaultParamsKeepThePaperMachine)
+{
+    // The paper machine's fixed timings and sizes are constants, not
+    // SystemParams fields, yet the manifest still records them under
+    // the same keys and values.
+    SystemParams prm;
+    RunManifest m;
+    m.params = &prm;
+    std::ostringstream os;
+    emitRunJson(os, m, StatSnapshot(StatRegistry()));
+    const std::string params = R"(
+    "params": {
+      "num_cores": 4,
+      "l1_bytes": 16384,
+      "l1_assoc": 1,
+      "l1_latency": 1,
+      "l2_bytes": 262144,
+      "l2_assoc": 4,
+      "l2_latency": 6,
+      "bus_latency": 20,
+      "dram_latency": 200,
+      "dram_pipeline": 3,
+      "tlb_entries": 512,
+      "phys_frames": 16384,
+      "swap_enabled": false,
+      "os_quantum": 500000,
+      "daemon_interval": 2000000,
+      "spt_cache_entries": 512,
+      "tav_cache_entries": 2048,
+      "shadow_free": "merge-on-swap",
+      "xf_entries": 1600000,
+      "xadc_entries": 2560,
+      "victim_cache_entries": 2560,
+      "flush_on_context_switch": false,
+      "max_ticks": 0
+    }
+)";
+    EXPECT_NE(os.str().find(params), std::string::npos) << os.str();
+}
+
 TEST(StatsIoTest, BenchRecorderRoundTrip)
 {
     BenchRecorder rec("mybench");

@@ -233,5 +233,37 @@ TEST(TraceIntegration, WriteTraceToFileAndStdoutError)
     EXPECT_FALSE(err.empty());
 }
 
+/**
+ * A Copy-PTM word followed through the overflow path: flushing tx
+ * lines on every daemon context switch spills radix's writes to the
+ * VTS, and the watched word is then filled from its home page,
+ * written back committed, and restored by an abort walk. Each of
+ * those three steps records a watchpoint, as its Select-PTM
+ * counterpart does.
+ */
+TEST(TraceIntegration, CopyPtmWatchFollowsFillWritebackAndRestore)
+{
+    SystemParams prm;
+    prm.tmKind = TmKind::CopyPtm;
+    prm.flushOnContextSwitch = true;
+    prm.daemonInterval = 3000;
+    prm.trace.path = "unused";
+    prm.trace.categories = traceCatMask(TraceCat::Watch);
+    prm.trace.watchAddr = 5568;
+    ExperimentResult r = runWorkload("radix", prm, 0, 4);
+    ASSERT_TRUE(r.verified);
+    std::map<WatchKind, unsigned> seen;
+    for (const TraceEvent &e : r.trace.events) {
+        ASSERT_EQ(e.type, TraceEventType::Watchpoint);
+        EXPECT_EQ(e.a0, 5568u);
+        ++seen[WatchKind(e.a1)];
+    }
+    for (WatchKind k : {WatchKind::Load, WatchKind::Store,
+                        WatchKind::SpecDeposit, WatchKind::Evict,
+                        WatchKind::Fill, WatchKind::Cwb,
+                        WatchKind::Restore})
+        EXPECT_GT(seen[k], 0u) << watchKindName(k);
+}
+
 } // namespace
 } // namespace ptm

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -64,6 +65,30 @@ caseName(const ::testing::TestParamInfo<WorkloadCase> &info)
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, WorkloadTest,
                          ::testing::ValuesIn(allCases()), caseName);
+
+TEST(WorkloadTable, UniqueNamesAndValidDefaults)
+{
+    // The listing order is part of every front end's help and of the
+    // bench enumeration.
+    EXPECT_EQ(workloadNameList(), "fft | lu | radix | ocean | water | kv");
+    std::set<std::string> names;
+    for (const WorkloadInfo &info : workloadTable()) {
+        EXPECT_FALSE(info.name.empty());
+        EXPECT_TRUE(names.insert(info.name).second)
+            << "duplicate workload " << info.name;
+        EXPECT_TRUE(info.factory) << info.name;
+        EXPECT_EQ(findWorkload(info.name), &info);
+        // Each default must pass the validation a user value gets.
+        for (const WorkloadOption &opt : info.options) {
+            WorkloadOptions out;
+            std::string err;
+            EXPECT_TRUE(resolveWorkloadOptions(
+                info, {{opt.name, opt.defaultValue}}, out, &err))
+                << info.name << ": " << err;
+        }
+    }
+    EXPECT_EQ(findWorkload("bogus"), nullptr);
+}
 
 TEST(Workloads, OceanUsesOrderedTransactions)
 {

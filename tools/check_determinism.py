@@ -17,14 +17,24 @@ With --against OTHER_PTM_SIM the matrix runs once on each of the two
 binaries instead of twice on one: the same gate then says that a
 change left every output of the other build untouched.
 
+A configuration whose run fails (non-zero exit, unreadable output) is
+reported FAIL with the failure and the remaining configurations still
+run; the exit status is non-zero if any configuration failed or
+diverged. --self-test checks that against a stub binary that always
+exits 1.
+
 Usage:
     check_determinism.py <ptm_sim> [--against <other ptm_sim>]
                          [extra args...]
+    check_determinism.py --self-test
 
 With no extra args a default matrix of configurations is exercised.
 """
 
+import contextlib
+import io
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -73,9 +83,10 @@ DEFAULT_CONFIGS = [
     ["--workload", "lu", "--system", "sel-ptm", "--gran", "wd:cache+mem",
      "--scale", "0", "--flush-ctxsw", "--daemon", "3000",
      "--lazy-migrate"],
-    # ... and Copy-PTM backups and abort restores, ...
+    # ... and Copy-PTM backups and abort restores, with Fill/Cwb/
+    # Restore watchpoint records, ...
     ["--workload", "radix", "--system", "copy-ptm", "--scale", "0",
-     "--flush-ctxsw", "--daemon", "3000"],
+     "--flush-ctxsw", "--daemon", "3000", "--watch-addr", "5568"],
     # ... also per word: overflowed readers' and writers' marks on
     # filled lines, fresh backups behind Committing writers and abort
     # restores that skip units another writer holds.
@@ -116,8 +127,15 @@ def scrub_timeseries(runs):
     return runs
 
 
+class RunFailed(Exception):
+    """A run exited non-zero or wrote a stream its reader rejects."""
+
+
 def run_once(sim, args, tmp, tag):
-    """Run one configuration; return {stream: scrubbed data}."""
+    """Run one configuration; return {stream: scrubbed data}.
+
+    Raises RunFailed when the run or one of its streams fails.
+    """
     chrome = "--trace-format" in args and \
         args[args.index("--trace-format") + 1] == "chrome"
     out = {s: Path(tmp) / f"{tag}.{s}"
@@ -144,8 +162,7 @@ def run_once(sim, args, tmp, tag):
     result = {}
     for name, (data, errors, scrub) in streams.items():
         if errors:
-            raise SystemExit(f"FAIL: {name} of {where}:\n" +
-                             "\n".join(errors[:20]))
+            raise RunFailed(f"{name}: " + "\n  ".join(errors[:20]))
         result[name] = scrub(data)
     return result
 
@@ -172,27 +189,21 @@ def diff_paths(a, b, prefix=""):
         yield f"{prefix}: {a!r} vs {b!r}"
 
 
-def main():
-    argv = sys.argv[1:]
-    other = None
-    if "--against" in argv:
-        i = argv.index("--against")
-        if i + 1 >= len(argv):
-            raise SystemExit("--against needs a ptm_sim path")
-        other = argv[i + 1]
-        del argv[i:i + 2]
-    if not argv:
-        raise SystemExit(__doc__)
-    sim, extra = argv[0], argv[1:]
-    configs = [extra] if extra else DEFAULT_CONFIGS
-    sim_b = other or sim
-
+def compare(sim, sim_b, configs):
+    """Run each configuration on sim and sim_b and print one verdict per
+    configuration. Returns the number of failed runs and diverged
+    streams."""
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, cfg in enumerate(configs):
-            a = run_once(sim, cfg, tmp, f"{i}_a")
-            b = run_once(sim_b, cfg, tmp, f"{i}_b")
             label = " ".join(cfg)
+            try:
+                a = run_once(sim, cfg, tmp, f"{i}_a")
+                b = run_once(sim_b, cfg, tmp, f"{i}_b")
+            except RunFailed as e:
+                failures += 1
+                print(f"FAIL [{label}] run failed: {e}")
+                continue
             bad = 0
             for name in sorted(set(a) | set(b)):
                 diffs = list(diff_paths(a[name], b[name])) \
@@ -207,14 +218,61 @@ def main():
             if not bad:
                 print(f"OK   [{label}] {', '.join(sorted(a))}")
             failures += bad
+    return failures
+
+
+def self_test():
+    """A binary that fails every run must be reported on every
+    configuration, not only the first."""
+    configs = [["--workload", "fft"], ["--workload", "lu"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        stub = Path(tmp) / "failing_sim"
+        stub.write_text("#!/bin/sh\necho stub failure >&2\nexit 1\n")
+        stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            failures = compare(str(stub), str(stub), configs)
+    reports = out.getvalue().split("FAIL [")[1:]
+    problems = []
+    if failures != len(configs):
+        problems.append(f"{failures} failure(s) counted, expected "
+                        f"{len(configs)}")
+    for cfg in configs:
+        head = f"{' '.join(cfg)}] run failed:"
+        if not any(r.startswith(head) and "exited 1: stub failure" in r
+                   for r in reports):
+            problems.append(f"no FAIL report for [{' '.join(cfg)}]")
+    for p in problems:
+        print(f"self-test FAIL: {p}", file=sys.stderr)
+    print("self-test: " + ("ok" if not problems else
+                           f"{len(problems)} problem(s)"))
+    return 1 if problems else 0
+
+
+def main():
+    argv = sys.argv[1:]
+    if argv == ["--self-test"]:
+        return self_test()
+    other = None
+    if "--against" in argv:
+        i = argv.index("--against")
+        if i + 1 >= len(argv):
+            raise SystemExit("--against needs a ptm_sim path")
+        other = argv[i + 1]
+        del argv[i:i + 2]
+    if not argv:
+        raise SystemExit(__doc__)
+    sim, extra = argv[0], argv[1:]
+    configs = [extra] if extra else DEFAULT_CONFIGS
+    failures = compare(sim, other or sim, configs)
     if failures:
-        raise SystemExit(f"{failures} stream(s) diverged between "
-                         + ("the two binaries" if other
-                            else "identical runs"))
+        raise SystemExit(f"{failures} failed run(s) or diverged stream(s)"
+                         " between " + ("the two binaries" if other
+                                        else "identical runs"))
     what = f"against {other}" if other else "repeat runs"
     print(f"determinism: {len(configs)} configuration(s), {what} "
           "bit-identical")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -96,11 +96,6 @@ main(int argc, char **argv)
     opts.flag("list-stats",
               "list every statistic of the configured system and exit",
               [&] { list_stats = true; });
-    opts.exitFlag("list", "list workload names and exit", [&] {
-        for (const WorkloadInfo *info :
-             WorkloadRegistry::instance().all())
-            std::printf("%s\n", info->name.c_str());
-    });
 
     switch (opts.parse(argc, argv)) {
       case CliStatus::Ok:
