@@ -211,11 +211,12 @@ addTraceOptions(OptionTable &opts, TraceParams &dest)
                     return parseTraceCategories(v, dest.categories);
                 });
     opts.option("trace-buffer-events", "N",
-                "per-run trace ring capacity in events (keeps the "
-                "newest N)",
+                "per-run ring capacity in events when tracing; keeps "
+                "the newest N, at most " +
+                    std::to_string(traceRingMaxEvents),
                 [&dest](const std::string &v) {
                     std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0)
+                    if (!parseU64(v, n) || n == 0 || n > traceRingMaxEvents)
                         return false;
                     dest.bufferEvents = std::size_t(n);
                     return true;
@@ -327,11 +328,12 @@ void
 addForensicsOptions(OptionTable &opts, ForensicsParams &prm)
 {
     opts.option("flightrec-depth", "N",
-                "retired-transaction flight-recorder ring capacity "
-                "(default 256, 0 removes the recorder)",
+                "flight-recorder ring capacity in events when not "
+                "tracing; default 4096, 0 removes the recorder, at "
+                "most " + std::to_string(traceRingMaxEvents),
                 [&prm](const std::string &v) {
                     std::uint64_t n;
-                    if (!parseU64(v, n) || n > 0xFFFFFFFFull)
+                    if (!parseU64(v, n) || n > traceRingMaxEvents)
                         return false;
                     prm.depth = unsigned(n);
                     return true;

@@ -141,7 +141,8 @@ class OptionTable
  *    --timeseries-interval (also the period of a trace's counter
  *    tracks), --heatmap (streaming implies --heatmap so interval
  *    records carry hot_pages);
- *  - forensics: --flightrec-depth (0 removes the recorder),
+ *  - forensics: --flightrec-depth, the ring's capacity in events
+ *    when not tracing (0 removes the recorder),
  *    --postmortem FILE and --postmortem-on-abort N, which arm
  *    post-mortem capture (unarmed runs record but never dump);
  *  - persistence: --durability off|wal, --wal-file FILE (the input of

@@ -71,9 +71,8 @@ struct ExperimentResult
     /**
      * Flight-recorder capture (enabled == false only when
      * --flightrec-depth 0 removed the recorder): record/drop totals,
-     * the record that lost the most ticks, killer rankings, and any
-     * post-mortem reports captured on an armed run — the "forensics"
-     * JSON section.
+     * the record that lost the most ticks and killer rankings folded
+     * from the ring — the "forensics" JSON section.
      */
     ForensicsSnapshot forensics;
     /**

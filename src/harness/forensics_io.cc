@@ -134,10 +134,10 @@ emitPostmortemJson(std::ostream &os, const FlightRecorder &rec,
 
     w.key("flightrec");
     w.beginObject();
-    w.member("depth", rec.params().depth);
-    w.member("live", std::uint64_t(rec.liveCount()));
-    w.member("retired", rec.retiredRecords.value());
-    w.member("dropped_records", rec.droppedRecords.value());
+    w.member("depth", std::uint64_t(rec.depth()));
+    w.member("live", r.liveTxs);
+    w.member("retired", r.retiredTxs);
+    w.member("dropped_records", r.droppedRecords);
     w.endObject();
 
     w.endObject();

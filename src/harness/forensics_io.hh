@@ -37,6 +37,10 @@
  *       "flightrec": { "depth": N, "live": N, "retired": N,
  *                      "dropped_records": N } }
  *
+ * "flightrec" is the ring at capture: its capacity in events, the
+ * uncommitted and committed records folded, and the events it had
+ * overwritten (non-zero marks a truncated history).
+ *
  * Edges always point from a victim's abort node to an abort of its
  * killer at a strictly earlier tick (tick 0 = terminal node), so the
  * node list is already a reverse topological order; the checker

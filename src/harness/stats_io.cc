@@ -442,8 +442,8 @@ emitForensics(JsonWriter &w, const ForensicsSnapshot &f)
     w.member("depth", f.depth);
     w.member("generations", FlightRecorder::generations);
     w.member("armed", f.armed);
-    w.member("live_records", f.liveRecords);
-    w.member("retired_records", f.retiredRecords);
+    w.member("live_records", f.liveTxs);
+    w.member("retired_records", f.retiredTxs);
     w.member("dropped_records", f.droppedRecords);
     w.member("max_lost_ticks", std::uint64_t(f.maxLostTicks));
     if (f.maxLostTx == invalidTxId)

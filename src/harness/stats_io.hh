@@ -231,9 +231,12 @@ const char *gitDescribe();
  *                    "top_killers": [ { "tx": N, "kills": N,
  *                                       "lost_ticks": N }, ... ] }
  *
- * max_lost_ticks and the killers' lost_ticks are wall ticks of
+ * It is folded from the ring at the run's end: depth is the ring's
+ * capacity in events, live/retired_records count the uncommitted and
+ * committed transactions folded, dropped_records the events the ring
+ * overwrote. max_lost_ticks and the killers' lost_ticks are wall ticks of
  * aborted attempts, the same arithmetic as the profile's
- * aborted_tx_ticks charge, over the live and retained records.
+ * aborted_tx_ticks charge, over the folded records.
  */
 void emitRunJson(std::ostream &os, const RunManifest &manifest,
                  const StatSnapshot &snap,

@@ -49,16 +49,22 @@ System::System(const SystemParams &params)
     mem_.setBackend(backend_.get());
 
     // The observer path: every component records into tracer_, and the
-    // ring (when tracing) and each subscriber below see only the record
-    // types they asked for.
+    // ring and each subscriber below see only the record types they
+    // asked for. The ring keeps the traced categories and the flight
+    // recorder's types; --trace only decides whether it is written.
     tracer_.setClock([this] { return eq_.curTick(); });
-    if (!params_.trace.path.empty()) {
-        tracer_.configure(params_.trace.categories,
-                          params_.trace.bufferEvents);
+    const bool tracing = !params_.trace.path.empty();
+    if (tracing) {
         tracer_.setWatchAddr(params_.trace.watchAddr);
         // The trace's counter tracks are drawn from the time series.
         params_.timeseries.capture = true;
     }
+    tracer_.configure(tracing ? params_.trace.categories : 0,
+                      tracing ? params_.trace.bufferEvents
+                              : params_.forensics.depth,
+                      params_.forensics.enabled()
+                          ? FlightRecorder::ringTypes
+                          : std::span<const TraceEventType>());
     txmgr_.setTracer(&tracer_);
     mem_.setTracer(&tracer_);
     os_.setTracer(&tracer_);
@@ -129,13 +135,11 @@ System::System(const SystemParams &params)
     }
 
     if (params_.forensics.enabled()) {
-        flightrec_ =
-            std::make_unique<FlightRecorder>(params_.forensics);
-        tracer_.subscribe(flightrec_.get(),
-                          {Ev::TxBegin, Ev::TxRestart, Ev::TxCommit,
-                           Ev::TxAbort, Ev::SptMiss, Ev::TavMiss,
-                           Ev::ShadowAlloc, Ev::WatchdogTrip,
-                           Ev::StarvationGrant});
+        flightrec_ = std::make_unique<FlightRecorder>(
+            tracer_, params_.forensics.armed());
+        if (flightrec_->armed())
+            tracer_.subscribe(flightrec_.get(),
+                              {Ev::WatchdogTrip, Ev::StarvationGrant});
         flightrec_->setRepro(repro);
         if (auditor_.attached() && flightrec_->armed())
             auditor_.onViolation = [this](const AuditViolation &v) {
@@ -294,6 +298,14 @@ System::wireHooks()
             auditor_.checkAll("commit", eq_.curTick());
     };
     txmgr_.onLogicalAbort = [this](TxId tx) {
+        // Attempt N aborting is the N-th abort of the transaction.
+        const unsigned n = params_.forensics.onAbortThreshold;
+        if (flightrec_ && n && txmgr_.get(tx)->attempts == n)
+            flightrec_->trigger(PostmortemTrigger::AbortThreshold, tx,
+                                eq_.curTick(),
+                                "transaction reached "
+                                "--postmortem-on-abort=" +
+                                    std::to_string(n));
         mem_.abortInvalidate(tx);
         if (auditor_.attached())
             auditor_.checkAll("abort", eq_.curTick());

@@ -141,9 +141,9 @@ class System
 
     /**
      * The transaction flight recorder, or nullptr when
-     * `--flightrec-depth 0` removed it (an observer-path subscriber;
-     * recording is otherwise always on, post-mortem capture only when
-     * armed).
+     * `--flightrec-depth 0` removed it (a reader of the tracer's
+     * ring, which then keeps the recorder's record types; post-mortem
+     * capture only when armed).
      */
     FlightRecorder *flightrec() { return flightrec_.get(); }
     const FlightRecorder *flightrec() const { return flightrec_.get(); }

@@ -18,7 +18,10 @@ captureTrace(const Tracer &t, std::string label, TimeseriesCapture ts)
 {
     TraceCapture c;
     c.label = std::move(label);
-    c.events = t.snapshot();
+    // The trace holds the traced categories, not the recorder's.
+    for (const TraceEvent &e : t.snapshot())
+        if (t.enabled(traceEventCat(e.type)))
+            c.events.push_back(e);
     c.recorded = t.recorded();
     c.dropped = t.dropped();
     c.timeseries = std::move(ts);

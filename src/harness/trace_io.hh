@@ -3,10 +3,11 @@
  * Trace serialization: ptm-trace-v1 JSONL and Chrome trace-event JSON.
  *
  * A TraceCapture is the portable result of one traced run: the ring
- * buffer's surviving events, the recorded/dropped totals, and the run's
- * time-series capture (every traced run keeps one). Front ends collect one capture per run
- * and write them all into a single file, so a bench sweep lands as one
- * Perfetto-loadable timeline with one process per run.
+ * buffer's surviving events of the traced categories, the ring's
+ * recorded/dropped totals (which also count the flight recorder's
+ * record types), and the run's time-series capture. Front ends
+ * collect one capture per run and write them all into a single file,
+ * so a bench sweep lands as one Perfetto-loadable timeline.
  *
  * Schema ptm-trace-v1 (JSONL, one JSON object per line):
  *
@@ -53,7 +54,7 @@ struct TraceCapture
 {
     /** Display label, conventionally "workload/system". */
     std::string label;
-    /** Surviving ring-buffer events, oldest first. */
+    /** Surviving ring events of the traced categories, oldest first. */
     std::vector<TraceEvent> events;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;

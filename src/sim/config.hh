@@ -219,11 +219,11 @@ struct HeatmapParams
 struct ForensicsParams
 {
     /**
-     * Retired-transaction records retained in the recorder ring.
-     * 0 disables the recorder entirely (every hook becomes one
-     * never-taken branch). The recorder is cheap enough to default on.
+     * Ring capacity, in events, of an untraced run (a traced run's
+     * ring has trace.bufferEvents). 4096 events are about 0.3 MB.
+     * 0 removes the recorder and its record types from the ring.
      */
-    unsigned depth = 256;
+    unsigned depth = 4096;
     /**
      * Post-mortem dump sink: empty = no dump, "-"/"stderr" = stderr,
      * anything else = a ptm-postmortem-v1 JSON file. Setting a path

@@ -29,167 +29,17 @@ postmortemTriggerName(PostmortemTrigger t)
     return "?";
 }
 
-FlightRecorder::FlightRecorder(const ForensicsParams &params)
-    : params_(params), armed_(params.armed())
+namespace
 {
-    live_.reserve(64);
-    ring_.reserve(params_.depth);
-}
 
-void
-FlightRecorder::regStats(StatRegistry &reg)
-{
-    StatGroup &g = reg.addGroup("flightrec");
-    g.addCounter("retired", &retiredRecords,
-                 "transaction records retired into the ring");
-    g.addCounter("dropped_records", &droppedRecords,
-                 "retired records evicted from the ring "
-                 "(forensic history truncated)");
-    g.addCounter("postmortems", &postmortems,
-                 "post-mortem reports captured");
-    g.addCounter("dropped_reports", &droppedReports,
-                 "triggers dropped at the per-run report cap");
-}
+/** Node cap per report (maxAborts roots x generations chains). */
+constexpr std::size_t maxNodes = 64;
 
-FlightRecord &
-FlightRecorder::liveRecord(TxId id)
-{
-    FlightRecord &rec = live_[id];
-    if (rec.id == invalidTxId)
-        rec.id = id; // first sighting through a non-begin hook
-    return rec;
-}
-
-void
-FlightRecorder::onBegin(TxId id, ThreadId thread, ProcId proc, Tick now)
-{
-    FlightRecord &rec = live_[id];
-    rec.id = id;
-    rec.thread = thread;
-    rec.proc = proc;
-    rec.firstBegin = now;
-    rec.lastBegin = now;
-    rec.attempts = 1;
-}
-
-void
-FlightRecorder::observe(const TraceEvent &e)
-{
-    switch (e.type) {
-      case TraceEventType::TxBegin:
-        onBegin(e.tx, e.thread, ProcId(e.a2), e.tick);
-        break;
-      case TraceEventType::TxRestart: {
-        FlightRecord &rec = liveRecord(e.tx);
-        rec.lastBegin = e.tick;
-        rec.attempts = unsigned(e.a0);
-        break;
-      }
-      case TraceEventType::TxCommit:
-        onCommit(e.tx, e.tick);
-        break;
-      case TraceEventType::TxAbort:
-        onAbort(e.tx, e.tick, e.a2, std::uint8_t(e.a0),
-                e.a1 ? e.a1 : invalidAddr, e.tx2);
-        break;
-      case TraceEventType::SptMiss:
-        if (e.tx != invalidTxId)
-            ++liveRecord(e.tx).sptMisses;
-        break;
-      case TraceEventType::TavMiss:
-        if (e.tx != invalidTxId)
-            ++liveRecord(e.tx).tavMisses;
-        break;
-      case TraceEventType::ShadowAlloc:
-        if (e.tx != invalidTxId)
-            ++liveRecord(e.tx).shadowAllocs;
-        break;
-      // Triggers: the armed_ guard keeps unarmed runs from formatting.
-      case TraceEventType::WatchdogTrip:
-        if (armed_)
-            trigger(PostmortemTrigger::Watchdog, e.tx, e.tick,
-                    "watchdog trip after " + std::to_string(e.a0) +
-                        " consecutive aborts");
-        break;
-      case TraceEventType::StarvationGrant:
-        if (armed_)
-            trigger(PostmortemTrigger::StarvationGrant, e.tx, e.tick,
-                    "starvation token granted after " +
-                        std::to_string(e.a0) + " consecutive aborts");
-        break;
-      default:
-        break;
-    }
-}
-
-void
-FlightRecorder::onAbort(TxId id, Tick now, Tick begin,
-                        std::uint8_t cause, Addr where, TxId winner)
-{
-    FlightRecord &rec = liveRecord(id);
-    FlightAbortEvent &ev =
-        rec.recentAborts[rec.abortCount % FlightRecord::maxAborts];
-    ev.tick = now;
-    ev.attempt = rec.attempts;
-    ev.cause = cause;
-    ev.where = where;
-    ev.winner = winner;
-    ++rec.abortCount;
-    rec.lostTicks += now - begin;
-    // `rec` may dangle after the winner lookup below (FlatMap
-    // insertion can rehash), so read what the trigger needs first.
-    unsigned abort_count = rec.abortCount;
-    if (winner != invalidTxId)
-        ++liveRecord(winner).kills;
-    if (armed_ && params_.onAbortThreshold &&
-        abort_count == params_.onAbortThreshold) {
-        trigger(PostmortemTrigger::AbortThreshold, id, now,
-                "transaction reached --postmortem-on-abort=" +
-                    std::to_string(params_.onAbortThreshold));
-    }
-}
-
-void
-FlightRecorder::onCommit(TxId id, Tick now)
-{
-    FlightRecord *rec = live_.find(id);
-    if (!rec)
-        return;
-    rec->endTick = now;
-    rec->committed = true;
-    // Retire into the ring; evicting a valid record truncates history,
-    // so count the drop.
-    if (ring_.size() < params_.depth) {
-        ring_.push_back(*rec);
-    } else {
-        FlightRecord &slot = ring_[ring_next_];
-        ring_next_ = (ring_next_ + 1) % ring_.size();
-        ++droppedRecords;
-        slot = *rec;
-    }
-    ++retiredRecords;
-    live_.erase(id);
-}
-
-const FlightRecord *
-FlightRecorder::record(TxId id) const
-{
-    if (const FlightRecord *rec = live_.find(id))
-        return rec;
-    // Newest-to-oldest ring scan (bounded by depth; trigger/snapshot
-    // paths only).
-    for (std::size_t i = ring_.size(); i-- > 0;) {
-        std::size_t at = (ring_next_ + i) % ring_.size();
-        if (ring_[at].id == id)
-            return &ring_[at];
-    }
-    return nullptr;
-}
-
+/** Most recent abort of @p id strictly before @p bound, or null. */
 const FlightAbortEvent *
-FlightRecorder::lastAbortBefore(TxId id, Tick bound) const
+lastAbortBefore(const FlightRecords &f, TxId id, Tick bound)
 {
-    const FlightRecord *rec = record(id);
+    const FlightRecord *rec = f.find(id);
     if (!rec)
         return nullptr;
     for (unsigned i = 0; i < rec->storedAborts(); ++i) {
@@ -200,14 +50,15 @@ FlightRecorder::lastAbortBefore(TxId id, Tick bound) const
     return nullptr;
 }
 
+/** Depth of the latest-killer chain starting at @p rec. */
 unsigned
-FlightRecorder::chainDepthOf(const FlightRecord &rec) const
+chainDepthOf(const FlightRecords &f, const FlightRecord &rec)
 {
     unsigned depth = 0;
     TxId tx = rec.id;
     Tick bound = ~Tick(0);
-    while (depth < generations) {
-        const FlightAbortEvent *ev = lastAbortBefore(tx, bound);
+    while (depth < FlightRecorder::generations) {
+        const FlightAbortEvent *ev = lastAbortBefore(f, tx, bound);
         if (!ev || ev->winner == invalidTxId)
             break;
         ++depth;
@@ -218,7 +69,7 @@ FlightRecorder::chainDepthOf(const FlightRecord &rec) const
 }
 
 void
-FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
+buildDag(const FlightRecords &f, PostmortemReport &r, Tick now)
 {
     // Roots: every retained abort event of the subject. Each root
     // expands along latest-killer-before links, so edge targets have
@@ -234,23 +85,14 @@ FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
     };
     constexpr std::size_t npos = ~std::size_t(0);
     std::vector<Work> queue;
-    const FlightRecord *subject = record(r.subject);
-    if (subject) {
+    if (const FlightRecord *subject = f.find(r.subject)) {
         Tick bound = now + 1;
         for (unsigned i = 0; i < subject->storedAborts(); ++i) {
             const FlightAbortEvent &ev = subject->recentAbort(i);
             if (ev.tick >= bound)
                 continue;
-            PostmortemNode n;
-            n.tx = r.subject;
-            n.tick = ev.tick;
-            n.attempt = ev.attempt;
-            n.cause = ev.cause;
-            n.where = ev.where;
-            n.winner = ev.winner;
-            n.generation = 0;
             std::size_t idx = r.nodes.size();
-            r.nodes.push_back(n);
+            r.nodes.push_back({ev, r.subject, 0});
             if (ev.winner != invalidTxId)
                 queue.push_back({ev.winner, ev.tick, 1, idx});
             bound = ev.tick;
@@ -258,24 +100,13 @@ FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
     }
     if (r.nodes.empty()) {
         // Subject unknown or never aborted: a single terminal node.
-        PostmortemNode n;
-        n.tx = r.subject;
-        r.nodes.push_back(n);
+        r.nodes.push_back({{}, r.subject, 0});
     }
     for (std::size_t qi = 0;
          qi < queue.size() && r.nodes.size() < maxNodes; ++qi) {
         Work w = queue[qi];
-        const FlightAbortEvent *ev = lastAbortBefore(w.tx, w.bound);
-        PostmortemNode n;
-        n.tx = w.tx;
-        n.generation = w.gen;
-        if (ev) {
-            n.tick = ev->tick;
-            n.attempt = ev->attempt;
-            n.cause = ev->cause;
-            n.where = ev->where;
-            n.winner = ev->winner;
-        }
+        const FlightAbortEvent *ev = lastAbortBefore(f, w.tx, w.bound);
+        PostmortemNode n{ev ? *ev : FlightAbortEvent(), w.tx, w.gen};
         // Dedup: the same (tx, tick) event reached along another path
         // just gains an edge.
         std::size_t idx = npos;
@@ -294,7 +125,7 @@ FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
             r.edges.push_back({w.from, idx});
         r.chainDepth = std::max(r.chainDepth, w.gen);
         if (fresh && ev && ev->winner != invalidTxId &&
-            w.gen < generations)
+            w.gen < FlightRecorder::generations)
             queue.push_back({ev->winner, ev->tick, w.gen + 1, idx});
     }
 
@@ -305,8 +136,112 @@ FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     for (TxId id : ids)
-        if (const FlightRecord *rec = record(id))
+        if (const FlightRecord *rec = f.find(id))
             r.records.push_back(*rec);
+}
+
+} // namespace
+
+FlightRecorder::FlightRecorder(const Tracer &ring, bool armed)
+    : tracer_(ring), armed_(armed)
+{
+}
+
+void
+FlightRecorder::regStats(StatRegistry &reg)
+{
+    StatGroup &g = reg.addGroup("flightrec");
+    g.addCounter("dropped_records", &tracer_.droppedCounter(),
+                 "ring events overwritten (forensic history "
+                 "truncated)");
+    g.addCounter("postmortems", &postmortems,
+                 "post-mortem reports captured");
+    g.addCounter("dropped_reports", &droppedReports,
+                 "triggers dropped at the per-run report cap");
+}
+
+FlightRecords
+FlightRecorder::fold() const
+{
+    FlightRecords f;
+    f.reserve(64);
+    // A transaction whose begin left the ring (or a winner seen only
+    // as a killer) is first sighted through another record.
+    auto rec = [&f](TxId id) -> FlightRecord & {
+        FlightRecord &r = f[id];
+        r.id = id;
+        return r;
+    };
+    for (const TraceEvent &e : tracer_.snapshot()) {
+        switch (e.type) {
+          case TraceEventType::TxBegin: {
+            FlightRecord &r = rec(e.tx);
+            r.thread = e.thread;
+            r.proc = ProcId(e.a2);
+            r.firstBegin = e.tick;
+            r.lastBegin = e.tick;
+            r.attempts = 1;
+            break;
+          }
+          case TraceEventType::TxRestart: {
+            FlightRecord &r = rec(e.tx);
+            r.lastBegin = e.tick;
+            r.attempts = unsigned(e.a0);
+            break;
+          }
+          case TraceEventType::TxCommit:
+            if (FlightRecord *r = f.find(e.tx)) {
+                r->endTick = e.tick;
+                r->committed = true;
+            }
+            break;
+          case TraceEventType::TxAbort: {
+            FlightRecord &r = rec(e.tx);
+            FlightAbortEvent &ev =
+                r.recentAborts[r.abortCount % FlightRecord::maxAborts];
+            ev.tick = e.tick;
+            ev.attempt = r.attempts;
+            ev.cause = std::uint8_t(e.a0);
+            ev.where = e.a1 ? e.a1 : invalidAddr;
+            ev.winner = e.tx2;
+            ++r.abortCount;
+            r.lostTicks += e.tick - e.a2;
+            // After the last use of `r`: inserting the winner may
+            // move it.
+            if (e.tx2 != invalidTxId)
+                ++rec(e.tx2).kills;
+            break;
+          }
+          case TraceEventType::SptMiss:
+            if (e.tx != invalidTxId)
+                ++rec(e.tx).sptMisses;
+            break;
+          case TraceEventType::TavMiss:
+            if (e.tx != invalidTxId)
+                ++rec(e.tx).tavMisses;
+            break;
+          case TraceEventType::ShadowAlloc:
+            if (e.tx != invalidTxId)
+                ++rec(e.tx).shadowAllocs;
+            break;
+          default:
+            break;
+        }
+    }
+    return f;
+}
+
+void
+FlightRecorder::observe(const TraceEvent &e)
+{
+    if (e.type == TraceEventType::WatchdogTrip)
+        trigger(PostmortemTrigger::Watchdog, e.tx, e.tick,
+                "watchdog trip after " + std::to_string(e.a0) +
+                    " consecutive aborts");
+    else if (e.type == TraceEventType::StarvationGrant)
+        trigger(PostmortemTrigger::StarvationGrant, e.tx, e.tick,
+                "starvation token granted after " +
+                    std::to_string(e.a0) + " consecutive aborts");
 }
 
 void
@@ -319,12 +254,17 @@ FlightRecorder::trigger(PostmortemTrigger t, TxId subject, Tick now,
         ++droppedReports;
         return;
     }
+    FlightRecords f = fold();
     PostmortemReport r;
     r.trigger = t;
     r.tick = now;
     r.subject = subject;
     r.detail = std::move(detail);
-    buildDag(r, now);
+    buildDag(f, r, now);
+    f.forEach([&r](TxId, const FlightRecord &rec) {
+        ++(rec.committed ? r.retiredTxs : r.liveTxs);
+    });
+    r.droppedRecords = tracer_.dropped();
     ++postmortems;
     reports_.push_back(std::move(r));
     if (onReport)
@@ -334,25 +274,22 @@ FlightRecorder::trigger(PostmortemTrigger t, TxId subject, Tick now,
 ForensicsSnapshot
 FlightRecorder::snapshot() const
 {
+    FlightRecords f = fold();
     ForensicsSnapshot s;
     s.enabled = true;
     s.armed = armed_;
-    s.depth = params_.depth;
-    s.liveRecords = live_.size();
-    s.retiredRecords = ring_.size();
-    s.droppedRecords = droppedRecords.value();
+    s.depth = depth();
+    s.droppedRecords = tracer_.dropped();
     s.postmortems = postmortems.value();
     s.droppedReports = droppedReports.value();
-    s.reports = reports_;
 
     // Deterministic walk: collect all records and order by id (FlatMap
     // iteration order is unspecified).
     std::vector<const FlightRecord *> recs;
-    live_.forEach([&](TxId, const FlightRecord &rec) {
+    f.forEach([&](TxId, const FlightRecord &rec) {
         recs.push_back(&rec);
+        ++(rec.committed ? s.retiredTxs : s.liveTxs);
     });
-    for (const FlightRecord &rec : ring_)
-        recs.push_back(&rec);
     std::sort(recs.begin(), recs.end(),
               [](const FlightRecord *a, const FlightRecord *b) {
                   return a->id < b->id;
@@ -365,7 +302,7 @@ FlightRecorder::snapshot() const
         }
         if (rec->abortCount)
             s.deepestChain =
-                std::max(s.deepestChain, chainDepthOf(*rec));
+                std::max(s.deepestChain, chainDepthOf(f, *rec));
     }
     for (const PostmortemReport &r : reports_)
         s.deepestChain = std::max(s.deepestChain, r.chainDepth);

@@ -1,15 +1,15 @@
 /**
  * @file
- * Per-transaction flight recorder and abort post-mortem forensics.
+ * Transaction flight recorder and abort post-mortem forensics.
  *
- * The recorder keeps one bounded FlightRecord per live transaction and
- * a fixed-capacity ring of recently-retired ones: begin/restart ticks,
- * the most recent abort events (cause, conflicting address, winner),
- * retry counts, SPT/TAV miss counts, shadow-page allocations, and the
- * wall ticks its aborted attempts lost.
- * Updates are O(1) hash-map bumps, cheap enough to stay always on;
- * `--flightrec-depth 0` removes the recorder entirely (nothing then
- * subscribes to the records it consumed).
+ * The recorder keeps no state of its own: the trace ring keeps its
+ * record types (ringTypes) beside the traced categories, so
+ * post-mortems and traces read the same buffer. At a trigger and at
+ * snapshot() it folds them into one FlightRecord per transaction:
+ * begin/restart ticks, the most recent aborts (cause, address,
+ * winner), retries, kills, SPT/TAV misses, shadow-page allocations and
+ * the wall ticks its aborted attempts lost. `--flightrec-depth 0`
+ * removes the recorder and its types from the ring.
  *
  * On a trigger — starvation-watchdog trip, starvation-token grant,
  * auditor violation, chaos injection, or a transaction reaching
@@ -27,8 +27,8 @@
  *    that holds every transaction they sum exactly to the
  *    aborted_tx_ticks charge;
  *  - ring overflow is surfaced honestly: `flightrec.dropped_records`
- *    counts evicted records so truncated forensics never read as
- *    complete.
+ *    is the ring's overwritten-event count, so truncated forensics
+ *    never read as complete.
  *
  * The recorder is a pure observer: it never feeds back into simulated
  * timing, so same-seed runs are bit-identical with forensics on or
@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/config.hh"
 #include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -75,7 +74,7 @@ struct FlightAbortEvent
     TxId winner = invalidTxId;    //!< killer transaction, if any
 };
 
-/** Bounded per-transaction record (live table + retired ring). */
+/** One transaction folded from the ring's records. */
 struct FlightRecord
 {
     /** Most recent abort events retained per transaction. */
@@ -115,16 +114,12 @@ struct FlightRecord
     }
 };
 
-/** One node of the abort-causality DAG: an abort event (or, for a
- *  transaction with no recorded abort, a terminal node with tick 0). */
-struct PostmortemNode
+/** One node of the abort-causality DAG: an abort event of @c tx (or,
+ *  for a transaction with no recorded abort, a terminal node: the
+ *  default event, tick 0). */
+struct PostmortemNode : FlightAbortEvent
 {
     TxId tx = invalidTxId;
-    Tick tick = 0;       //!< abort tick; 0 for a terminal node
-    unsigned attempt = 0;
-    std::uint8_t cause = 0;
-    Addr where = invalidAddr;
-    TxId winner = invalidTxId;
     unsigned generation = 0; //!< distance from the subject
 };
 
@@ -147,6 +142,10 @@ struct PostmortemReport
     /** Flight records of every transaction in nodes, sorted by id. */
     std::vector<FlightRecord> records;
     unsigned chainDepth = 0; //!< deepest generation reached
+    /** The ring at capture: transactions folded, events dropped. */
+    std::uint64_t liveTxs = 0;
+    std::uint64_t retiredTxs = 0;
+    std::uint64_t droppedRecords = 0;
 };
 
 /** Per-transaction kill ranking entry (forensics stats section). */
@@ -162,10 +161,10 @@ struct ForensicsSnapshot
 {
     bool enabled = false;
     bool armed = false;
-    unsigned depth = 0;
-    std::uint64_t liveRecords = 0;
-    std::uint64_t retiredRecords = 0;
-    std::uint64_t droppedRecords = 0;
+    std::uint64_t depth = 0;          //!< ring capacity, in events
+    std::uint64_t liveTxs = 0;        //!< folded, not committed
+    std::uint64_t retiredTxs = 0;     //!< folded, committed
+    std::uint64_t droppedRecords = 0; //!< ring events overwritten
     /** The live or retained record that lost the most ticks. */
     Tick maxLostTicks = 0;
     TxId maxLostTx = invalidTxId;
@@ -174,14 +173,15 @@ struct ForensicsSnapshot
     std::uint64_t postmortems = 0;
     std::uint64_t droppedReports = 0;
     std::vector<KillerRank> topKillers; //!< kills desc, id asc; <= 5
-    std::vector<PostmortemReport> reports;
 };
 
+/** The ring's records folded per transaction (FlightRecorder::fold). */
+using FlightRecords = FlatMap<TxId, FlightRecord>;
+
 /**
- * The flight recorder: a subscriber on the observer path (absent when
- * depth is 0). It consumes the transaction lifecycle records, SPT/TAV
- * misses and shadow allocations; when armed it also takes watchdog
- * trips and starvation grants as triggers.
+ * The flight recorder: a reader of the trace ring (absent when depth
+ * is 0). Armed, it subscribes to watchdog trips and starvation grants
+ * as triggers; unarmed, to nothing.
  */
 class FlightRecorder : public TraceObserver
 {
@@ -189,18 +189,28 @@ class FlightRecorder : public TraceObserver
     /** Generations of abort causality the post-mortem DAG walks. */
     static constexpr unsigned generations = 8;
 
-    explicit FlightRecorder(const ForensicsParams &params);
+    /** Record types the ring keeps for the recorder. */
+    static constexpr TraceEventType ringTypes[] = {
+        TraceEventType::TxBegin,      TraceEventType::TxRestart,
+        TraceEventType::TxCommit,     TraceEventType::TxAbort,
+        TraceEventType::SptMiss,      TraceEventType::TavMiss,
+        TraceEventType::ShadowAlloc,  TraceEventType::WatchdogTrip,
+        TraceEventType::StarvationGrant,
+    };
 
+    /** Read @p ring, which must keep ringTypes. */
+    FlightRecorder(const Tracer &ring, bool armed);
+
+    /** Watchdog-trip and starvation-grant triggers (armed only). */
     void observe(const TraceEvent &e) override;
 
     /** True when post-mortem capture is armed (triggers do work). */
     bool armed() const { return armed_; }
 
     /**
-     * Capture a post-mortem for @p subject: reconstruct the causality
-     * DAG and hand the report to onReport. Bounded per run; no-op
-     * unless armed (direct call sites guard with armed() so the
-     * unarmed path never formats @p detail).
+     * Capture a post-mortem for @p subject: fold the ring, reconstruct
+     * the causality DAG and hand the report to onReport. Bounded per
+     * run; no-op unless armed.
      */
     void trigger(PostmortemTrigger t, TxId subject, Tick now,
                  std::string detail);
@@ -212,7 +222,8 @@ class FlightRecorder : public TraceObserver
     void setRepro(std::string repro) { repro_ = std::move(repro); }
     const std::string &repro() const { return repro_; }
 
-    const ForensicsParams &params() const { return params_; }
+    /** Ring capacity, in events. */
+    std::size_t depth() const { return tracer_.capacity(); }
 
     /** Reports captured so far (bounded; see droppedReports). */
     const std::vector<PostmortemReport> &reports() const
@@ -220,11 +231,8 @@ class FlightRecorder : public TraceObserver
         return reports_;
     }
 
-    /** Record of @p id (live table, then retired ring), or nullptr. */
-    const FlightRecord *record(TxId id) const;
-
-    /** Number of currently-live (unretired) records. */
-    std::size_t liveCount() const { return live_.size(); }
+    /** Fold the ring's records, oldest first, into per-tx records. */
+    FlightRecords fold() const;
 
     ForensicsSnapshot snapshot() const;
 
@@ -233,8 +241,6 @@ class FlightRecorder : public TraceObserver
 
     /** @name Statistics */
     /// @{
-    Counter retiredRecords;  //!< records retired into the ring
-    Counter droppedRecords;  //!< ring evictions (truncated history)
     Counter postmortems;     //!< post-mortem reports captured
     Counter droppedReports;  //!< triggers dropped at the report cap
     /// @}
@@ -242,30 +248,10 @@ class FlightRecorder : public TraceObserver
   private:
     /** Reports retained per run; later triggers only count. */
     static constexpr std::size_t maxReports = 16;
-    /** Node cap per report (maxAborts roots x generations chains). */
-    static constexpr std::size_t maxNodes = 64;
 
-    void onBegin(TxId id, ThreadId thread, ProcId proc, Tick now);
-    /** @p winner is the killer tx (invalidTxId when unattributable);
-     *  @p begin is the aborted attempt's begin tick. */
-    void onAbort(TxId id, Tick now, Tick begin, std::uint8_t cause,
-                 Addr where, TxId winner);
-    void onCommit(TxId id, Tick now);
-
-    FlightRecord &liveRecord(TxId id);
-    /** Most recent abort of @p id strictly before @p bound, or null. */
-    const FlightAbortEvent *lastAbortBefore(TxId id, Tick bound) const;
-    /** Depth of the latest-killer chain starting at @p rec. */
-    unsigned chainDepthOf(const FlightRecord &rec) const;
-    void buildDag(PostmortemReport &r, Tick now) const;
-
-    ForensicsParams params_;
+    const Tracer &tracer_;
     bool armed_ = false;
     std::string repro_;
-
-    FlatMap<TxId, FlightRecord> live_;
-    std::vector<FlightRecord> ring_; //!< capacity params_.depth
-    std::size_t ring_next_ = 0;
 
     std::vector<PostmortemReport> reports_;
 };

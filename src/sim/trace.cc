@@ -5,6 +5,8 @@
 
 #include "sim/trace.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace ptm
@@ -143,19 +145,21 @@ traceFormatName(TraceFormat fmt)
 }
 
 void
-Tracer::configure(std::uint32_t mask, std::size_t capacity)
+Tracer::configure(std::uint32_t mask, std::size_t capacity,
+                  std::span<const TraceEventType> kept)
 {
     mask_ = mask;
     capacity_ = capacity ? capacity : 1;
     buf_.clear();
-    buf_.reserve(mask_ ? capacity_ : 0);
     head_ = 0;
     recorded_ = 0;
-    dropped_ = 0;
+    dropped_.reset();
     for (unsigned t = 0; t < traceEventTypes; ++t) {
         bool ring = mask_ & traceCatMask(traceEventCat(TraceEventType(t)));
         interest_[t] = std::uint8_t((interest_[t] & ~1u) | (ring ? 1u : 0u));
     }
+    for (TraceEventType t : kept)
+        interest_[unsigned(t)] |= 1u;
 }
 
 void
@@ -185,6 +189,10 @@ Tracer::push(const TraceEvent &e)
 {
     ++recorded_;
     if (buf_.size() < capacity_) {
+        // Grow by doubling, never past the capacity: a large ring
+        // costs memory only once a run fills it.
+        if (buf_.size() == buf_.capacity())
+            buf_.reserve(std::min(capacity_, 2 * buf_.size() + 64));
         buf_.push_back(e);
         return;
     }

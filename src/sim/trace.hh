@@ -6,9 +6,11 @@
  * (transaction lifecycle, conflict edges, metadata-cache activity,
  * shadow-page management, overflow spills, scheduling, page swaps)
  * through Tracer::record(). A per-type interest mask routes it to the
- * trace ring and to the subscribed TraceObservers (heatmap, flight
- * recorder, profiler charges); a type nobody wants costs a single
- * branch at the call site. When the ring fills, the oldest events are
+ * ring and to the subscribed TraceObservers (heatmap, profiler
+ * charges, flight-recorder triggers); a type nobody wants costs a
+ * single branch at the call site. The ring has two readers: the trace
+ * writer (the traced categories) and the flight recorder (its record
+ * types). It grows as events arrive; once full, the oldest events are
  * overwritten ("keep newest") and the number of dropped events is
  * counted, so a trace of a long run always ends at the interesting
  * part: the end.
@@ -25,10 +27,12 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace ptm
@@ -224,6 +228,9 @@ bool parseTraceFormat(const std::string &s, TraceFormat &fmt);
 /** Name of a trace format ("jsonl" / "chrome"). */
 const char *traceFormatName(TraceFormat fmt);
 
+/** Largest ring capacity accepted, in events (72 B each: 1.2 GB). */
+constexpr std::size_t traceRingMaxEvents = std::size_t(1) << 24;
+
 /** Tracing configuration, carried inside SystemParams. */
 struct TraceParams
 {
@@ -232,7 +239,7 @@ struct TraceParams
     TraceFormat format = TraceFormat::Jsonl;
     /** Enabled-category bitmask (traceCatMask() bits). */
     std::uint32_t categories = traceCatAll;
-    /** Ring-buffer capacity, in events. */
+    /** Ring capacity when tracing, in events. */
     std::size_t bufferEvents = std::size_t(1) << 16;
     /** Watched address (invalidAddr = no watchpoint). */
     Addr watchAddr = invalidAddr;
@@ -250,16 +257,17 @@ class Tracer
 {
   public:
     /**
-     * Enable the trace ring with the given category @p mask and
-     * @p capacity (events). A zero mask disables the ring; subscribers
-     * are unaffected.
+     * Enable the ring with @p capacity (events) for the traced
+     * categories in @p mask plus the record types in @p kept.
+     * Subscribers are unaffected.
      */
-    void configure(std::uint32_t mask, std::size_t capacity);
+    void configure(std::uint32_t mask, std::size_t capacity,
+                   std::span<const TraceEventType> kept = {});
 
-    /** True once configure() enabled at least one category. */
+    /** True once configure() enabled at least one traced category. */
     bool active() const { return mask_ != 0; }
 
-    /** True if events of category @p c are being recorded. */
+    /** True if events of category @p c are traced. */
     bool
     enabled(TraceCat c) const
     {
@@ -328,11 +336,17 @@ class Tracer
     /** Events currently held, oldest first. */
     std::vector<TraceEvent> snapshot() const;
 
+    /** Ring capacity, in events. */
+    std::size_t capacity() const { return capacity_; }
+
     /** Total events the ring accepted since configure(). */
     std::uint64_t recorded() const { return recorded_; }
 
     /** Events overwritten because the ring was full. */
-    std::uint64_t dropped() const { return dropped_; }
+    std::uint64_t dropped() const { return dropped_.value(); }
+
+    /** The dropped-event count as a statistic (flightrec group). */
+    const Counter &droppedCounter() const { return dropped_; }
 
     /** A process-wide never-enabled tracer, for un-wired components. */
     static Tracer &nil();
@@ -349,7 +363,7 @@ class Tracer
     std::vector<TraceEvent> buf_;
     std::size_t head_ = 0; //!< next slot to overwrite once full
     std::uint64_t recorded_ = 0;
-    std::uint64_t dropped_ = 0;
+    Counter dropped_;
     std::function<Tick()> clock_;
     Addr watch_ = invalidAddr;
 };

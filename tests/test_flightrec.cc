@@ -5,17 +5,22 @@
  * killer chain (every DAG node cross-checked against the traced
  * TxAbort / ConflictEdge events of the same run), per-record lost
  * ticks must reconcile exactly with the cycle profiler, ring overflow
- * must be counted, and forensics must never perturb simulated timing.
+ * must be counted, restricting the traced categories must not change
+ * a post-mortem, and forensics must never perturb simulated timing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "harness/forensics_io.hh"
 #include "harness/system.hh"
+#include "harness/trace_io.hh"
 #include "sim/flightrec.hh"
 #include "sim/profile.hh"
 #include "sim/trace.hh"
@@ -160,14 +165,15 @@ TEST(FlightRecorder, StarvationGrantPostmortemMatchesTrace)
 
 /**
  * Per-record lost ticks are the one account of wasted work: on kv at
- * zipf 0.99 with a ring deep enough to keep every transaction, they
- * sum exactly to the profiler's aborted_tx_ticks charge.
+ * zipf 0.99 with a ring deep enough to keep every transaction, the
+ * records folded from it sum exactly to the profiler's
+ * aborted_tx_ticks charge.
  */
 TEST(FlightRecorder, LostTicksSumToAbortedTxTicks)
 {
     SystemParams prm = quietParams(TmKind::SelectPtm);
     prm.profile.enabled = true;
-    prm.forensics.depth = 1u << 16;
+    prm.forensics.depth = 1u << 20;
     WorkloadConfig wcfg;
     auto wl = makeWorkload("kv", wcfg, {{"scale", "0"}, {"zipf", "0.99"}});
     System sys(prm);
@@ -176,31 +182,34 @@ TEST(FlightRecorder, LostTicksSumToAbortedTxTicks)
     ASSERT_TRUE(wl->verify(sys));
 
     const FlightRecorder &fr = *sys.flightrec();
+    FlightRecords folded = fr.fold();
     std::uint64_t txs = 0;
     Tick lost = 0;
-    for (TxId id = 1; const FlightRecord *rec = fr.record(id); ++id) {
+    for (TxId id = 1; const FlightRecord *rec = folded.find(id); ++id) {
         ++txs;
         lost += rec->lostTicks;
     }
-    EXPECT_EQ(fr.droppedRecords.value(), 0u);
+    ForensicsSnapshot fs = fr.snapshot();
+    EXPECT_EQ(fs.droppedRecords, 0u);
     EXPECT_EQ(txs, sys.snapshot().counter("tx.commits"));
     ProfSnapshot ps = sys.profiler().snapshot();
     EXPECT_GT(lost, 0u) << "kv at zipf 0.99 aborted nothing";
     EXPECT_EQ(lost, ps.charges[unsigned(ProfCharge::AbortedTxTicks)]);
 
-    ForensicsSnapshot fs = fr.snapshot();
     EXPECT_FALSE(fs.armed);
     EXPECT_EQ(fs.postmortems, 0u);
     EXPECT_FALSE(fs.topKillers.empty());
     EXPECT_GT(fs.maxLostTicks, 0u);
 }
 
-/** A tiny ring must overflow on this workload; the drops are counted
- *  so truncated forensics never read as complete. */
+/** A tiny ring must overflow on this workload; the overwritten events
+ *  are what the recorder reports dropped, so truncated forensics never
+ *  read as complete, and every recorded event is either held or
+ *  dropped. */
 TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
 {
     SystemParams prm = contendedParams();
-    prm.forensics.depth = 4;
+    prm.forensics.depth = 16;
     System sys(prm);
     ASSERT_NE(sys.flightrec(), nullptr);
 
@@ -208,11 +217,61 @@ TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
     addCounterThreads(sys, p, 4, 20);
     sys.run();
 
+    const Tracer &ring = sys.tracer();
     ForensicsSnapshot fs = sys.flightrec()->snapshot();
+    EXPECT_EQ(fs.depth, 16u);
     EXPECT_GT(fs.droppedRecords, 0u);
-    EXPECT_EQ(fs.retiredRecords, 4u);
-    EXPECT_EQ(fs.droppedRecords + fs.retiredRecords,
-              sys.flightrec()->retiredRecords.value());
+    EXPECT_EQ(fs.droppedRecords, ring.dropped());
+    EXPECT_EQ(sys.snapshot().counter("flightrec.dropped_records"),
+              ring.dropped());
+    std::size_t held = ring.snapshot().size();
+    EXPECT_EQ(held, 16u);
+    EXPECT_EQ(ring.recorded(), ring.dropped() + held);
+}
+
+/**
+ * Tracing only the conflict category still keeps the recorder's record
+ * types in the ring: the trace lists conflict events alone, and the
+ * abort-threshold post-mortems equal those of the same seed traced
+ * with every category.
+ */
+TEST(FlightRecorder, RestrictedTraceCategoriesKeepPostmortems)
+{
+    auto run = [](std::uint32_t categories, TraceCapture &cap) {
+        SystemParams prm = contendedParams();
+        prm.trace.path = "unused"; // configures the ring; nothing writes
+        prm.trace.categories = categories;
+        prm.forensics.onAbortThreshold = 4;
+        System sys(prm);
+        sys.flightrec()->onReport = nullptr;
+        ProcId p = sys.createProcess();
+        addCounterThreads(sys, p, 4, 20);
+        sys.run();
+        EXPECT_EQ(sys.tracer().dropped(), 0u);
+        cap = captureTrace(sys.tracer(), "counter", {});
+        std::vector<std::string> docs;
+        unsigned threshold = 0;
+        for (const PostmortemReport &r : sys.flightrec()->reports()) {
+            threshold += r.trigger == PostmortemTrigger::AbortThreshold;
+            std::ostringstream os;
+            emitPostmortemJson(os, *sys.flightrec(), r);
+            docs.push_back(os.str());
+        }
+        EXPECT_GT(threshold, 0u);
+        return docs;
+    };
+
+    TraceCapture conflict, all;
+    std::vector<std::string> restricted =
+        run(traceCatMask(TraceCat::Conflict), conflict);
+    std::vector<std::string> full = run(traceCatAll, all);
+    ASSERT_FALSE(conflict.events.empty());
+    for (const TraceEvent &e : conflict.events)
+        EXPECT_EQ(traceEventCat(e.type), TraceCat::Conflict)
+            << traceEventTypeName(e.type) << " in a conflict-only trace";
+    // The ring held the recorder's records beside the traced ones.
+    EXPECT_GT(conflict.recorded, conflict.events.size());
+    EXPECT_EQ(restricted, full);
 }
 
 Tick
@@ -238,8 +297,8 @@ TEST(FlightRecorder, SameSeedIdenticalAcrossForensicsModes)
 {
     StatSnapshot off, def, armed;
     Tick c_off = contendedRunCycles(0, false, off);
-    Tick c_def = contendedRunCycles(256, false, def);
-    Tick c_armed = contendedRunCycles(256, true, armed);
+    Tick c_def = contendedRunCycles(4096, false, def);
+    Tick c_armed = contendedRunCycles(4096, true, armed);
     EXPECT_EQ(c_off, c_def);
     EXPECT_EQ(c_off, c_armed);
     EXPECT_EQ(off.counter("tx.commits"), armed.counter("tx.commits"));

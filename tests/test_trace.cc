@@ -2,6 +2,7 @@
  * @file
  * Unit tests for the event tracer (sim/trace) and its sinks
  * (harness/trace_io): ring-buffer wraparound, category filtering,
+ * record types kept for the flight recorder, the ring-capacity bound,
  * lazy payload suppression, watchpoint address matching, tick order
  * of real captures, and the JSONL sink. Chrome slice balance, ordering
  * and counter tracks are checked by tools/check_trace_json.py.
@@ -13,6 +14,7 @@
 #include <map>
 #include <sstream>
 
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
 #include "harness/stats_io.hh"
 #include "harness/trace_io.hh"
@@ -56,6 +58,48 @@ TEST(TracerTest, RingKeepsNewestAndCountsDrops)
         EXPECT_EQ(ev[i].tick, Tick(12 + i));
         EXPECT_EQ(ev[i].a0, 12 + i);
     }
+}
+
+/** Kept record types reach the ring with no traced category. */
+TEST(TracerTest, KeptTypesRingWithoutTracing)
+{
+    Tracer t;
+    const TraceEventType kept[] = {TraceEventType::TxAbort};
+    t.configure(0, 8, kept);
+    EXPECT_FALSE(t.active());
+    t.record(TraceEventType::TxAbort, 0, 0, 1);
+    t.record(TraceEventType::TxBegin, 0, 0, 1);
+    EXPECT_EQ(t.recorded(), 1u);
+    ASSERT_EQ(t.snapshot().size(), 1u);
+    EXPECT_EQ(t.snapshot()[0].type, TraceEventType::TxAbort);
+}
+
+/** The option parsers refuse ring capacities above the bound, so a
+ *  typo is a diagnostic, not an allocation failure. */
+TEST(TraceRingBound, ParsersRejectCapacitiesAboveTheBound)
+{
+    auto parse = [](const char *opt, const std::string &value,
+                    SystemParams &prm) {
+        OptionTable opts("ptm_test", "ring bound");
+        addSystemOptions(opts, prm);
+        std::string prog = "ptm_test", o = opt, v = value;
+        char *argv[] = {prog.data(), o.data(), v.data()};
+        return opts.parse(3, argv);
+    };
+    const std::string max = std::to_string(traceRingMaxEvents);
+    const std::string over = std::to_string(traceRingMaxEvents + 1);
+    SystemParams prm;
+    EXPECT_EQ(parse("--trace-buffer-events", "100000000000", prm),
+              CliStatus::Error);
+    EXPECT_EQ(parse("--trace-buffer-events", over, prm),
+              CliStatus::Error);
+    EXPECT_EQ(parse("--flightrec-depth", "4294967295", prm),
+              CliStatus::Error);
+    EXPECT_EQ(parse("--flightrec-depth", over, prm), CliStatus::Error);
+    ASSERT_EQ(parse("--trace-buffer-events", max, prm), CliStatus::Ok);
+    ASSERT_EQ(parse("--flightrec-depth", max, prm), CliStatus::Ok);
+    EXPECT_EQ(prm.trace.bufferEvents, traceRingMaxEvents);
+    EXPECT_EQ(prm.forensics.depth, traceRingMaxEvents);
 }
 
 TEST(TracerTest, CategoryMaskFilters)

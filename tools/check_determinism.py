@@ -100,6 +100,11 @@ DEFAULT_CONFIGS = [
     ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
      "--flush-ctxsw", "--daemon", "3000", "--chaos", "--chaos-plan",
      "squeeze", "--chaos-interval", "3000"],
+    # One ring for the trace and the flight recorder: a conflict-only
+    # trace, and post-mortems built from a ring that overflows.
+    ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
+     "--threads", "4", "--trace-categories", "conflict",
+     "--trace-buffer-events", "2048", "--postmortem-on-abort", "4"],
 ]
 
 

@@ -117,6 +117,11 @@ class Opt:
 
 
 KILLER = {"tx": int, "kills": int, "lost_ticks": int}
+# The flight recorder folds its records from the trace ring: "depth"
+# is the ring's capacity in events, "dropped_records" (here, in the
+# post-mortem "flightrec" object and in the flightrec stat group, which
+# has no "retired" counter) counts ring events overwritten, and
+# live/retired count the uncommitted/committed transactions folded.
 FORENSICS = {
     "depth": int, "generations": int, "live_records": int,
     "retired_records": int, "dropped_records": int,
@@ -621,7 +626,7 @@ SAMPLES = {
             **{s: _hot(0, []) for s in HOT_COUNTERS}},
         "forensics": {
             **{f: 0 for f, t in FORENSICS.items() if t is int},
-            "depth": 256, "max_lost_tx": -1, "armed": False,
+            "depth": 4096, "max_lost_tx": -1, "armed": False,
             "top_killers": [{"tx": 3, "kills": 2, "lost_ticks": 0},
                             {"tx": 1, "kills": 1, "lost_ticks": 7}]},
     },
@@ -676,7 +681,7 @@ SAMPLES = {
              "attempts": 2, "aborts": 1, "kills": 0, "spt_misses": 0,
              "tav_misses": 0, "shadow_allocs": 0, "lost_ticks": 5,
              "recent_aborts": []} for tx in (1, 2)],
-        "flightrec": {"depth": 256, "live": 2, "retired": 0,
+        "flightrec": {"depth": 4096, "live": 2, "retired": 0,
                       "dropped_records": 0},
     }],
     "bench": {"schema": "ptm-bench-v1", "bench": "bench_fig4",

@@ -252,18 +252,23 @@ main(int argc, char **argv)
                         (unsigned long long)r.heatmap.conflictsTotal);
         }
         if (r.forensics.enabled) {
-            std::printf("flight recorder   %llu live, %llu retired, "
-                        "%llu postmortems, deepest chain %u\n",
-                        (unsigned long long)r.forensics.liveRecords,
-                        (unsigned long long)r.forensics.retiredRecords,
+            std::printf("flight recorder   %llu-event ring: %llu live, "
+                        "%llu retired, %llu postmortems, deepest "
+                        "chain %u\n",
+                        (unsigned long long)r.forensics.depth,
+                        (unsigned long long)r.forensics.liveTxs,
+                        (unsigned long long)r.forensics.retiredTxs,
                         (unsigned long long)r.forensics.postmortems,
                         r.forensics.deepestChain);
             if (r.forensics.droppedRecords)
-                std::printf("warning: flight recorder dropped %llu "
-                            "retired records; forensics are truncated "
-                            "(raise --flightrec-depth)\n",
+                std::printf("warning: flight recorder ring dropped %llu "
+                            "events; forensics are truncated (raise "
+                            "%s)\n",
                             (unsigned long long)
-                                r.forensics.droppedRecords);
+                                r.forensics.droppedRecords,
+                            prm.trace.path.empty()
+                                ? "--flightrec-depth"
+                                : "--trace-buffer-events");
         }
         if (s.has("vtm.xadt_inserts")) {
             std::printf("XADT inserts      %llu\n",
