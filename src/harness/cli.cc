@@ -402,7 +402,9 @@ addPersistOptions(OptionTable &opts, PersistParams &dest)
     opts.option("wal-file", "FILE",
                 "serialize the surviving persistent image (checkpoint "
                 "+ durable log prefix) to FILE at end of run; the "
-                "input of ptm_sim --recover",
+                "input of ptm_sim --recover. Without it the simulator "
+                "keeps only the log's size and drain windows (32 B "
+                "per commit), with it the log's bytes too",
                 [&dest](const std::string &v) {
                     if (v.empty() || v == "-")
                         return false;

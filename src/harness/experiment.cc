@@ -62,7 +62,7 @@ runWorkload(const std::string &workload_name, SystemParams params,
     if (const WalManager *wal = sys.wal()) {
         r.walDurableBytes =
             r.crashed ? wal->durableBytesAt(sys.crashTick())
-                      : wal->log().size();
+                      : wal->logSize();
         if (!params.persist.walPath.empty()) {
             fatal_if(!wl->persistSupported(),
                      "--wal-file: workload %s cannot emit a durable "
@@ -80,9 +80,9 @@ runWorkload(const std::string &workload_name, SystemParams params,
                 [&d](Addr vbase, const std::vector<std::uint32_t> &w) {
                     d.checkpoint.push_back({vbase, w});
                 });
-            d.logBytesTotal = wal->log().size();
-            d.log.assign(wal->log().begin(),
-                         wal->log().begin() + r.walDurableBytes);
+            d.logBytesTotal = wal->logSize();
+            const std::vector<std::uint8_t> &log = wal->retainedLog();
+            d.log.assign(log.begin(), log.begin() + r.walDurableBytes);
             std::string err;
             if (!writeWalDump(params.persist.walPath, d, &err))
                 fatal("--wal-file: %s", err.c_str());

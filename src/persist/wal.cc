@@ -118,7 +118,7 @@ crc32(const std::uint8_t *data, std::size_t n)
 // ------------------------------------------------------------ WalManager
 
 WalManager::WalManager(const PersistParams &prm, TmKind kind)
-    : prm_(prm), kind_(kind)
+    : prm_(prm), kind_(kind), retain_(!prm.walPath.empty())
 {}
 
 void
@@ -154,25 +154,28 @@ WalManager::commitTx(TxId tx, std::uint32_t thread, Tick now)
     // program order, which is what recovery's oracle prefix needs.
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t ordinal = ++ordinals_[thread];
-    const std::size_t off0 = log_.size();
-    put32(log_, walRecordMagic);
+    rec_.clear();
+    put32(rec_, walRecordMagic);
     const std::uint32_t len =
         std::uint32_t(walRecordHeaderBytes +
                       writes.size() * walRecordWriteBytes +
                       walRecordCrcBytes);
-    put32(log_, len);
-    put64(log_, seq);
-    put64(log_, tx);
-    put32(log_, thread);
-    put32(log_, ordinal);
-    put32(log_, std::uint32_t(kind_));
-    put32(log_, std::uint32_t(writes.size()));
+    put32(rec_, len);
+    put64(rec_, seq);
+    put64(rec_, tx);
+    put32(rec_, thread);
+    put32(rec_, ordinal);
+    put32(rec_, std::uint32_t(kind_));
+    put32(rec_, std::uint32_t(writes.size()));
     for (const auto &[a, v] : writes) {
-        put64(log_, a);
-        put32(log_, v);
+        put64(rec_, a);
+        put32(rec_, v);
     }
-    put32(log_, crc32(log_.data() + off0, log_.size() - off0));
-    const std::uint64_t bytes = log_.size() - off0;
+    put32(rec_, crc32(rec_.data(), rec_.size()));
+    if (retain_)
+        log_.insert(log_.end(), rec_.begin(), rec_.end());
+    const std::uint64_t bytes = rec_.size();
+    const std::uint64_t off0 = logSize();
 
     // Ordered flush: the record drains behind any still-draining
     // predecessor (the log device is strictly ordered), costing the
@@ -183,7 +186,7 @@ WalManager::commitTx(TxId tx, std::uint32_t thread, Tick now)
         Tick((bytes + prm_.logBytesPerCycle - 1) / prm_.logBytesPerCycle);
     const Tick end = start + drain;
     device_free_ = end;
-    appends_.push_back({off0, log_.size(), start, end});
+    appends_.push_back({off0, off0 + bytes, start, end});
     const Tick stall = end - now;
 
     ++commits_;
@@ -397,7 +400,7 @@ readWalDump(const std::string &path, WalDump &out, std::string *err)
         return fail("not a PTMWAL1 dump (bad magic)");
     rd.off = 8;
     out.version = rd.get32();
-    if (out.version != walDumpVersion)
+    if (!rd.fail && out.version != walDumpVersion)
         return fail("unsupported dump version " +
                     std::to_string(out.version));
     out.tmKind = rd.get32();
@@ -414,13 +417,16 @@ readWalDump(const std::string &path, WalDump &out, std::string *err)
         out.options.emplace_back(std::move(k), std::move(v));
     }
     std::uint32_t nregions = rd.get32();
+    if (rd.fail)
+        return fail("truncated dump header");
     out.checkpoint.clear();
-    for (std::uint32_t i = 0; i < nregions && !rd.fail; ++i) {
+    for (std::uint32_t i = 0; i < nregions; ++i) {
         WalRegion reg;
         reg.vbase = rd.get64();
         std::uint32_t nwords = rd.get32();
         if (!rd.need(std::size_t(nwords) * 4 + 4))
-            break;
+            return fail("truncated dump: checkpoint region " +
+                        std::to_string(i) + " cut short");
         std::size_t w0 = rd.off;
         reg.words.reserve(nwords);
         for (std::uint32_t w = 0; w < nwords; ++w)
@@ -433,14 +439,13 @@ readWalDump(const std::string &path, WalDump &out, std::string *err)
     }
     out.logBytesTotal = rd.get64();
     std::uint64_t durable = rd.get64();
+    if (rd.fail)
+        return fail("truncated dump: log lengths cut short");
     if (!rd.need(durable))
         return fail("truncated dump: log shorter than its header "
                     "claims");
     out.log.assign(buf.begin() + rd.off,
                    buf.begin() + rd.off + durable);
-    rd.off += durable;
-    if (rd.fail)
-        return fail("truncated dump header");
     return true;
 }
 

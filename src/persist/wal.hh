@@ -18,6 +18,10 @@
  *    to a modeled ordered log device, and the committing core stalls
  *    until the ordered flush drains (base fence latency plus record
  *    bytes over the device bandwidth) — redo-at-commit durability.
+ *    The device is timed from record sizes alone: the manager keeps
+ *    each append's byte span and drain window (32 B per commit), and
+ *    the record bytes themselves only when a `--wal-file` dump will
+ *    write them.
  *  - An abort discards the redo set; nothing aborted ever reaches the
  *    log, so the log byte order IS the commit serialization order.
  *
@@ -206,8 +210,16 @@ class WalManager
      */
     std::uint64_t durableBytesAt(Tick cut) const;
 
-    /** The full serialized log. */
-    const std::vector<std::uint8_t> &log() const { return log_; }
+    /** Log bytes appended so far, whether or not they are retained. */
+    std::uint64_t logSize() const { return bytes_.value(); }
+
+    /**
+     * The serialized log, kept only when the run will dump it
+     * (PersistParams::walPath set); empty otherwise. Every timing and
+     * crash-cut quantity comes from record sizes, so only the dump
+     * reads these bytes.
+     */
+    const std::vector<std::uint8_t> &retainedLog() const { return log_; }
 
     /** Durable commits so far. */
     std::uint64_t commits() const { return commits_.value(); }
@@ -224,16 +236,22 @@ class WalManager
         Tick t0 = 0;
         Tick t1 = 0;
     };
+    static_assert(sizeof(Append) == 32,
+                  "the per-commit host cost DESIGN.md §7a states");
 
     const PersistParams prm_;
     const TmKind kind_;
+    /** Keep the log's bytes: a dump will write them. */
+    const bool retain_;
     Tracer *tracer_ = &Tracer::nil();
     CycleProfiler *prof_ = nullptr;
 
     /** Captured redo sets of live transactions. */
     std::unordered_map<TxId, std::vector<std::pair<Addr, std::uint32_t>>>
         pending_;
-    /** The serialized log, records in commit-sequence order. */
+    /** The record being serialized (reused across commits). */
+    std::vector<std::uint8_t> rec_;
+    /** The retained log, records in commit-sequence order. */
     std::vector<std::uint8_t> log_;
     /** Append spans, in order (drain windows never overlap). */
     std::vector<Append> appends_;

@@ -5,8 +5,10 @@
  * truncation at EVERY byte offset of a multi-record log (each cut
  * must replay as a clean prefix or a reported torn tail — never a
  * silent partial image), corruption rejection with offset-bearing
- * diagnostics, ordered-flush drain accounting, and dump file I/O
- * including region-CRC verification.
+ * diagnostics, ordered-flush drain accounting, the rule that a
+ * manager keeps the log's bytes only when they will be dumped, and
+ * dump file I/O including region-CRC verification and truncation
+ * diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -20,17 +22,25 @@
 
 #include "persist/wal.hh"
 #include "sim/config.hh"
+#include "sim/stats.hh"
+#include "sim/trace.hh"
 
 namespace ptm
 {
 namespace
 {
 
+/**
+ * A durable configuration that requests a dump, so the manager keeps
+ * the log's bytes for retainedLog(). WalManager never writes the
+ * file itself; the path only asks for the bytes.
+ */
 PersistParams
 walParams()
 {
     PersistParams p;
     p.policy = Durability::Wal;
+    p.walPath = "unwritten.wal";
     p.flushLatency = 300;
     p.logBytesPerCycle = 16;
     return p;
@@ -46,18 +56,18 @@ sampleLog(std::vector<std::size_t> *boundaries = nullptr)
     wal.noteStore(11, 0x1000, 5);
     wal.noteStore(11, 0x1008, 6);
     wal.commitTx(11, 0, 1000);
-    ends.push_back(wal.log().size());
+    ends.push_back(wal.logSize());
 
     wal.noteStore(12, 0x1000, 9);
     wal.commitTx(12, 1, 2000);
-    ends.push_back(wal.log().size());
+    ends.push_back(wal.logSize());
 
     wal.commitTx(13, 0, 3000); // read-only: empty redo set
-    ends.push_back(wal.log().size());
+    ends.push_back(wal.logSize());
 
     if (boundaries)
         *boundaries = ends;
-    return wal.log();
+    return wal.retainedLog();
 }
 
 TEST(WalCrc, KnownAnswer)
@@ -115,7 +125,8 @@ TEST(WalRecord, AbortedRedoSetNeverReachesLog)
     wal.noteStore(22, 0x2008, 8);
     wal.commitTx(22, 0, 100);
 
-    WalReplay r = replayWal(wal.log().data(), wal.log().size());
+    WalReplay r = replayWal(wal.retainedLog().data(),
+                            wal.retainedLog().size());
     ASSERT_TRUE(r.ok()) << r.error;
     ASSERT_EQ(r.records.size(), 1u);
     EXPECT_EQ(r.image.count(0x2000), 0u);
@@ -198,7 +209,7 @@ TEST(WalDrain, DurableBytesAreProportionalToTheFlush)
 
     wal.noteStore(31, 0x3000, 1);
     Tick stall = wal.commitTx(31, 0, 1000);
-    std::uint64_t bytes = wal.log().size();
+    std::uint64_t bytes = wal.logSize();
     // Drain window: [1000, 1000 + flushLatency + bytes/1B-per-cycle].
     EXPECT_EQ(stall, Tick(100 + bytes));
 
@@ -214,6 +225,80 @@ TEST(WalDrain, DurableBytesAreProportionalToTheFlush)
     wal.noteStore(32, 0x3008, 2);
     Tick stall2 = wal.commitTx(32, 0, 1001);
     EXPECT_GT(stall2, stall);
+}
+
+// Whether the manager keeps the log's bytes is invisible to
+// everything it reports: stalls, stats, records and crash cuts all
+// come from record sizes.
+TEST(WalRetention, UndumpedLogKeepsOnlyItsSize)
+{
+    PersistParams bare = walParams();
+    bare.walPath.clear();
+    WalManager kept(walParams(), TmKind::SelectPtm);
+    WalManager sized(bare, TmKind::SelectPtm);
+    Tracer kept_trace, sized_trace;
+    kept_trace.configure(traceCatAll, 64);
+    sized_trace.configure(traceCatAll, 64);
+    kept.setTracer(&kept_trace);
+    sized.setTracer(&sized_trace);
+    StatRegistry kept_stats, sized_stats;
+    kept.regStats(kept_stats);
+    sized.regStats(sized_stats);
+
+    // Commits 100 ticks apart queue behind the busy device; every
+    // fourth commit is read-only.
+    std::vector<std::uint64_t> ends;
+    for (TxId tx = 40; tx < 48; ++tx) {
+        for (Addr w = 0; w < tx % 4; ++w) {
+            kept.noteStore(tx, 0x4000 + 8 * w, std::uint32_t(tx + w));
+            sized.noteStore(tx, 0x4000 + 8 * w, std::uint32_t(tx + w));
+        }
+        Tick now = 1000 + 100 * (tx - 40);
+        std::uint32_t thread = std::uint32_t(tx % 2);
+        EXPECT_EQ(kept.commitTx(tx, thread, now),
+                  sized.commitTx(tx, thread, now))
+            << "tx " << tx;
+        ends.push_back(sized.logSize());
+    }
+
+    EXPECT_TRUE(sized.retainedLog().empty());
+    EXPECT_EQ(kept.retainedLog().size(), kept.logSize());
+    EXPECT_EQ(kept.logSize(), sized.logSize());
+    for (const char *stat : {"persist.log_bytes", "persist.log_words",
+                             "persist.flush_stall_ticks"})
+        EXPECT_EQ(kept_stats.counterValue(stat),
+                  sized_stats.counterValue(stat))
+            << stat;
+    EXPECT_EQ(sized_stats.counterValue("persist.log_bytes"),
+              sized.logSize());
+
+    std::vector<TraceEvent> a = kept_trace.snapshot();
+    std::vector<TraceEvent> b = sized_trace.snapshot();
+    ASSERT_EQ(a.size(), 2 * ends.size());
+    ASSERT_EQ(a.size(), b.size());
+    std::vector<Tick> drain_ends;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].type, b[i].type) << "record " << i;
+        EXPECT_EQ(a[i].tx, b[i].tx) << "record " << i;
+        EXPECT_EQ(a[i].thread, b[i].thread) << "record " << i;
+        EXPECT_EQ(a[i].a0, b[i].a0) << "record " << i;
+        EXPECT_EQ(a[i].a1, b[i].a1) << "record " << i;
+        EXPECT_EQ(a[i].v, b[i].v) << "record " << i;
+        if (b[i].type == TraceEventType::WalAppend)
+            EXPECT_EQ(b[i].a1 + b[i].a0, ends[i / 2]) << "record " << i;
+        else
+            drain_ends.push_back(b[i].a1);
+    }
+
+    // Each append's drain ends exactly at its record's end offset,
+    // and every tick of every drain window (its boundaries and
+    // midpoints among them) cuts both logs at the same length.
+    ASSERT_EQ(drain_ends.size(), ends.size());
+    for (std::size_t i = 0; i < ends.size(); ++i)
+        EXPECT_EQ(sized.durableBytesAt(drain_ends[i]), ends[i]);
+    for (Tick cut = 0; cut <= drain_ends.back() + 1; ++cut)
+        ASSERT_EQ(kept.durableBytesAt(cut), sized.durableBytesAt(cut))
+            << "cut at " << cut;
 }
 
 TEST(WalDump, FileRoundTrip)
@@ -312,6 +397,62 @@ TEST(WalDump, TruncatedLogTailIsRefused)
 
     WalDump in;
     EXPECT_FALSE(readWalDump(path, in, &err));
+    std::remove(path.c_str());
+}
+
+// A dump cut short is refused with a message naming the part that was
+// cut: the fixed header, a checkpoint region, or the log.
+TEST(WalDump, TruncationNamesWhatWasCut)
+{
+    WalDump d;
+    d.tmKind = std::uint32_t(TmKind::SelectPtm);
+    d.threads = 1;
+    d.workload = "kv";
+    d.checkpoint.push_back({0x10000, {1, 2, 3, 4}});
+    d.checkpoint.push_back({0x20000, {5, 6}});
+    d.log = sampleLog();
+    d.logBytesTotal = d.log.size();
+
+    std::string path = testing::TempDir() + "/test_persist_cut.wal";
+    std::string err;
+    ASSERT_TRUE(writeWalDump(path, d, &err)) << err;
+    std::vector<std::uint8_t> whole;
+    {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        int c;
+        while ((c = std::fgetc(f)) != EOF)
+            whole.push_back(std::uint8_t(c));
+        std::fclose(f);
+    }
+
+    // magic(8) + version/kind/threads(12) + seed/crash/end(24) +
+    // workload(4+2) + nopts(4) + nregions(4) = 58 header bytes; region
+    // 0 is 12 + 4*4 + 4 = 32 bytes, region 1 is 12 + 2*4 + 4 = 24,
+    // then the two u64 log lengths and the log.
+    const std::size_t region0 = 58, region1 = 90, lengths = 114;
+    ASSERT_EQ(whole.size(), lengths + 16 + d.log.size());
+    const std::pair<std::size_t, const char *> cuts[] = {
+        {10, "truncated dump header"},
+        {20, "truncated dump header"},
+        {region0 - 1, "truncated dump header"},
+        {region0 + 4, "checkpoint region 0"},
+        {region0 + 20, "checkpoint region 0"},
+        {region1 - 1, "checkpoint region 0"},
+        {region1 + 10, "checkpoint region 1"},
+        {lengths + 8, "log lengths"},
+        {whole.size() - 1, "log shorter than its header claims"},
+    };
+    for (const auto &[cut, want] : cuts) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(whole.data(), 1, cut, f), cut);
+        std::fclose(f);
+        WalDump in;
+        EXPECT_FALSE(readWalDump(path, in, &err)) << "cut at " << cut;
+        EXPECT_NE(err.find(want), std::string::npos)
+            << "cut at " << cut << ": " << err;
+    }
     std::remove(path.c_str());
 }
 

@@ -8,10 +8,12 @@ ptm-timeseries-v1 stream and any ptm-postmortem-v1 documents. Each
 stream is read through its tools/ptm_schema.py reader. Every simulated
 quantity must be bit-identical; only host fields are dropped first:
 the manifest's HOST_MANIFEST_FIELDS, the trace's and the Chrome
-export's git revision, and the time series' HOST_INTERVAL_FIELDS. Any
-other divergence means the simulator's behavior depends on host state
-(iteration order, pointer values, allocation reuse) and fails the
-gate.
+export's git revision, and the time series' HOST_INTERVAL_FIELDS. A
+configuration that carries --wal-file writes its crash dump to a
+per-run temporary path instead of the one it names, and the two dumps
+are compared byte for byte. Any other divergence means the
+simulator's behavior depends on host state (iteration order, pointer
+values, allocation reuse) and fails the gate.
 
 With --against OTHER_PTM_SIM the matrix runs once on each of the two
 binaries instead of twice on one: the same gate then says that a
@@ -105,6 +107,11 @@ DEFAULT_CONFIGS = [
     ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
      "--threads", "4", "--trace-categories", "conflict",
      "--trace-buffer-events", "2048", "--postmortem-on-abort", "4"],
+    # The crash ctest's cut: the dump's checkpoint, torn log tail and
+    # retained log bytes. The --wal-file path is replaced per run.
+    ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
+     "--threads", "4", "--seed", "7", "--durability", "wal",
+     "--wal-file", "crash.wal", "--crash-at-tick", "90000"],
 ]
 
 
@@ -144,7 +151,11 @@ def run_once(sim, args, tmp, tag):
     chrome = "--trace-format" in args and \
         args[args.index("--trace-format") + 1] == "chrome"
     out = {s: Path(tmp) / f"{tag}.{s}"
-           for s in ("stats", "trace", "timeseries", "postmortem")}
+           for s in ("stats", "trace", "timeseries", "postmortem", "wal")}
+    dump = "--wal-file" in args
+    if dump:
+        args = list(args)
+        args[args.index("--wal-file") + 1] = str(out["wal"])
     cmd = [sim, *args, "--stats-json", str(out["stats"]),
            "--trace", str(out["trace"]),
            "--timeseries", str(out["timeseries"]),
@@ -164,6 +175,11 @@ def run_once(sim, args, tmp, tag):
     if out["postmortem"].exists():
         streams["postmortem"] = (*read_file(out["postmortem"],
                                             read_postmortem), list)
+    if dump:
+        try:
+            streams["wal"] = (out["wal"].read_bytes(), [], bytes)
+        except OSError as e:
+            raise RunFailed(f"wal: {e}")
     result = {}
     for name, (data, errors, scrub) in streams.items():
         if errors:
@@ -190,6 +206,12 @@ def diff_paths(a, b, prefix=""):
             return
         for i, (x, y) in enumerate(zip(a, b)):
             yield from diff_paths(x, y, f"{prefix}[{i}]")
+    elif isinstance(a, bytes):
+        if a != b:
+            at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                      min(len(a), len(b)))
+            yield (f"{prefix}: {len(a)} vs {len(b)} bytes, first "
+                   f"difference at byte {at}")
     elif a != b:
         yield f"{prefix}: {a!r} vs {b!r}"
 
@@ -228,7 +250,8 @@ def compare(sim, sim_b, configs):
 
 def self_test():
     """A binary that fails every run must be reported on every
-    configuration, not only the first."""
+    configuration, not only the first; differing dumps name their first
+    differing byte."""
     configs = [["--workload", "fft"], ["--workload", "lu"]]
     with tempfile.TemporaryDirectory() as tmp:
         stub = Path(tmp) / "failing_sim"
@@ -247,6 +270,11 @@ def self_test():
         if not any(r.startswith(head) and "exited 1: stub failure" in r
                    for r in reports):
             problems.append(f"no FAIL report for [{' '.join(cfg)}]")
+    # Dumps are compared byte for byte, naming the first difference.
+    want = ["wal: 4 vs 3 bytes, first difference at byte 2"]
+    got = list(diff_paths(b"abcd", b"abd", "wal"))
+    if got != want or list(diff_paths(b"ab", b"ab", "wal")):
+        problems.append(f"byte diff reported {got}, expected {want}")
     for p in problems:
         print(f"self-test FAIL: {p}", file=sys.stderr)
     print("self-test: " + ("ok" if not problems else
