@@ -94,6 +94,14 @@ DEFAULT_CONFIGS = [
     # restores that skip units another writer holds.
     ["--workload", "kv", "--system", "copy-ptm", "--gran", "wd:cache+mem",
      "--scale", "0", "--flush-ctxsw", "--daemon", "3000"],
+    # ... VTM's XADT commit walks with copy-backs and its abort walks
+    # (water on VTM overflows nothing), ...
+    ["--workload", "radix", "--system", "vtm", "--scale", "0",
+     "--flush-ctxsw", "--daemon", "3000"],
+    # ... and chaos-delayed walk starts.
+    ["--workload", "radix", "--system", "copy-ptm", "--scale", "0",
+     "--chaos", "--chaos-plan", "delay", "--chaos-interval", "3000",
+     "--flush-ctxsw", "--daemon", "3000"],
     # LRU evictions: ocean at scale 1 overflows VC-VTM's XADC and
     # victim cache, ...
     ["--workload", "ocean", "--system", "vc-vtm", "--scale", "1"],
