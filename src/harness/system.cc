@@ -47,6 +47,7 @@ System::System(const SystemParams &params)
           break;
     }
     mem_.setBackend(backend_.get());
+    txmgr_.setBackend(backend_.get());
 
     // The observer path: every component records into tracer_, and the
     // ring and each subscriber below see only the record types they
@@ -68,10 +69,8 @@ System::System(const SystemParams &params)
     txmgr_.setTracer(&tracer_);
     mem_.setTracer(&tracer_);
     os_.setTracer(&tracer_);
-    if (vts_)
-        vts_->setTracer(&tracer_);
-    else if (auto *vtm = dynamic_cast<VtmController *>(backend_.get()))
-        vtm->setTracer(&tracer_);
+    if (backend_)
+        backend_->setTracer(&tracer_);
 
     using Ev = TraceEventType;
     if (params_.profile.enabled) {
@@ -80,10 +79,8 @@ System::System(const SystemParams &params)
         tracer_.subscribe(&profiler_, {Ev::TxCommit, Ev::TxAbort});
         mem_.setProfiler(&profiler_);
         os_.setProfiler(&profiler_);
-        if (vts_)
-            vts_->setProfiler(&profiler_);
-        else if (auto *vtm = dynamic_cast<VtmController *>(backend_.get()))
-            vtm->setProfiler(&profiler_);
+        if (backend_)
+            backend_->setProfiler(&profiler_);
     }
     if (params_.profile.host)
         eq_.enableHostProfile();
@@ -113,8 +110,8 @@ System::System(const SystemParams &params)
 
     if (params_.chaos.enabled) {
         chaos_.configure(params_.chaos);
-        if (vts_)
-            vts_->setChaos(&chaos_);
+        if (backend_)
+            backend_->setChaos(&chaos_);
     }
     // Replay line of the auditor and the flight recorder; runWorkload
     // prefixes the workload and system.
@@ -311,8 +308,8 @@ System::wireHooks()
             auditor_.checkAll("abort", eq_.curTick());
     };
     os_.onThreadExit = [this](ThreadCtx *t) {
-        if (vts_)
-            vts_->drainThreadCleanups(t->id);
+        if (backend_)
+            backend_->drainThreadCleanups(t->id);
         // A pending periodic task would otherwise keep the queue
         // running to its next interval boundary after the workload
         // ends, inflating the elapsed time the profiler and the
@@ -323,14 +320,6 @@ System::wireHooks()
             for (PeriodicTask &task : periodic_)
                 task.handle.cancel();
     };
-    if (backend_) {
-        txmgr_.backendCommit = [this](TxId tx) {
-            backend_->commitTx(tx);
-        };
-        txmgr_.backendAbort = [this](TxId tx) {
-            backend_->abortTx(tx);
-        };
-    }
     txmgr_.notifyAborted = [this](TxId, ThreadId th, AbortReason) {
         ThreadCtx *t = threads_.at(th).get();
         t->abortPending = true;
@@ -523,8 +512,8 @@ System::run()
         // Chaos-delayed or still-walking cleanups would otherwise leave
         // the structures mid-flight; force them so the end-of-run audit
         // (and any Copy-PTM restore) sees a settled state.
-        if (vts_)
-            vts_->drainAllCleanups();
+        if (backend_)
+            backend_->drainAllCleanups();
     }
     if (auditor_.attached() && !crashed_)
         auditor_.checkAll("end", eq_.curTick());

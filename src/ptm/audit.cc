@@ -235,9 +235,9 @@ PtmAuditor::checkAll(const char *where, Tick now)
                                  (ull)tx));
         }
     });
-    vts_->jobs_.forEach([&](TxId tx, Vts::CleanupJob &j) {
-        for (std::size_t i = j.next; i < j.nodes.size(); ++i)
-            if (!vert.insert(j.nodes[i]).second)
+    vts_->jobs_.forEach([&](TxId tx, const auto &j) {
+        for (std::size_t i = j.next; i < j.items.size(); ++i)
+            if (!vert.insert(j.items[i]).second)
                 report("vertical-agree", where, now,
                        strprintf("cleanup node of tx %llu reachable "
                                  "twice",

@@ -16,16 +16,12 @@ namespace ptm
 
 Vts::Vts(const SystemParams &params, EventQueue &eq, PhysMem &phys,
          TxManager &txmgr, FrameAllocator &frames, DramModel &dram)
-    : sptCache(params.sptCacheEntries, params.memBanks),
+    : SupervisorWalk(eq, txmgr, params.memBanks > 1 ? params.numCores : 1),
+      sptCache(params.sptCacheEntries, params.memBanks),
       tavCache(params.tavCacheEntries, params.memBanks),
-      params_(params), eq_(eq), phys_(phys), txmgr_(txmgr),
-      frames_(frames), dram_(dram),
+      params_(params), phys_(phys), frames_(frames), dram_(dram),
       gran_(params.granularity == Granularity::WordCacheMem),
-      select_(params.tmKind == TmKind::SelectPtm),
-      supervisor_free_(params.memBanks > 1
-                           ? std::max(1u, params.numCores)
-                           : 1,
-                       0)
+      select_(params.tmKind == TmKind::SelectPtm)
 {
     panic_if(params.tmKind != TmKind::SelectPtm &&
                  params.tmKind != TmKind::CopyPtm,
@@ -394,17 +390,6 @@ Vts::mayGrantExclusive(Addr block_addr, TxId requester)
 }
 
 void
-Vts::noteOverflow(TxId tx)
-{
-    Transaction *t = txmgr_.get(tx);
-    panic_if(!t, "overflow for unknown transaction");
-    if (!t->overflowed) {
-        t->overflowed = true;
-        ++overflowed_live_;
-    }
-}
-
-void
 Vts::ensureShadow(SptEntry &e, TxId tx)
 {
     if (e.hasShadow())
@@ -691,195 +676,46 @@ Vts::readCommittedWord32(Addr word_addr)
 }
 
 void
-Vts::commitTx(TxId tx)
-{
-    scheduleCleanup(tx, true);
-}
-
-void
-Vts::abortTx(TxId tx)
-{
-    scheduleCleanup(tx, false);
-}
-
-void
-Vts::scheduleCleanup(TxId tx, bool is_commit)
-{
-    // Chaos hook: hold the walk's start back by a polled delay. While
-    // the start is pending the TAV lists are untouched, so conflict
-    // checks keep stalling behind the Committing/Aborting nodes — the
-    // delay stretches exactly the window where stale metadata could be
-    // observed.
-    Tick delay = chaos_->cleanupDelay();
-    if (delay) {
-        pending_delayed_[tx] = is_commit;
-        eq_.scheduleIn(delay, EventPriority::Supervisor, [this, tx] {
-            bool *is_c = pending_delayed_.find(tx);
-            if (!is_c)
-                return; // already forced by finishCleanupNow()
-            bool c = *is_c;
-            pending_delayed_.erase(tx);
-            startCleanup(tx, c);
-        });
-        return;
-    }
-    startCleanup(tx, is_commit);
-}
-
-void
-Vts::finishCleanupNow(TxId tx)
-{
-    if (bool *is_c = pending_delayed_.find(tx)) {
-        bool c = *is_c;
-        pending_delayed_.erase(tx);
-        startCleanup(tx, c); // may finish synchronously (no overflow)
-    }
-    CleanupJob *j = jobs_.find(tx);
-    if (!j)
-        return;
-    while (j->next < j->nodes.size()) {
-        processNode(*j, j->nodes[j->next]);
-        ++j->next;
-    }
-    Distribution &lat =
-        j->isCommit ? commitCleanupLatency : abortCleanupLatency;
-    lat.sample(double(eq_.curTick() - j->startTick));
-    tracer_->record(TraceEventType::WalkEnd, traceNoId, traceNoId, tx,
-                    invalidTxId, j->isCommit ? 1 : 0, j->nodes.size());
-    jobs_.erase(tx);
-    Transaction *txn = txmgr_.get(tx);
-    if (txn && txn->overflowed) {
-        panic_if(overflowed_live_ == 0, "overflow count underflow");
-        --overflowed_live_;
-    }
-    txmgr_.cleanupDone(tx);
-}
-
-void
-Vts::drainThreadCleanups(ThreadId thread)
-{
-    // Collect ids (in id order) first: finishCleanupNow mutates jobs_
-    // and pending_delayed_, and cleanupDone can cascade.
-    std::vector<TxId> ids;
-    for (const Transaction &tx : txmgr_.txTable())
-        if (tx.thread == thread && tx.state == TxState::Aborting)
-            ids.push_back(tx.id);
-    for (TxId id : ids)
-        finishCleanupNow(id);
-}
-
-void
-Vts::drainAllCleanups()
-{
-    std::vector<TxId> ids;
-    for (const Transaction &tx : txmgr_.txTable())
-        if (tx.state == TxState::Committing ||
-            tx.state == TxState::Aborting)
-            ids.push_back(tx.id);
-    for (TxId id : ids)
-        finishCleanupNow(id);
-}
-
-unsigned
-Vts::cleanupShardOf(TxId tx) const
-{
-    if (supervisor_free_.size() <= 1)
-        return 0;
-    const Transaction *t = txmgr_.get(tx);
-    return t ? unsigned(t->thread) % unsigned(supervisor_free_.size())
-             : 0;
-}
-
-void
 Vts::startCleanup(TxId tx, bool is_commit)
 {
-
-    TavNode **headp = tx_head_.find(tx);
-    TavNode *head = headp ? *headp : nullptr;
-    if (headp)
+    std::vector<TavNode *> nodes;
+    if (TavNode **head = tx_head_.find(tx)) {
+        for (TavNode *t = *head; t; t = t->nextOfTx)
+            nodes.push_back(t);
         tx_head_.erase(tx);
-
-    if (!head) {
+    }
+    overflowPagesPerTx.sample(double(nodes.size()));
+    if (nodes.empty()) {
         // Never overflowed: commit/abort is handled entirely in-cache.
-        overflowPagesPerTx.sample(0);
         txmgr_.cleanupDone(tx);
         return;
     }
-
-    CleanupJob job;
-    job.isCommit = is_commit;
-    job.startTick = eq_.curTick();
-    job.shard = cleanupShardOf(tx);
-    for (TavNode *t = head; t; t = t->nextOfTx)
-        job.nodes.push_back(t);
-    overflowPagesPerTx.sample(double(job.nodes.size()));
-    tavWalkLen.sample(double(job.nodes.size()));
-    tracer_->record(TraceEventType::WalkStart, traceNoId, traceNoId,
-                    tx, invalidTxId, is_commit ? 1 : 0,
-                    job.nodes.size());
-    jobs_[tx] = std::move(job);
-    cleanupStep(tx);
+    tavWalkLen.sample(double(nodes.size()));
+    open(tx, is_commit, std::move(nodes));
+    run(tx);
 }
 
-void
-Vts::cleanupStep(TxId tx)
+Tick
+Vts::stepCost(TxId, bool is_commit, TavNode *node, Tick t)
 {
-    CleanupJob &job = jobs_.at(tx);
-    TavNode *node = job.nodes[job.next];
-
-    Tick t = std::max(eq_.curTick(), supervisor_free_[job.shard]);
     Tick done = dram_.access(t); // read and free the node
-    if (job.isCommit && select_ && node->write.any()) {
+    if (is_commit && select_ && node->write.any())
         done = dram_.write(done); // selection-vector update
-    }
-    if (!job.isCommit && !select_) {
+    if (!is_commit && !select_) {
         // Copy-PTM abort: restore each overwritten unit from the
         // shadow page (one read + one write per unit).
-        unsigned units = node->write.count();
-        for (unsigned i = 0; i < units; ++i) {
-            done = dram_.access(done);
-            done = dram_.write(done);
-        }
+        for (unsigned n = node->write.count(); n; --n)
+            done = dram_.write(dram_.access(done));
     }
-    supervisor_free_[job.shard] = done;
-    prof_->charge(job.isCommit ? ProfCharge::CommitCleanup
-                               : ProfCharge::AbortCleanup,
-                  done - t);
-
-    eq_.schedule(done, EventPriority::Supervisor, [this, tx]() {
-        CleanupJob *jp = jobs_.find(tx);
-        if (!jp)
-            return; // walk already forced by finishCleanupNow()
-        CleanupJob &j = *jp;
-        processNode(j, j.nodes[j.next]);
-        ++j.next;
-        if (j.next == j.nodes.size()) {
-            Distribution &lat = j.isCommit ? commitCleanupLatency
-                                           : abortCleanupLatency;
-            lat.sample(double(eq_.curTick() - j.startTick));
-            tracer_->record(TraceEventType::WalkEnd, traceNoId,
-                            traceNoId, tx, invalidTxId,
-                            j.isCommit ? 1 : 0, j.nodes.size());
-            jobs_.erase(tx);
-            Transaction *txn = txmgr_.get(tx);
-            if (txn && txn->overflowed) {
-                panic_if(overflowed_live_ == 0,
-                         "overflow count underflow");
-                --overflowed_live_;
-            }
-            txmgr_.cleanupDone(tx);
-        } else {
-            cleanupStep(tx);
-        }
-    });
+    return done;
 }
 
 void
-Vts::processNode(CleanupJob &job, TavNode *node)
+Vts::applyStep(TxId, bool is_commit, TavNode *node)
 {
     SptEntry &e = spt_.at(node->home);
 
-    if (job.isCommit) {
+    if (is_commit) {
         ++commitWalkNodes;
         if (select_ && node->write.any()) {
             // Toggle the written units: the speculative location

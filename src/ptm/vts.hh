@@ -31,7 +31,6 @@
 #define PTM_PTM_VTS_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/frame_alloc.hh"
@@ -44,8 +43,7 @@
 #include "sim/flat_map.hh"
 #include "sim/lru_map.hh"
 #include "sim/stats.hh"
-#include "tx/tm_backend.hh"
-#include "tx/tx_manager.hh"
+#include "tx/supervisor_walk.hh"
 
 namespace ptm
 {
@@ -166,7 +164,7 @@ class BankedVtsCache
 };
 
 /** The PTM backend. */
-class Vts : public TmBackend
+class Vts : public SupervisorWalk<TavNode *>
 {
   public:
     /**
@@ -187,18 +185,8 @@ class Vts : public TmBackend
     /** Register the VTS statistics under the "vts" group. */
     void regStats(StatRegistry &reg) override;
 
-    /** Attach the observer path (System wiring; defaults to nil). */
-    void setTracer(Tracer *t) { tracer_ = t; }
-
-    /** Attach the cycle profiler (System wiring; defaults to nil). */
-    void setProfiler(CycleProfiler *p) { prof_ = p; }
-
-    /** Attach the fault injector (System wiring; defaults to nil). */
-    void setChaos(ChaosEngine *c) { chaos_ = c; }
-
     /** @name TmBackend interface */
     /// @{
-    bool anyOverflow() const override { return overflowed_live_ > 0; }
     CheckResult checkAccess(const BlockAccess &acc) override;
     Tick fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
                    std::uint16_t &spec_words,
@@ -212,8 +200,6 @@ class Vts : public TmBackend
     Tick writebackBlock(Addr block_addr, const std::uint8_t *data,
                         std::uint16_t word_mask) override;
     std::uint32_t readCommittedWord32(Addr word_addr) override;
-    void commitTx(TxId tx) override;
-    void abortTx(TxId tx) override;
     void pageSwapOut(PageNum home, std::uint64_t slot) override;
     void pageSwapIn(std::uint64_t slot, PageNum new_home) override;
     /// @}
@@ -240,27 +226,6 @@ class Vts : public TmBackend
     /** The SPT entry of @p home, nullptr if none (tests/inspection). */
     const SptEntry *sptEntry(PageNum home) const;
 
-    /**
-     * Force @p tx's cleanup to completion right now: starts a
-     * chaos-delayed walk that has not begun and synchronously
-     * processes every remaining node of its job. No-op if @p tx has
-     * no cleanup in flight. Used when simulated time is up and by
-     * drainThreadCleanups().
-     */
-    void finishCleanupNow(TxId tx);
-
-    /**
-     * Flush the in-flight *abort* cleanups of every transaction owned
-     * by @p thread. Called at thread exit so a stale Copy-PTM restore
-     * can never run after the thread is gone (and, transitively, can
-     * never race a later reuse of its pages). Commit cleanups are
-     * side-effect-free for restarts and keep draining lazily.
-     */
-    void drainThreadCleanups(ThreadId thread);
-
-    /** Flush every in-flight cleanup (end of run under --max-ticks). */
-    void drainAllCleanups();
-
     /** Number of shadow pages currently allocated. */
     std::uint64_t liveShadowPages() const { return shadow_pages_; }
 
@@ -282,10 +247,6 @@ class Vts : public TmBackend
     Counter lazyMigrations;    //!< Select-PTM lazy shadow merges
     BankedVtsCache sptCache;
     BankedVtsCache tavCache;
-    /** Supervisor latency of each lazy commit walk (overflowed txs). */
-    Distribution commitCleanupLatency{0, 512 * 1000, 32};
-    /** Supervisor latency of each lazy abort walk (overflowed txs). */
-    Distribution abortCleanupLatency{0, 512 * 1000, 32};
     /** TAV nodes met rebuilding a page's summary on an SPT-cache miss. */
     Distribution sptWalkLen{0, 64, 16};
     /** TAV nodes freed per commit/abort cleanup walk. */
@@ -298,15 +259,6 @@ class Vts : public TmBackend
   private:
     friend class PtmAuditor;
     friend struct AuditTestAccess;
-
-    struct CleanupJob
-    {
-        bool isCommit = false;
-        std::vector<TavNode *> nodes;
-        std::size_t next = 0;
-        Tick startTick = 0; //!< cleanup-latency distributions
-        unsigned shard = 0; //!< supervisor cleanup-queue shard
-    };
 
     /** Get-or-create the SPT entry of @p home. */
     SptEntry &entryFor(PageNum home);
@@ -375,24 +327,20 @@ class Vts : public TmBackend
     /** Recompute a page's summary vectors and live-dirty gauge. */
     void refreshPage(SptEntry &e);
 
-    /** Mark @p tx as having overflowed (global flag bookkeeping). */
-    void noteOverflow(TxId tx);
-
-    /** Background walk machinery. */
-    void scheduleCleanup(TxId tx, bool is_commit);
-    void startCleanup(TxId tx, bool is_commit);
-    void cleanupStep(TxId tx);
-    void processNode(CleanupJob &job, TavNode *node);
+    /** @name The cleanup walk over the TAV list (SupervisorWalk) */
+    /// @{
+    void startCleanup(TxId tx, bool is_commit) override;
+    Tick stepCost(TxId tx, bool is_commit, TavNode *node,
+                  Tick t) override;
+    /** Free one node: toggle (Select-PTM commit) or restore (Copy-PTM
+     *  abort) its units and unlink it. */
+    void applyStep(TxId tx, bool is_commit, TavNode *node) override;
+    /// @}
 
     const SystemParams params_;
-    EventQueue &eq_;
     PhysMem &phys_;
-    TxManager &txmgr_;
     FrameAllocator &frames_;
     DramModel &dram_;
-    Tracer *tracer_ = &Tracer::nil();
-    CycleProfiler *prof_ = &CycleProfiler::nil();
-    ChaosEngine *chaos_ = &ChaosEngine::nil();
     PageGran gran_;
     bool select_;
 
@@ -405,27 +353,11 @@ class Vts : public TmBackend
 
     /** Vertical TAV list heads (T-State links). */
     FlatMap<TxId, TavNode *> tx_head_;
-    FlatMap<TxId, CleanupJob> jobs_;
-    /** Cleanups whose start a chaos delay is holding (value: commit). */
-    FlatMap<TxId, bool> pending_delayed_;
 
     /** Slab allocator for every TAV node this backend creates. */
     TavArena tav_arena_;
 
-    /** Cleanup-queue shard of @p tx (its owning thread, modulo the
-     *  shard count; 0 when running the single paper-config queue). */
-    unsigned cleanupShardOf(TxId tx) const;
-
-    unsigned overflowed_live_ = 0;
     std::uint64_t shadow_pages_ = 0;
-    /**
-     * Per-shard supervisor timelines. With --mem-banks 1 (the paper
-     * configuration) a single timeline serializes every cleanup walk,
-     * bit-exactly as before; with a banked interconnect each core's
-     * cleanup queue drains independently, keyed by the transaction's
-     * owning thread.
-     */
-    std::vector<Tick> supervisor_free_;
     std::uint64_t live_dirty_count_ = 0;
     TimeWeighted live_dirty_;
 };

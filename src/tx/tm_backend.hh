@@ -8,8 +8,9 @@
  * identifies: conflict checks on cache misses while overflowed state
  * exists, evictions of transactional blocks, and block fetches that
  * must choose between the home page, the shadow page, or a log
- * structure. Commit/abort cleanup is driven through TxManager hooks
- * wired to commitTx()/abortTx().
+ * structure. TxManager calls commitTx()/abortTx() at each logical
+ * commit/abort; both backends implement that cleanup half of the
+ * interface with the one SupervisorWalk (tx/supervisor_walk.hh).
  */
 
 #ifndef PTM_TX_TM_BACKEND_HH
@@ -19,7 +20,8 @@
 #include <vector>
 
 #include "cache/cache.hh"
-
+#include "sim/chaos.hh"
+#include "sim/profile.hh"
 #include "sim/types.hh"
 
 namespace ptm
@@ -51,11 +53,11 @@ struct CheckResult
     std::vector<TxId> conflicts;
 };
 
+class StatRegistry;
+
 /**
  * Abstract unbounded-TM backend.
  */
-class StatRegistry;
-
 class TmBackend
 {
   public:
@@ -63,6 +65,11 @@ class TmBackend
 
     /** Register the backend's statistics ("vts" / "vtm" group). */
     virtual void regStats(StatRegistry &reg) { (void)reg; }
+
+    /** System wiring; each observer defaults to the nil instance. */
+    void setTracer(Tracer *t) { tracer_ = t; }
+    void setProfiler(CycleProfiler *p) { prof_ = p; }
+    void setChaos(ChaosEngine *c) { chaos_ = c; }
 
     /** Global overflow flag: any live transaction has evicted state. */
     virtual bool anyOverflow() const = 0;
@@ -153,6 +160,13 @@ class TmBackend
     /** Kick off abort cleanup; must end in TxManager::cleanupDone. */
     virtual void abortTx(TxId tx) = 0;
 
+    /** Finish @p thread's in-flight *abort* cleanups now (thread
+     *  exit: no stale Copy-PTM restore may outlive the thread). */
+    virtual void drainThreadCleanups(ThreadId thread) = 0;
+
+    /** Finish every in-flight cleanup now (the tick limit). */
+    virtual void drainAllCleanups() = 0;
+
     /** @name OS paging integration (section 3.5); default no-ops. */
     /// @{
     /**
@@ -184,6 +198,11 @@ class TmBackend
         (void)new_home;
     }
     /// @}
+
+  protected:
+    Tracer *tracer_ = &Tracer::nil();
+    CycleProfiler *prof_ = &CycleProfiler::nil();
+    ChaosEngine *chaos_ = &ChaosEngine::nil();
 };
 
 } // namespace ptm

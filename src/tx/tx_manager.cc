@@ -6,6 +6,7 @@
 #include "tx/tx_manager.hh"
 
 #include "sim/logging.hh"
+#include "tx/tm_backend.hh"
 
 namespace ptm
 {
@@ -204,8 +205,8 @@ TxManager::doLogicalCommit(Transaction &tx)
 
     // Backend cleanup may complete synchronously (no overflow) or
     // schedule background work ending in cleanupDone().
-    if (backendCommit)
-        backendCommit(tx.id);
+    if (backend_)
+        backend_->commitTx(tx.id);
     else
         cleanupDone(tx.id);
 }
@@ -256,8 +257,8 @@ TxManager::abort(TxId id, AbortReason why, Addr where, TxId winner)
         onLogicalAbort(id);
     if (notifyAborted)
         notifyAborted(id, tx->thread, why);
-    if (backendAbort)
-        backendAbort(id);
+    if (backend_)
+        backend_->abortTx(id);
     else
         cleanupDone(id);
 }

@@ -4,10 +4,10 @@
  *
  * Owns the T-State table, assigns sequential transaction identifiers,
  * flattens nesting, arbitrates conflicts (oldest wins), and sequences
- * ordered-transaction commits. The memory system and the unbounded-TM
- * backends attach hooks so that a logical commit/abort fans out to
- * cache flash-clears and background TAV/XADT cleanup without circular
- * dependencies.
+ * ordered-transaction commits. A logical commit/abort fans out to the
+ * cache flash-clears through hooks and starts the unbounded-TM
+ * backend's background TAV/XADT cleanup through its commitTx()/
+ * abortTx().
  */
 
 #ifndef PTM_TX_TX_MANAGER_HH
@@ -29,6 +29,7 @@ namespace ptm
 {
 
 struct AuditTestAccess;
+class TmBackend;
 
 /** Why a transaction was aborted (statistics / traces). */
 enum class AbortReason
@@ -70,10 +71,6 @@ class TxManager
     std::function<void(TxId)> onLogicalCommit;
     /** Invoked at logical abort: invalidate speculative lines etc. */
     std::function<void(TxId)> onLogicalAbort;
-    /** Backend cleanup kick-off (TAV walk / XADT drain) at commit. */
-    std::function<void(TxId)> backendCommit;
-    /** Backend cleanup kick-off at abort. */
-    std::function<void(TxId)> backendAbort;
     /** Notify the owning thread that its transaction aborted. */
     std::function<void(TxId, ThreadId, AbortReason)> notifyAborted;
     /**
@@ -206,6 +203,10 @@ class TxManager
     /** Attach the observer path (System wiring; defaults to nil). */
     void setTracer(Tracer *t) { tracer_ = t; }
 
+    /** Attach the backend that cleans up after each logical commit
+     *  or abort (System wiring); without one cleanup is instant. */
+    void setBackend(TmBackend *b) { backend_ = b; }
+
     /**
      * Attach the simulation clock (System wiring) that stamps the
      * commit-latency distribution.
@@ -249,6 +250,7 @@ class TxManager
     void doLogicalCommit(Transaction &tx);
 
     Tracer *tracer_ = &Tracer::nil();
+    TmBackend *backend_ = nullptr;
     std::function<Tick()> clock_;
     /** Every transaction ever begun, indexed by id - 1 (ids are
      *  sequential from 1; a deque keeps entry pointers stable). */

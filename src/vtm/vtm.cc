@@ -15,8 +15,8 @@ namespace ptm
 VtmController::VtmController(const SystemParams &params, EventQueue &eq,
                              PhysMem &phys, TxManager &txmgr,
                              DramModel &dram)
-    : params_(params), eq_(eq), phys_(phys), txmgr_(txmgr),
-      dram_(dram), vc_enabled_(params.tmKind == TmKind::VcVtm),
+    : SupervisorWalk(eq, txmgr, 1), phys_(phys), dram_(dram),
+      vc_enabled_(params.tmKind == TmKind::VcVtm),
       xf_(xfEntries), xadc_(params.xadcEntries),
       victim_(params.victimCacheEntries)
 {
@@ -91,17 +91,6 @@ VtmController::victimInsert(Addr block)
     }
 }
 
-void
-VtmController::noteOverflow(TxId tx)
-{
-    Transaction *t = txmgr_.get(tx);
-    panic_if(!t, "overflow for unknown transaction");
-    if (!t->overflowed) {
-        t->overflowed = true;
-        ++overflowed_live_;
-    }
-}
-
 CheckResult
 VtmController::checkAccess(const BlockAccess &acc)
 {
@@ -125,9 +114,10 @@ VtmController::checkAccess(const BlockAccess &acc)
             r.conflicts.push_back(e.writer);
             break;
           case TxState::Committing:
-            if (e.pendingCopyback) {
-                // Committed data not yet copied back to memory: the
-                // access must stall (section 5.3.1).
+            if (e.hasSpecData) {
+                // Committed data not yet copied back to memory (the
+                // walk, or a chaos-delayed start, has yet to reach the
+                // block): the access must stall (section 5.3.1).
                 r.stall = true;
                 ++stallsSignalled;
             }
@@ -207,24 +197,20 @@ VtmController::evictTxBlock(Addr block_addr, TxId tx, bool dirty_spec,
     if (new_assoc) {
         xf_.insert(block_addr);
         ++xadtInserts;
-        auto &blocks = tx_blocks_[tx];
-        blocks.push_back(block_addr);
+        tx_blocks_[tx].push_back(block_addr);
     }
 
     if (dirty_spec) {
-        // A dead previous writer's entry may be recycled; a live one
-        // would have conflicted before this eviction.
+        // A dead previous writer's entry may be recycled (its old
+        // association stays in its list and is ignored at its
+        // cleanup); a live one would have conflicted before this
+        // eviction.
         panic_if(e.writer != invalidTxId && e.writer != tx &&
                      txmgr_.isLive(e.writer),
                  "two live speculative writers of one block");
-        if (e.writer != tx && e.writer != invalidTxId) {
-            // Recycle: the old association stays in the old tx's list
-            // and is ignored at its cleanup.
-        }
         e.writer = tx;
         e.hasSpecData = true;
         std::memcpy(e.specData, data, blockBytes);
-        e.pendingCopyback = false;
         victimInsert(block_addr);
     } else if (std::find(e.readers.begin(), e.readers.end(), tx) ==
                e.readers.end()) {
@@ -262,147 +248,67 @@ VtmController::readCommittedWord32(Addr word_addr)
     return phys_.readWord32(word_addr);
 }
 
-void
-VtmController::commitTx(TxId tx)
+VtmController::XadtEntry *
+VtmController::specOf(Addr block, TxId tx)
 {
-    startCleanup(tx, true);
-}
-
-void
-VtmController::abortTx(TxId tx)
-{
-    startCleanup(tx, false);
+    auto it = xadt_.find(block);
+    return it != xadt_.end() && it->second.writer == tx &&
+                   it->second.hasSpecData
+               ? &it->second
+               : nullptr;
 }
 
 void
 VtmController::startCleanup(TxId tx, bool is_commit)
 {
-    auto it = tx_blocks_.find(tx);
     std::vector<Addr> blocks;
-    if (it != tx_blocks_.end()) {
-        blocks = std::move(it->second);
-        tx_blocks_.erase(it);
-    }
+    if (auto listed = tx_blocks_.extract(tx))
+        blocks = std::move(listed.mapped());
     overflowBlocksPerTx.sample(double(blocks.size()));
     if (blocks.empty()) {
         txmgr_.cleanupDone(tx);
         return;
     }
     xadtWalkLen.sample(double(blocks.size()));
-    tracer_->record(TraceEventType::WalkStart, traceNoId, traceNoId,
-                    tx, invalidTxId, is_commit ? 1 : 0, blocks.size());
-
-    CleanupJob job;
-    job.isCommit = is_commit;
-    job.startTick = eq_.curTick();
+    std::vector<Addr> &slow = open(tx, is_commit, std::move(blocks));
 
     if (is_commit && vc_enabled_) {
         // Victim-cache resident blocks commit instantly: their data is
         // promoted without stalling or occupying memory bandwidth now;
         // the write-back happens when they leave the victim cache.
-        std::vector<Addr> slow;
-        for (Addr b : blocks) {
-            auto e = xadt_.find(b);
-            if (e != xadt_.end() && e->second.writer == tx &&
-                e->second.hasSpecData && victim_.find(b)) {
-                ++victimHits;
-                phys_.writeBlock(b, e->second.specData);
-                processBlock(job, b, tx);
-            } else {
-                slow.push_back(b);
-            }
-        }
-        blocks = std::move(slow);
-        if (blocks.empty()) {
-            // Every block was VC-resident: the commit is instant.
-            commitCleanupLatency.sample(0);
-            tracer_->record(TraceEventType::WalkEnd, traceNoId,
-                            traceNoId, tx, invalidTxId, 1, 0);
-            finishCleanupNow(tx);
-            return;
-        }
+        std::erase_if(slow, [&](Addr b) {
+            if (!specOf(b, tx) || !victim_.find(b))
+                return false;
+            ++victimHits;
+            applyStep(tx, true, b);
+            return true;
+        });
     }
-
-    if (is_commit) {
-        // Mark written blocks as awaiting copy-back so that other
-        // accesses stall on them.
-        for (Addr b : blocks) {
-            auto e = xadt_.find(b);
-            if (e != xadt_.end() && e->second.writer == tx &&
-                e->second.hasSpecData)
-                e->second.pendingCopyback = true;
-        }
-    }
-
-    job.blocks = std::move(blocks);
-    jobs_[tx] = std::move(job);
-    cleanupStep(tx);
+    // With every block VC-resident the walk is empty and finishes at
+    // once: the commit is instant.
+    run(tx);
 }
 
-void
-VtmController::finishCleanupNow(TxId tx)
+Tick
+VtmController::stepCost(TxId tx, bool is_commit, Addr block, Tick t)
 {
-    Transaction *txn = txmgr_.get(tx);
-    if (txn && txn->overflowed) {
-        panic_if(overflowed_live_ == 0, "overflow count underflow");
-        --overflowed_live_;
-    }
-    txmgr_.cleanupDone(tx);
-}
-
-void
-VtmController::cleanupStep(TxId tx)
-{
-    CleanupJob &job = jobs_.at(tx);
-    Addr block = job.blocks[job.next];
-
-    Tick t = std::max(eq_.curTick(), supervisor_free_);
     Tick done = dram_.access(t); // XADT entry read/free
-    auto e = xadt_.find(block);
-    bool copy = job.isCommit && e != xadt_.end() &&
-                e->second.writer == tx && e->second.hasSpecData;
-    if (copy) {
+    if (is_commit && specOf(block, tx)) {
         ++copybacks;
         done = dram_.write(done); // the data write to memory
     }
-    supervisor_free_ = done;
-    prof_->charge(job.isCommit ? ProfCharge::CommitCleanup
-                               : ProfCharge::AbortCleanup,
-                  done - t);
-
-    eq_.schedule(done, EventPriority::Supervisor, [this, tx]() {
-        CleanupJob &j = jobs_.at(tx);
-        Addr b = j.blocks[j.next];
-        if (j.isCommit) {
-            auto it = xadt_.find(b);
-            if (it != xadt_.end() && it->second.writer == tx &&
-                it->second.hasSpecData)
-                phys_.writeBlock(b, it->second.specData);
-        }
-        processBlock(j, b, tx);
-        ++j.next;
-        if (j.next == j.blocks.size()) {
-            Distribution &lat = j.isCommit ? commitCleanupLatency
-                                           : abortCleanupLatency;
-            lat.sample(double(eq_.curTick() - j.startTick));
-            tracer_->record(TraceEventType::WalkEnd, traceNoId,
-                            traceNoId, tx, invalidTxId,
-                            j.isCommit ? 1 : 0, j.blocks.size());
-            jobs_.erase(tx);
-            finishCleanupNow(tx);
-        } else {
-            cleanupStep(tx);
-        }
-    });
+    return done;
 }
 
 void
-VtmController::processBlock(CleanupJob &job, Addr block, TxId tx)
+VtmController::applyStep(TxId tx, bool is_commit, Addr block)
 {
     auto it = xadt_.find(block);
     if (it == xadt_.end())
         return;
     XadtEntry &e = it->second;
+    if (is_commit && e.writer == tx && e.hasSpecData)
+        phys_.writeBlock(block, e.specData); // the copy-back
 
     auto rd = std::find(e.readers.begin(), e.readers.end(), tx);
     if (rd != e.readers.end())
@@ -410,8 +316,7 @@ VtmController::processBlock(CleanupJob &job, Addr block, TxId tx)
     if (e.writer == tx) {
         e.writer = invalidTxId;
         e.hasSpecData = false;
-        e.pendingCopyback = false;
-        if (!job.isCommit) {
+        if (!is_commit) {
             // Aborted speculative data must not linger in the VC.
             victim_.erase(block);
         }

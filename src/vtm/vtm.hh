@@ -33,8 +33,7 @@
 #include "sim/event_queue.hh"
 #include "sim/lru_map.hh"
 #include "sim/stats.hh"
-#include "tx/tm_backend.hh"
-#include "tx/tx_manager.hh"
+#include "tx/supervisor_walk.hh"
 
 namespace ptm
 {
@@ -89,7 +88,7 @@ class XFilter
 };
 
 /** The VTM controller backend. */
-class VtmController : public TmBackend
+class VtmController : public SupervisorWalk<Addr>
 {
   public:
     VtmController(const SystemParams &params, EventQueue &eq,
@@ -99,15 +98,8 @@ class VtmController : public TmBackend
     /** Register the VTM statistics under the "vtm" group. */
     void regStats(StatRegistry &reg) override;
 
-    /** Attach the event tracer (System wiring; defaults to nil). */
-    void setTracer(Tracer *t) { tracer_ = t; }
-
-    /** Attach the cycle profiler (System wiring; defaults to nil). */
-    void setProfiler(CycleProfiler *p) { prof_ = p; }
-
     /** @name TmBackend interface */
     /// @{
-    bool anyOverflow() const override { return overflowed_live_ > 0; }
     CheckResult checkAccess(const BlockAccess &acc) override;
     Tick fillBlock(Addr block_addr, TxId requester, std::uint8_t *dst,
                    std::uint16_t &spec_words,
@@ -119,8 +111,6 @@ class VtmController : public TmBackend
     Tick writebackBlock(Addr block_addr, const std::uint8_t *data,
                         std::uint16_t word_mask) override;
     std::uint32_t readCommittedWord32(Addr word_addr) override;
-    void commitTx(TxId tx) override;
-    void abortTx(TxId tx) override;
     /// @}
 
     /** @name Statistics */
@@ -134,11 +124,6 @@ class VtmController : public TmBackend
     Counter victimHits;
     Counter victimWritebacks;
     Counter stallsSignalled;
-    /** Supervisor latency of each commit drain (overflowed txs;
-     *  victim-cache instant commits sample as 0). */
-    Distribution commitCleanupLatency{0, 512 * 1000, 32};
-    /** Supervisor latency of each abort drain (overflowed txs). */
-    Distribution abortCleanupLatency{0, 512 * 1000, 32};
     /** XADT blocks drained per commit/abort walk. */
     Distribution xadtWalkLen{0, 1024, 32};
     /** Overflowed blocks per finished transaction (all txs; the
@@ -152,18 +137,10 @@ class VtmController : public TmBackend
     {
         std::vector<TxId> readers;
         TxId writer = invalidTxId;
+        /** specData holds the writer's version; once the writer is
+         *  Committing, data awaiting copy-back. */
         bool hasSpecData = false;
         std::uint8_t specData[blockBytes] = {};
-        /** Writer committed; data awaiting copy-back. */
-        bool pendingCopyback = false;
-    };
-
-    struct CleanupJob
-    {
-        bool isCommit = false;
-        std::vector<Addr> blocks;
-        std::size_t next = 0;
-        Tick startTick = 0; //!< cleanup-latency distributions
     };
 
     /** XADC timing lookup, allocating on a miss; returns added
@@ -173,35 +150,33 @@ class VtmController : public TmBackend
     /** Buffer an evicted block in the victim cache (VC-VTM only). */
     void victimInsert(Addr block);
 
-    void noteOverflow(TxId tx);
-    void startCleanup(TxId tx, bool is_commit);
-    void cleanupStep(TxId tx);
-    void processBlock(CleanupJob &job, Addr block, TxId tx);
-    /** Drop the overflow flag and report cleanup completion. */
-    void finishCleanupNow(TxId tx);
+    /** The XADT entry of @p block if @p tx buffers its speculative
+     *  data there (what a commit copies back), else nullptr. */
+    XadtEntry *specOf(Addr block, TxId tx);
 
-    const SystemParams params_;
-    EventQueue &eq_;
+    /** @name The cleanup walk over the XADT blocks (SupervisorWalk) */
+    /// @{
+    /** Commit the VC-resident blocks instantly (VC-VTM) and walk the
+     *  rest. */
+    void startCleanup(TxId tx, bool is_commit) override;
+    Tick stepCost(TxId tx, bool is_commit, Addr block, Tick t) override;
+    /** Copy a committed block back; drop @p tx's association. */
+    void applyStep(TxId tx, bool is_commit, Addr block) override;
+    /// @}
+
     PhysMem &phys_;
-    TxManager &txmgr_;
     DramModel &dram_;
-    Tracer *tracer_ = &Tracer::nil();
-    CycleProfiler *prof_ = &CycleProfiler::nil();
     bool vc_enabled_;
 
     XFilter xf_;
     std::unordered_map<Addr, XadtEntry> xadt_;
     std::unordered_map<TxId, std::vector<Addr>> tx_blocks_;
-    std::unordered_map<TxId, CleanupJob> jobs_;
 
     /** XADC: metadata-cache keys with LRU (timing only). */
     LruMap<> xadc_;
     /** Victim cache: resident blocks with LRU (data modeled
      *  functionally through the XADT entry each one shadows). */
     LruMap<> victim_;
-
-    unsigned overflowed_live_ = 0;
-    Tick supervisor_free_ = 0;
 };
 
 } // namespace ptm

@@ -51,8 +51,7 @@ class AuditNegative : public ::testing::Test
         dram = std::make_unique<DramModel>(200, 3, 60);
         vts = std::make_unique<Vts>(params, eq, phys, txmgr, *frames,
                                     *dram);
-        txmgr.backendCommit = [this](TxId t) { vts->commitTx(t); };
-        txmgr.backendAbort = [this](TxId t) { vts->abortTx(t); };
+        txmgr.setBackend(vts.get());
         home = frames->alloc();
         auditor.attach(vts.get(), &txmgr);
     }

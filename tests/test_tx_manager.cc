@@ -8,14 +8,49 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
+#include "tx/tm_backend.hh"
 #include "tx/tx_manager.hh"
 
 namespace ptm
 {
 namespace
 {
+
+/** A backend whose commit/abort cleanup is a test's hook. */
+struct HookBackend : TmBackend
+{
+    std::function<void(TxId)> onCommit = [](TxId) {};
+    std::function<void(TxId)> onAbort = [](TxId) {};
+
+    void commitTx(TxId tx) override { onCommit(tx); }
+    void abortTx(TxId tx) override { onAbort(tx); }
+    bool anyOverflow() const override { return false; }
+    CheckResult checkAccess(const BlockAccess &) override { return {}; }
+    Tick
+    fillBlock(Addr, TxId, std::uint8_t *, std::uint16_t &,
+              std::vector<TxMark> &) override
+    {
+        return 0;
+    }
+    bool mayGrantExclusive(Addr, TxId) override { return true; }
+    Tick
+    evictTxBlock(Addr, TxId, bool, const std::uint8_t *, std::uint16_t,
+                 std::uint16_t) override
+    {
+        return 0;
+    }
+    Tick
+    writebackBlock(Addr, const std::uint8_t *, std::uint16_t) override
+    {
+        return 0;
+    }
+    std::uint32_t readCommittedWord32(Addr) override { return 0; }
+    void drainThreadCleanups(ThreadId) override {}
+    void drainAllCleanups() override {}
+};
 
 TEST(TxManager, BeginCommitLifecycle)
 {
@@ -25,7 +60,7 @@ TEST(TxManager, BeginCommitLifecycle)
     EXPECT_TRUE(m.isLive(t));
     EXPECT_EQ(m.liveCount(), 1u);
     EXPECT_EQ(m.requestCommit(t), CommitResult::Done);
-    // No backend hook: cleanup completes synchronously.
+    // No backend: cleanup completes synchronously.
     EXPECT_EQ(m.stateOf(t), TxState::Committed);
     EXPECT_EQ(m.commits.value(), 1u);
     EXPECT_EQ(m.liveCount(), 0u);
@@ -157,12 +192,14 @@ TEST(TxManager, AbortedOrderedWaiterLeavesQueue)
 TEST(TxManager, HookOrderOnAbort)
 {
     TxManager m;
+    HookBackend backend;
+    m.setBackend(&backend);
     std::vector<std::string> order;
     m.onLogicalAbort = [&](TxId) { order.push_back("invalidate"); };
     m.notifyAborted = [&](TxId, ThreadId, AbortReason) {
         order.push_back("notify");
     };
-    m.backendAbort = [&](TxId tx) {
+    backend.onAbort = [&](TxId tx) {
         order.push_back("backend");
         m.cleanupDone(tx);
     };
@@ -184,7 +221,8 @@ TEST(TxManager, CommittingTransactionCannotBeAborted)
 {
     TxManager m;
     bool cleanup_pending = true;
-    m.backendCommit = [&](TxId) { /* cleanup stays pending */ };
+    HookBackend backend; // cleanup stays pending
+    m.setBackend(&backend);
     TxId t = m.begin(0, 0, 0);
     EXPECT_EQ(m.requestCommit(t), CommitResult::Done);
     EXPECT_EQ(m.stateOf(t), TxState::Committing);

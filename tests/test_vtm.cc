@@ -65,8 +65,7 @@ class VtmUnit : public ::testing::Test
         dram = std::make_unique<DramModel>(200, 3, 60);
         vtm = std::make_unique<VtmController>(params, eq, phys, txmgr,
                                               *dram);
-        txmgr.backendCommit = [this](TxId t) { vtm->commitTx(t); };
-        txmgr.backendAbort = [this](TxId t) { vtm->abortTx(t); };
+        txmgr.setBackend(vtm.get());
     }
 
     void
