@@ -6,6 +6,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "persist/wal.hh"
 #include "sim/logging.hh"
@@ -343,6 +344,7 @@ Core::fastForward(ThreadCtx &t, std::uint64_t value)
                 // writeback see natural timing. (A refused trySync
                 // has no side effect; the re-probe inside issueAccess
                 // at that tick decides identically.)
+                pinFrame(t, acc.paddr);
                 leave(site_mem_, [this, &t, acc] { issueAccess(t, acc); });
                 return;
             }
@@ -404,6 +406,24 @@ Core::makeAccess(const ThreadCtx &t, const MemYield &op,
 }
 
 void
+Core::pinFrame(ThreadCtx &t, Addr paddr)
+{
+    if (!params_.swapEnabled)
+        return;
+    panic_if(t.pinnedFrame != invalidPage,
+             "thread %u pins a second in-flight access", t.id);
+    t.pinnedFrame = pageOf(paddr);
+    os_.pinFrame(t.pinnedFrame);
+}
+
+void
+Core::unpinFrame(ThreadCtx &t)
+{
+    if (t.pinnedFrame != invalidPage)
+        os_.unpinFrame(std::exchange(t.pinnedFrame, invalidPage));
+}
+
+void
 Core::runOp(ThreadCtx &t, const MemYield &op)
 {
     if (op.kind == OpKind::Compute) {
@@ -426,6 +446,7 @@ Core::runOp(ThreadCtx &t, const MemYield &op)
         noteTxStore(t, op);
 
     Access acc = makeAccess(t, op, xr.paddr);
+    pinFrame(t, acc.paddr);
     if (xr.latency == 0) {
         issueAccess(t, acc);
     } else {
@@ -448,6 +469,7 @@ Core::issueAccess(ThreadCtx &t, const Access &acc)
         return;
     }
     if (auto hit = mem_.trySync(acc, eq_.curTick())) {
+        unpinFrame(t);
         Tick lat = hit->first;
         std::uint32_t v = hit->second.value;
         prof_->push(id_, hitBucket(lat));
@@ -460,7 +482,12 @@ Core::issueAccess(ThreadCtx &t, const Access &acc)
     t.state = ThreadState::WaitMem;
     prof_->push(id_, ProfBucket::StallMem);
     std::uint64_t ep = t.epoch;
-    mem_.request(acc, [this, &t, ep](Tick done, AccessResult res) {
+    // The bus request owns the pin from here: it is released at grant
+    // processing, where the access reaches memory.
+    const PageNum pin = std::exchange(t.pinnedFrame, invalidPage);
+    mem_.request(acc, [this, &t, ep, pin](Tick done, AccessResult res) {
+        if (pin != invalidPage)
+            os_.unpinFrame(pin);
         eq_.schedule(done, EventPriority::Cpu, [this, &t, res, ep] {
             if (t.epoch != ep)
                 return;
@@ -540,6 +567,8 @@ Core::handleAbort(ThreadCtx &t)
 {
     t.commitPending = false;
     t.hasPendingResume = false;
+    // The epoch bump abandons a translated access not yet issued.
+    unpinFrame(t);
     ++t.epoch;
     t.coro.destroy();
     t.coroLive = false;

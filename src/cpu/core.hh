@@ -119,6 +119,12 @@ class Core
      */
     void fastForward(ThreadCtx &t, std::uint64_t value);
 
+    /** Pin the frame of @p t's translated access at @p paddr until
+     *  it reaches memory (swap runs only; OsKernel in-flight pins). */
+    void pinFrame(ThreadCtx &t, Addr paddr);
+    /** Release @p t's pin, if it holds one. */
+    void unpinFrame(ThreadCtx &t);
+
     /** Run @p fn in @p delay ticks unless @p t's epoch moved on (an
      *  abort abandons every continuation scheduled before it). */
     template <class F>

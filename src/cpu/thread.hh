@@ -102,6 +102,11 @@ class ThreadCtx
      * aborted attempt become no-ops instead of resuming the new one.
      */
     std::uint64_t epoch = 0;
+    /**
+     * Frame of a translated access that has not reached memory yet,
+     * pinned against swap-out (swap runs only; invalidPage if none).
+     */
+    PageNum pinnedFrame = invalidPage;
 
     std::size_t stepIdx = 0;
 

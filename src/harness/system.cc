@@ -409,9 +409,9 @@ System::pickLiveTx()
     // The table iterates in id order: the injection schedule is
     // deterministic.
     std::vector<TxId> live;
-    for (const Transaction &tx : txmgr_.txTable())
-        if (tx.state == TxState::Running)
-            live.push_back(tx.id);
+    for (const Transaction *tx : txmgr_.txTable())
+        if (tx->state == TxState::Running)
+            live.push_back(tx->id);
     if (live.empty())
         return invalidTxId;
     return live[chaos_.rng().below(std::uint32_t(live.size()))];

@@ -19,8 +19,7 @@ MemSystem::MemSystem(const SystemParams &params, EventQueue &eq,
                      PhysMem &phys, TxManager &txmgr)
     : params_(params), eq_(eq), phys_(phys), txmgr_(txmgr),
       bus_(busLatency, params.memBanks),
-      dram_(dramLatency, dramPipeline, dramWriteOccupancy),
-      dir_(std::max(1u, params.memBanks))
+      dram_(dramLatency, dramPipeline, dramWriteOccupancy)
 {
     panic_if(params.numCores > 64,
              "sharer-filter masks are 64-bit: numCores %u > 64",
@@ -73,29 +72,21 @@ MemSystem::regStats(StatRegistry &reg)
                 "DRAM accesses issued");
 }
 
-std::uint64_t
-MemSystem::dirSharers(Addr block) const
-{
-    const auto &part = dir_[bus_.bankOf(block)];
-    const std::uint64_t *m = part.find(block);
-    return m ? *m : 0;
-}
-
 void
 MemSystem::dirSet(CoreId c, Addr block)
 {
-    dir_[bus_.bankOf(block)][block] |= std::uint64_t(1) << c;
+    const std::size_t i = std::size_t(block >> blockShift);
+    if (i >= dir_.size())
+        dir_.resize(i + 1, 0);
+    dir_[i] |= std::uint64_t(1) << c;
 }
 
 void
 MemSystem::dirClear(CoreId c, Addr block)
 {
-    auto &part = dir_[bus_.bankOf(block)];
-    if (std::uint64_t *m = part.find(block)) {
-        *m &= ~(std::uint64_t(1) << c);
-        if (*m == 0)
-            part.erase(block);
-    }
+    const std::size_t i = std::size_t(block >> blockShift);
+    if (i < dir_.size())
+        dir_[i] &= ~(std::uint64_t(1) << c);
 }
 
 std::uint16_t

@@ -38,7 +38,7 @@
 #include "mem/timing.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
+#include "sim/dense_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "tx/tm_backend.hh"
@@ -158,6 +158,18 @@ class MemSystem
     /** Register this component's statistics under "mem". */
     void regStats(StatRegistry &reg);
 
+    /** Mask of cores whose L2 may hold @p block (0 when untracked). */
+    std::uint64_t
+    dirSharers(Addr block) const
+    {
+        const std::size_t i = std::size_t(block >> blockShift);
+        return i < dir_.size() ? dir_[i] : 0;
+    }
+
+    /** Length of the sharer directory: one past the highest block
+     *  ever installed (lookups never grow it). */
+    std::size_t dirBlocks() const { return dir_.size(); }
+
     /** @name Statistics */
     /// @{
     Counter l1Hits;
@@ -268,19 +280,18 @@ class MemSystem
 
     /** @name Sharer-filter directory
      *
-     * One FlatMap per interconnect bank, mapping a block address to a
-     * 64-bit mask of cores whose L2 *may* hold the block. The mask is
-     * conservative: bits are set at the single line-install site
-     * (processGrant) and cleared lazily — at invalidation sites and
-     * self-healing on any probe that finds no line — so a stale bit
-     * only costs one wasted probe, never a missed snoop. Iterating set
-     * bits in ascending core order visits exactly the cores the
-     * broadcast loops visited, so simulated results are unchanged; the
-     * filter only removes guaranteed-miss probes.
+     * One array indexed by physical block number, holding a 64-bit
+     * mask of cores whose L2 *may* hold the block; it grows on demand
+     * to the highest block installed. The mask is conservative: bits
+     * are set at the single line-install site (processGrant) and
+     * cleared lazily — at invalidation sites and self-healing on any
+     * probe that finds no line — so a stale bit only costs one wasted
+     * probe, never a missed snoop. Iterating set bits in ascending
+     * core order visits exactly the cores the broadcast loops visited,
+     * so simulated results are unchanged; the filter only removes
+     * guaranteed-miss probes.
      */
     /// @{
-    /** Mask of cores that may cache @p block (0 when untracked). */
-    std::uint64_t dirSharers(Addr block) const;
     /** Record that core @p c now caches @p block. */
     void dirSet(CoreId c, Addr block);
     /** Record that core @p c no longer caches @p block. */
@@ -338,11 +349,11 @@ class MemSystem
     std::vector<std::unique_ptr<L1Filter>> l1_;
     std::vector<std::unique_ptr<CacheArray>> l2_;
 
-    /** Sharer-filter directory, one partition per interconnect bank. */
-    std::vector<FlatMap<Addr, std::uint64_t>> dir_;
+    /** Sharer-filter directory: sharer mask by physical block number. */
+    std::vector<std::uint64_t> dir_;
 
     /** Per-transaction footprints (see noteFootprint). */
-    FlatMap<TxId, TxFootprint> footprints_;
+    DenseMap<TxId, TxFootprint> footprints_;
     /** Bitmap words per (transaction, core): one bit per L2 slot. */
     std::size_t footprintWords_;
 

@@ -8,8 +8,10 @@
  * versioning logic of Copy-PTM / Select-PTM testable rather than merely
  * timed.
  *
- * Pages are allocated sparsely on demand; an untouched frame reads as
- * zero.
+ * Frames are backed on demand; an unbacked frame reads as zero. The
+ * frame index is an array of frame pointers indexed by frame number,
+ * grown on demand to the highest frame written (FrameAllocator hands
+ * frames out from 0 upward, so it tracks the memory the run touched).
  */
 
 #ifndef PTM_MEM_PHYS_MEM_HH
@@ -19,14 +21,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <vector>
 
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace ptm
 {
 
-/** Sparse byte-accurate physical memory. */
+/** Byte-accurate physical memory, backed frame by frame. */
 class PhysMem
 {
   public:
@@ -123,36 +125,46 @@ class PhysMem
     void
     releaseFrame(PageNum p)
     {
-        frames_.erase(p);
+        if (p < frames_.size() && frames_[p]) {
+            frames_[p].reset();
+            --backed_;
+        }
     }
 
     /** Number of frames currently backed. */
-    std::size_t backedFrames() const { return frames_.size(); }
+    std::size_t backedFrames() const { return backed_; }
+
+    /** Length of the frame index: one past the highest frame ever
+     *  backed (reads never grow it). */
+    std::size_t indexedFrames() const { return frames_.size(); }
 
   private:
-    // The frame index is on the path of every functional word access;
-    // FlatMap keeps the lookup to a couple of contiguous probes. The
-    // frames themselves are heap cells, so Frame pointers stay valid
-    // across index rehashes.
+    // The frame index is on the path of every functional word access:
+    // one bounds check and one array read. The frames themselves are
+    // heap cells, so Frame pointers stay valid as the index grows.
     const Frame *
     find(PageNum p) const
     {
-        const std::unique_ptr<Frame> *slot = frames_.find(p);
-        return slot ? slot->get() : nullptr;
+        return p < frames_.size() ? frames_[p].get() : nullptr;
     }
 
     Frame &
     get(PageNum p)
     {
+        if (p >= frames_.size())
+            frames_.resize(p + 1);
         std::unique_ptr<Frame> &slot = frames_[p];
         if (!slot) {
             slot = std::make_unique<Frame>();
             slot->fill(0);
+            ++backed_;
         }
         return *slot;
     }
 
-    FlatMap<PageNum, std::unique_ptr<Frame>> frames_;
+    /** Frame pointers by frame number (null: unbacked). */
+    std::vector<std::unique_ptr<Frame>> frames_;
+    std::size_t backed_ = 0;
 };
 
 } // namespace ptm

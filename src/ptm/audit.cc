@@ -266,12 +266,12 @@ PtmAuditor::checkAll(const char *where, Tick now)
 
     // T-State cross-checks.
     std::uint64_t running = 0, overflowed_live = 0;
-    for (const Transaction &tx : txmgr_->txTable()) {
-        if (tx.state == TxState::Running)
+    for (const Transaction *tx : txmgr_->txTable()) {
+        if (tx->state == TxState::Running)
             ++running;
-        if (tx.overflowed && (tx.state == TxState::Running ||
-                              tx.state == TxState::Committing ||
-                              tx.state == TxState::Aborting))
+        if (tx->overflowed && (tx->state == TxState::Running ||
+                               tx->state == TxState::Committing ||
+                               tx->state == TxState::Aborting))
             ++overflowed_live;
     }
     if (running != txmgr_->liveCount())

@@ -39,6 +39,7 @@
 #include "ptm/granularity.hh"
 #include "ptm/tav.hh"
 #include "sim/config.hh"
+#include "sim/dense_map.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/lru_map.hh"
@@ -344,7 +345,8 @@ class Vts : public SupervisorWalk<TavNode *>
     PageGran gran_;
     bool select_;
 
-    FlatMap<PageNum, SptEntry> spt_;
+    /** Shadow Page Table: entries by home frame. */
+    DenseMap<PageNum, SptEntry> spt_;
     /** Swap Index Table: entries of swapped-out pages, by swap slot. */
     FlatMap<std::uint64_t, SptEntry> sit_;
     /** Shadow page bytes of swapped-out pages, by swap slot. */

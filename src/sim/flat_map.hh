@@ -3,12 +3,14 @@
  * Open-addressing hash map for the simulator's hot lookup paths.
  *
  * std::unordered_map pays one heap allocation per node and a pointer
- * chase per probe; the simulator's hottest indices (SPT entries, TAV
- * list heads, metadata-cache tags, physical frames) are all keyed by
- * small integers and live on paths executed once or more per simulated
- * memory access. FlatMap stores slots contiguously, probes linearly
- * from a mixed hash, and erases by backward shifting, so lookups touch
- * one or two cache lines and erase leaves no tombstones.
+ * chase per probe; the simulator's sparse integer-keyed indices
+ * (metadata-cache and TLB tags, page tables, swap slots, TAV list
+ * heads) live on paths executed once or more per simulated memory
+ * access. FlatMap stores slots contiguously, probes linearly from a
+ * mixed hash, and erases by backward shifting, so lookups touch one or
+ * two cache lines and erase leaves no tombstones. Tables keyed by
+ * dense ids (frames, blocks, transactions) index them directly
+ * instead (sim/dense_map.hh).
  *
  * Semantics intentionally mirror the std::unordered_map subset the
  * simulator uses (find / operator[] / at / erase / size / forEach),
@@ -51,8 +53,8 @@ mix64(std::uint64_t x)
  * would take the load above 3/4. With linear probing a lookup of a
  * missing key scans the whole cluster it lands in, about
  * (1 + 1/(1-a)^2)/2 slots at load a: 2.5 at 1/2, 8.5 at 3/4 but 32.5
- * at 7/8, and the miss is the common lookup of the sharer directory
- * and the metadata-cache indices. Keys and mapped values must be
+ * at 7/8, and the miss is the common lookup of the metadata-cache
+ * indices. Keys and mapped values must be
  * default-constructible and movable (erased slots are reset to a
  * default-constructed state).
  */
@@ -249,7 +251,7 @@ class FlatMap
         std::vector<Slot> old_slots = std::move(slots_);
         std::vector<std::uint8_t> old_used = std::move(used_);
         // vector(n) default-constructs: keeps move-only mapped types
-        // (e.g. unique_ptr frames) usable.
+        // (e.g. unique_ptr values) usable.
         slots_ = std::vector<Slot>(cap);
         used_.assign(cap, 0);
         for (std::size_t i = 0; i < old_slots.size(); ++i) {

@@ -236,9 +236,9 @@ class SupervisorWalk : public TmBackend
     drain(Pred pick)
     {
         std::vector<TxId> ids;
-        for (const Transaction &tx : txmgr_.txTable())
-            if (pick(tx))
-                ids.push_back(tx.id);
+        for (const Transaction *tx : txmgr_.txTable())
+            if (pick(*tx))
+                ids.push_back(tx->id);
         for (TxId id : ids)
             finishNow(id);
     }

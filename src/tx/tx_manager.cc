@@ -74,7 +74,7 @@ TxManager::begin(ThreadId thread, ProcId proc, Tick now, bool ordered,
         return outer->id;
     }
 
-    TxId id = TxId(table_.size()) + 1;
+    TxId id = TxId(index_.size()) + 1;
     Transaction tx;
     tx.id = id;
     tx.state = TxState::Running;
@@ -96,7 +96,11 @@ TxManager::begin(ThreadId thread, ProcId proc, Tick now, bool ordered,
     } else {
         tx.age = (next_age_++) << 40;
     }
-    table_.push_back(tx);
+    const std::size_t at = index_.size() % chunkTxs;
+    if (at == 0)
+        chunks_.push_back(std::make_unique<Transaction[]>(chunkTxs));
+    chunks_.back()[at] = tx;
+    index_.push_back(&chunks_.back()[at]);
     active_by_thread_[thread] = id;
     ++live_count_;
     tracer_->recordAt(now, TraceEventType::TxBegin, traceNoId, thread,

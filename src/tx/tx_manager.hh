@@ -14,8 +14,8 @@
 #define PTM_TX_TX_MANAGER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -155,13 +155,13 @@ class TxManager
     Transaction *
     get(TxId id)
     {
-        return id - 1 < table_.size() ? &table_[id - 1] : nullptr;
+        return id - 1 < index_.size() ? index_[id - 1] : nullptr;
     }
 
     const Transaction *
     get(TxId id) const
     {
-        return id - 1 < table_.size() ? &table_[id - 1] : nullptr;
+        return id - 1 < index_.size() ? index_[id - 1] : nullptr;
     }
 
     /** Current state of @p id, Invalid if unknown. */
@@ -186,7 +186,7 @@ class TxManager
      * The whole T-State table in id order (auditor / chaos victim
      * selection / cleanup drains).
      */
-    const std::deque<Transaction> &txTable() const { return table_; }
+    const std::vector<Transaction *> &txTable() const { return index_; }
 
     /** Configure the contention-robustness knobs (System wiring). */
     void setContention(const ContentionParams &p) { contention_ = p; }
@@ -252,9 +252,14 @@ class TxManager
     Tracer *tracer_ = &Tracer::nil();
     TmBackend *backend_ = nullptr;
     std::function<Tick()> clock_;
+    /** T-State entries per storage chunk. */
+    static constexpr std::size_t chunkTxs = 256;
+    /** T-State storage in fixed-size chunks, so an entry's address
+     *  stays stable as the table grows. */
+    std::vector<std::unique_ptr<Transaction[]>> chunks_;
     /** Every transaction ever begun, indexed by id - 1 (ids are
-     *  sequential from 1; a deque keeps entry pointers stable). */
-    std::deque<Transaction> table_;
+     *  sequential from 1). */
+    std::vector<Transaction *> index_;
     std::unordered_map<ThreadId, TxId> active_by_thread_;
     std::vector<OrderedScope> scopes_;
     std::uint64_t next_age_ = 1;

@@ -199,8 +199,9 @@ Tick
 OsKernel::swapOutOne()
 {
     // FIFO scan for a swappable victim: resident, not pinned by live
-    // TAV state (the paper's OS also only chooses home pages; shadow
-    // pages are never independent victims, section 3.5.1).
+    // TAV state or an in-flight access (the paper's OS also only
+    // chooses home pages; shadow pages are never independent victims,
+    // section 3.5.1).
     for (std::size_t scan = 0; scan < resident_fifo_.size(); ++scan) {
         auto [proc, vpage] = resident_fifo_.front();
         resident_fifo_.pop_front();
@@ -210,7 +211,8 @@ OsKernel::swapOutOne()
         if (m.state != PageMapping::State::Resident) {
             continue; // stale entry
         }
-        if (backend_ && !backend_->swappable(m.frame)) {
+        if (pinned(m.frame) ||
+            (backend_ && !backend_->swappable(m.frame))) {
             resident_fifo_.emplace_back(proc, vpage);
             continue;
         }

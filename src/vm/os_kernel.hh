@@ -106,6 +106,41 @@ class OsKernel
         return pageBase(frame) + pageOffset(vaddr);
     }
 
+    /**
+     * @name In-flight pins
+     *
+     * A translated access carries its physical address until it
+     * reaches memory (a TLB-walk stall, a deferred fast-forward op, a
+     * queued bus request). The core pins the frame for that window and
+     * the swap victim scan skips pinned frames, so no access reaches a
+     * frame that was swapped out (and perhaps reused) after it was
+     * translated. Pins are only taken when swapping is on.
+     */
+    /// @{
+    void
+    pinFrame(PageNum f)
+    {
+        if (f >= pins_.size())
+            pins_.resize(f + 1, 0);
+        ++pins_[f];
+    }
+
+    void
+    unpinFrame(PageNum f)
+    {
+        panic_if(f >= pins_.size() || pins_[f] == 0,
+                 "unpinning frame %llu without a pin",
+                 (unsigned long long)f);
+        --pins_[f];
+    }
+
+    bool
+    pinned(PageNum f) const
+    {
+        return f < pins_.size() && pins_[f] != 0;
+    }
+    /// @}
+
     /** @name Scheduling */
     /// @{
     /** Register a runnable thread. */
@@ -272,6 +307,8 @@ class OsKernel
     std::deque<std::pair<ProcId, PageNum>> resident_fifo_;
     FlatMap<std::uint64_t, std::vector<std::uint8_t>> swap_data_;
     std::uint64_t next_swap_slot_ = 1;
+    /** In-flight access pins by frame number. */
+    std::vector<std::uint32_t> pins_;
 
     std::deque<ThreadCtx *> ready_;
     unsigned live_threads_ = 0;

@@ -300,6 +300,15 @@ VtmController::stepCost(TxId tx, bool is_commit, Addr block, Tick t)
     return done;
 }
 
+bool
+VtmController::swappable(PageNum home) const
+{
+    for (unsigned b = 0; b < blocksPerPage; ++b)
+        if (xadt_.count(pageBase(home) + Addr(b) * blockBytes))
+            return false;
+    return true;
+}
+
 void
 VtmController::applyStep(TxId tx, bool is_commit, Addr block)
 {

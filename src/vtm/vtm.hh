@@ -111,6 +111,10 @@ class VtmController : public SupervisorWalk<Addr>
     Tick writebackBlock(Addr block_addr, const std::uint8_t *data,
                         std::uint16_t word_mask) override;
     std::uint32_t readCommittedWord32(Addr word_addr) override;
+    /** The XADT is keyed by physical block, so a page with XADT
+     *  entries stays resident until the walks of their transactions
+     *  drop them. */
+    bool swappable(PageNum home) const override;
     /// @}
 
     /** @name Statistics */

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the remaining substrate pieces: functional physical
  * memory, the frame allocator, coroutine plumbing edge cases, report
- * formatting, the flat map, and a parameterized cache-geometry
+ * formatting, the flat and dense maps, and a parameterized cache-geometry
  * correctness sweep.
  */
 
@@ -17,7 +17,9 @@
 #include "harness/report.hh"
 #include "mem/frame_alloc.hh"
 #include "mem/phys_mem.hh"
+#include "sim/dense_map.hh"
 #include "sim/flat_map.hh"
+#include "sim/random.hh"
 #include "sim_test_util.hh"
 
 namespace ptm
@@ -60,6 +62,42 @@ TEST(PhysMem, CopyPageAndRelease)
     EXPECT_EQ(m.readWord32(pageBase(9) + 8), 7u);
     m.releaseFrame(9);
     EXPECT_EQ(m.readWord32(pageBase(9) + 8), 0u);
+}
+
+TEST(PhysMem, ReleasedFrameRebacksAsZeros)
+{
+    PhysMem m;
+    m.writeWord32(pageBase(5) + 16, 11);
+    m.writeWord32(pageBase(6), 12);
+    EXPECT_EQ(m.backedFrames(), 2u);
+    m.releaseFrame(5);
+    EXPECT_EQ(m.backedFrames(), 1u);
+    EXPECT_EQ(m.frameData(5), nullptr);
+    m.releaseFrame(5); // already unbacked: no double count
+    EXPECT_EQ(m.backedFrames(), 1u);
+    std::uint8_t *f = m.backFrame(5);
+    EXPECT_EQ(m.backedFrames(), 2u);
+    for (unsigned i = 0; i < pageBytes; ++i)
+        ASSERT_EQ(f[i], 0u) << "re-backed frame byte " << i;
+    EXPECT_EQ(m.readWord32(pageBase(6)), 12u);
+}
+
+TEST(PhysMem, ReadingUnbackedFramesGrowsNothing)
+{
+    PhysMem m;
+    m.writeWord32(pageBase(2), 1);
+    const std::size_t indexed = m.indexedFrames();
+    EXPECT_EQ(indexed, 3u);
+    std::uint8_t out[blockBytes];
+    std::memset(out, 0xff, sizeof(out));
+    m.readBlock(pageBase(1000), out);
+    for (unsigned i = 0; i < blockBytes; ++i)
+        ASSERT_EQ(out[i], 0u);
+    EXPECT_EQ(m.readWord32(pageBase(5000) + 4), 0u);
+    EXPECT_EQ(m.frameData(7000), nullptr);
+    m.releaseFrame(9000);
+    EXPECT_EQ(m.indexedFrames(), indexed);
+    EXPECT_EQ(m.backedFrames(), 1u);
 }
 
 TEST(FrameAllocator, AllocFreeReuse)
@@ -226,7 +264,7 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param)) + "way";
     });
 
-// The open-addressing map behind the metadata caches, SPT, frame and
+// The open-addressing map behind the metadata-cache, page-table and
 // TLB indices.
 
 TEST(FlatMap, InsertFindEraseAcrossGrowth)
@@ -294,6 +332,56 @@ TEST(FlatMap, ForEachVisitsEveryElementOnce)
     ASSERT_EQ(seen.size(), 40u);
     for (std::uint64_t k = 1; k <= 40; ++k)
         EXPECT_EQ(seen[k - 1], k);
+}
+
+// The direct-indexed map behind the SPT and the per-transaction
+// footprints must hold what FlatMap holds over the same operations.
+TEST(DenseMap, MatchesFlatMapOverRandomOps)
+{
+    DenseMap<std::uint64_t, int> d;
+    FlatMap<std::uint64_t, int> f;
+    Pcg32 rng(7, 3);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t k = rng.below(700);
+        const int v = int(rng.below(1000000));
+        switch (rng.below(4)) {
+          case 0:
+          case 1:
+            d[k] = v;
+            f[k] = v;
+            break;
+          case 2:
+            ASSERT_EQ(d.erase(k), f.erase(k)) << "erase " << k;
+            break;
+          default:
+            if (const int *fv = f.find(k)) {
+                ASSERT_NE(d.find(k), nullptr) << "find " << k;
+                ASSERT_EQ(d.at(k), *fv);
+            } else {
+                ASSERT_EQ(d.find(k), nullptr) << "find " << k;
+            }
+        }
+        ASSERT_EQ(d.size(), f.size());
+    }
+    std::vector<std::pair<std::uint64_t, int>> want, got;
+    f.forEach([&](std::uint64_t k, int v) { want.emplace_back(k, v); });
+    std::sort(want.begin(), want.end());
+    d.forEach([&](std::uint64_t k, int &v) { got.emplace_back(k, v); });
+    EXPECT_EQ(got, want) << "same contents, visited in ascending key order";
+    EXPECT_FALSE(got.empty());
+}
+
+TEST(DenseMap, ErasedSlotsAreResetAndReused)
+{
+    DenseMap<std::uint32_t, std::vector<int>> d;
+    d[3].push_back(1);
+    d[9].push_back(2);
+    EXPECT_TRUE(d.erase(3));
+    EXPECT_FALSE(d.erase(3));
+    EXPECT_FALSE(d.erase(100000)) << "a key past the index is absent";
+    EXPECT_TRUE(d[40].empty()) << "a reused slot starts default-constructed";
+    EXPECT_EQ(d.at(9), std::vector<int>{2});
+    EXPECT_EQ(d.size(), 2u);
 }
 
 TEST(FlatSet, InsertContainsEraseSemantics)

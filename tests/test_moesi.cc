@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/frame_alloc.hh"
 #include "mem/mem_system.hh"
 #include "sim_test_util.hh"
 
@@ -282,6 +283,47 @@ TEST_F(MoesiWideTest, DebugReadFollowsSharerBits)
     mem.l2(12).find(B)->writeWord32(0, 8);
     EXPECT_EQ(mem.debugReadWord32(B), 6u)
         << "among clean copies the lowest core wins";
+}
+
+// The sharer directory is an array indexed by physical block number:
+// a lookup past its end reads as no sharers and grows nothing.
+TEST_F(MoesiTest, UntrackedBlockHasNoSharersAndGrowsNothing)
+{
+    go(1, false, A);
+    EXPECT_EQ(mem.dirSharers(A), std::uint64_t(1) << 1);
+    const std::size_t blocks = mem.dirBlocks();
+    EXPECT_EQ(blocks, std::size_t(A >> blockShift) + 1);
+    EXPECT_EQ(mem.dirSharers(A + blockBytes), 0u);
+    EXPECT_EQ(mem.dirSharers(pageBase(1u << 20)), 0u);
+    EXPECT_EQ(mem.debugReadWord32(pageBase(1u << 20)), 0u);
+    EXPECT_EQ(mem.dirBlocks(), blocks);
+}
+
+/** The same harness on the widest machine the 64-bit masks allow. */
+class Moesi64Test : public MoesiTest
+{
+  protected:
+    Moesi64Test() : MoesiTest(64) {}
+};
+
+TEST_F(Moesi64Test, TopCoreSharerBitOnHighestFrame)
+{
+    FrameAllocator frames(64);
+    PageNum top = 0;
+    while (frames.available())
+        top = frames.alloc();
+    ASSERT_EQ(top, 63u);
+    const Addr a = pageBase(top) + pageBytes - blockBytes;
+    phys.writeWord32(a, 9);
+    EXPECT_EQ(go(63, false, a).value, 9u);
+    EXPECT_EQ(mem.dirSharers(a), std::uint64_t(1) << 63);
+    EXPECT_EQ(mem.dirBlocks(), std::size_t(a >> blockShift) + 1);
+    go(0, true, a, 10); // invalidates core 63's copy
+    EXPECT_EQ(stateOf(63, a), Moesi::I);
+    EXPECT_EQ(mem.dirSharers(a), std::uint64_t(1))
+        << "core 63's bit clears at the invalidation";
+    EXPECT_EQ(go(63, false, a).value, 10u);
+    EXPECT_EQ(mem.dirSharers(a), (std::uint64_t(1) << 63) | 1u);
 }
 
 } // namespace

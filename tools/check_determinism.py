@@ -115,6 +115,14 @@ DEFAULT_CONFIGS = [
     ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
      "--threads", "4", "--trace-categories", "conflict",
      "--trace-buffer-events", "2048", "--postmortem-on-abort", "4"],
+    # Swapping through 16 frames on one thread: thousands of swap-outs
+    # release frames and SPT entries and back them again, ...
+    ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
+     "--threads", "1", "--swap", "--frames", "16", "--lazy-migrate"],
+    # ... and on four threads, where swap-outs skip frames with a
+    # translated access still in flight.
+    ["--workload", "fft", "--system", "sel-ptm", "--scale", "0",
+     "--swap", "--frames", "24"],
     # The crash ctest's cut: the dump's checkpoint, torn log tail and
     # retained log bytes. The --wal-file path is replaced per run.
     ["--workload", "kv", "--system", "sel-ptm", "--scale", "0",
